@@ -73,7 +73,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a comma-separated numeric table with a header row.
 
     Raises ``InputFormatError`` carrying the offending line and column when a
-    field does not parse.
+    field does not parse or is not finite (``nan``, ``inf``).
     """
     try:
         text = path.read_text(encoding="utf-8")
@@ -105,7 +105,19 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
         rows.append(row)
     if not rows:
         raise InputFormatError(f"{path}: no data rows", line=1)
-    return header, np.asarray(rows)
+    table = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row_idx, col_idx = (int(k) for k in bad[0])
+        lineno = row_idx + 2
+        field = lines[lineno - 1].split(",")[col_idx]
+        raise InputFormatError(
+            f"{path}: line {lineno}, column {col_idx + 1} ({header[col_idx]!r}): "
+            f"{field.strip()!r} is not a finite number",
+            line=lineno,
+            column=header[col_idx],
+        )
+    return header, table
 
 
 def _default_threads(value: int | None) -> int:
@@ -117,9 +129,12 @@ def _default_threads(value: int | None) -> int:
             return max(1, int(env))
         except ValueError:
             raise InputFormatError(f"OCLUST_THREADS={env!r} is not an integer")
-    # results are independent of thread count, so defaulting to the machine's
-    # parallelism changes speed only
-    return os.cpu_count() or 1
+    # results are independent of thread count, so defaulting to the CPUs this
+    # process may run on changes speed only
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +294,7 @@ def _cmd_separation_study(args) -> int:
         raise InputFormatError(f"dims {args.dims!r} must be a comma list of integers") from exc
     grid = _parse_grid(args.grid)
     out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     warnings = 0
     lines = ["separation,p,mean_relative_gap,achieved_separation,replicates"]
     for p_dim in dims:

@@ -77,8 +77,7 @@ def build_bins(ref: ReferenceMixture, num_bins: int,
         edges = np.empty(num_bins + 1)
         edges[0] = lo
         edges[num_bins] = hi
-        for k in range(1, num_bins):
-            edges[k] = reference_mixture_ppf(k / num_bins, ref)
+        edges[1:num_bins] = reference_mixture_ppf(np.arange(1, num_bins) / num_bins, ref)
     if not np.all(np.diff(edges) > 0):
         raise BinningError(
             "could not build strictly increasing bin edges; "

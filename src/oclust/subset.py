@@ -24,6 +24,20 @@ Two ways of producing empirical deltas are provided:
   (warm-started from the full-data fit) and the delta is the difference of
   true mixture log-likelihoods.  All n refits run as one vectorized batch.
 * ``frozen``: the closed-form delta above, with full-data statistics.
+
+The refit batch works on sufficient statistics.  Every row x gets, per
+component g, the features F_g(x) = [1, y, upper(y y')] with y = x - c_g,
+where the centre c_g is the full-fit mean; centring per component keeps the
+second moments well conditioned even for data far from the origin.  The
+features are built once per call and shared read-only by every chunk and
+thread.  An E-step folds log w_g, the log-determinant and the quadratic form
+into one coefficient vector a_g, so that log w_g + log N(x; mu_g, Sigma_g) =
+a_g . F_g(x) and the log-densities of a problem come from one matrix product;
+an M-step turns the moments resp @ F_g into mean c_g + S1/S0 and covariance
+S2/S0 - d d' with d = S1/S0.  Since every problem starts from the full fit,
+the first sweep is shared: its E-step runs once on all n rows (problem j
+drops row j's log-likelihood term) and its M-step is the full moments minus
+row j's weighted features.
 """
 
 from __future__ import annotations
@@ -38,18 +52,16 @@ from scipy.special import betainc, gammaln
 
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .gmm import (
+    _MIN_SOFT_COUNT,
     LOG_2PI,
     ClusterStats,
     FitConfig,
     MixtureModel,
     _cholesky_strict,
-    _rel_change,
     cluster_stats,
     em_fit,
     validate_data,
 )
-
-_MIN_SOFT_COUNT = 1e-9
 
 
 class DeltaMode(str, Enum):
@@ -323,24 +335,33 @@ def reference_mixture_cdf(y, ref: ReferenceMixture) -> np.ndarray | float:
     return total
 
 
-def reference_mixture_ppf(q: float, ref: ReferenceMixture) -> float:
-    """Quantile of the reference mixture by monotone bisection of the CDF."""
-    if not 0.0 <= q <= 1.0:
+def reference_mixture_ppf(q, ref: ReferenceMixture):
+    """Quantiles of the reference mixture by monotone bisection of the CDF.
+
+    ``q`` is one level or an array of levels; a scalar level returns a float.
+    All levels are bisected together, and each stops as soon as its own
+    bracket is small enough, so every element equals a one-level bisection.
+    """
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise ValueError("quantile level must lie in [0, 1]")
-    lo, hi = ref.support_lo, ref.support_hi
-    if q <= 0.0:
-        return lo
-    if q >= 1.0:
-        return hi
+    levels = q_arr.reshape(-1)
+    lo = np.full(levels.shape, ref.support_lo)
+    hi = np.full(levels.shape, ref.support_hi)
+    inner = (levels > 0.0) & (levels < 1.0)
+    active = np.flatnonzero(inner)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if reference_mixture_cdf(mid, ref) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
+        if active.size == 0:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        below = reference_mixture_cdf(mid, ref) < levels[active]
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        width = hi[active] - lo[active]
+        active = active[width > 1e-13 * np.maximum(1.0, np.abs(hi[active]))]
+    out = np.where(levels <= 0.0, lo, hi)
+    out[inner] = 0.5 * (lo[inner] + hi[inner])
+    return float(out[0]) if q_arr.ndim == 0 else out.reshape(q_arr.shape)
 
 
 def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,7 +401,7 @@ def gamma_reference_density(y, comp: GammaComponent) -> np.ndarray | float:
 def _batched_cholesky(covs: np.ndarray, reg_eps: float, row_ids: np.ndarray):
     """Cholesky factors for a (m, G, p, p) stack, with one ridged retry per block."""
     try:
-        return np.linalg.cholesky(covs), covs
+        return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         pass
     m, n_comp, p, _ = covs.shape
@@ -400,37 +421,42 @@ def _batched_cholesky(covs: np.ndarray, reg_eps: float, row_ids: np.ndarray):
                         f"leave-one-out refit for row {int(row_ids[i])}: component {g} "
                         "covariance is not positive definite even after regularization"
                     ) from exc
-    return np.linalg.cholesky(fixed), fixed
+    return np.linalg.cholesky(fixed)
 
 
-def _batched_e_step(data, weights, means, covs, row_ids, reg_eps):
-    """E-step for a batch of leave-one-out EM problems.
+def _features(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Sufficient-statistic features F_g(x) = [1, y, upper(y y')], y = x - centers[g].
 
-    ``row_ids[i]`` is the row excluded from problem i; its responsibility and
-    log-likelihood contribution are zeroed out after the shared computation.
-    Returns (loglik (m,), responsibilities (m, G, n), covariances used).
+    Returns shape (G, n, d) with d = 1 + p + p(p+1)/2.
     """
-    m = weights.shape[0]
-    n, p = data.shape
-    chol, covs_used = _batched_cholesky(covs, reg_eps, row_ids)
+    iu = np.triu_indices(data.shape[1])
+    y = data[None, :, :] - centers[:, None, :]
+    ones = np.ones(y.shape[:-1] + (1,))
+    return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
+
+
+def _log_density_coefs(weights, shifts, covs, row_ids, reg_eps):
+    """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
+
+    Inputs are batched as (m, G), (m, G, p) and (m, G, p, p); the result is
+    (m, G, d).  Each covariance is factored with one ridged retry.
+    """
+    p = shifts.shape[-1]
+    chol = _batched_cholesky(covs, reg_eps, row_ids)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)  # (m, G)
     chol_inv = np.linalg.inv(chol)
-    diff = data[None, None, :, :] - means[:, :, None, :]  # (m, G, n, p)
-    z = diff @ chol_inv.transpose(0, 1, 3, 2)
-    quad = np.einsum("mgnp,mgnp->mgn", z, z)
-    logp = np.log(weights)[:, :, None] - 0.5 * (p * LOG_2PI + logdet[:, :, None] + quad)
-    top = logp.max(axis=1)  # (m, n)
-    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
-    resp = np.exp(logp - row_ll[:, None, :])
-    batch = np.arange(m)
-    row_ll[batch, row_ids] = 0.0
-    resp[batch, :, row_ids] = 0.0
-    return row_ll.sum(axis=1), resp, covs_used
+    prec = chol_inv.transpose(0, 1, 3, 2) @ chol_inv
+    whitened = (chol_inv @ shifts[..., None])[..., 0]
+    linear = (prec @ shifts[..., None])[..., 0]
+    iu = np.triu_indices(p)
+    quadratic = np.where(iu[0] == iu[1], -0.5, -1.0) * prec[..., iu[0], iu[1]]
+    const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
+    return np.concatenate([const[..., None], linear, quadratic], axis=-1)
 
 
-def _batched_m_step(data, resp, row_ids):
-    """M-step for a batch of leave-one-out EM problems."""
-    soft = resp.sum(axis=-1)  # (m, G)
+def _params_from_moments(moments, p, row_ids):
+    """Weights, mean shifts from the centers and covariances from (m, G, d) moments."""
+    soft = moments[..., 0]  # (m, G)
     if np.any(soft < _MIN_SOFT_COUNT):
         i, g = np.unravel_index(int(np.argmin(soft)), soft.shape)
         raise DegenerateFitError(
@@ -438,37 +464,93 @@ def _batched_m_step(data, resp, row_ids):
             subset_index=int(row_ids[i]),
         )
     weights = soft / soft.sum(axis=-1, keepdims=True)
-    means = (resp @ data) / soft[..., None]  # (m, G, p)
-    diff = data[None, None, :, :] - means[:, :, None, :]  # (m, G, n, p)
-    weighted = diff * resp[..., None]
-    covs = weighted.transpose(0, 1, 3, 2) @ diff / soft[..., None, None]
-    covs = 0.5 * (covs + covs.transpose(0, 1, 3, 2))
-    return weights, means, covs
+    shifts = moments[..., 1:p + 1] / soft[..., None]
+    second = moments[..., p + 1:] / soft[..., None]
+    iu = np.triu_indices(p)
+    covs = np.empty(shifts.shape + (p,))
+    covs[..., iu[0], iu[1]] = second
+    covs[..., iu[1], iu[0]] = second
+    covs -= shifts[..., :, None] * shifts[..., None, :]
+    return weights, shifts, covs
 
 
-def _refit_chunk(data, model: MixtureModel, rows: np.ndarray, *,
+def _log_densities(feats, coefs):
+    """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients, shape (m, G, n).
+
+    Each problem and component gets its own (1, d) x (d, n) product, so a
+    value never depends on which other problems share the batch.
+    """
+    return (coefs[:, :, None, :] @ feats.transpose(0, 2, 1))[:, :, 0, :]
+
+
+def _posterior(logp):
+    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities."""
+    top = logp.max(axis=1)  # (m, n)
+    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
+    return row_ll, np.exp(logp - row_ll[:, None, :])
+
+
+def _moments(feats, resp):
+    """Responsibility-weighted feature sums resp @ F_g, shape (m, G, d)."""
+    return (resp[:, :, None, :] @ feats)[:, :, 0, :]
+
+
+@dataclass(frozen=True)
+class _FirstSweep:
+    """The shared warm start: features, E-step and moments before any row is removed."""
+
+    dim: int
+    feats: np.ndarray  # (G, n, d)
+    row_ll: np.ndarray  # (n,)
+    resp: np.ndarray  # (G, n)
+    moments: np.ndarray  # (G, d)
+
+
+def _first_sweep(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _FirstSweep:
+    n_comp, p = model.means.shape
+    feats = _features(data, model.means)
+    coefs = _log_density_coefs(
+        model.weights[None], np.zeros((1, n_comp, p)), model.covariances[None],
+        np.zeros(1, dtype=int), reg_eps,
+    )
+    row_ll, resp = _posterior(_log_densities(feats, coefs))
+    return _FirstSweep(dim=p, feats=feats, row_ll=row_ll[0], resp=resp[0],
+                       moments=_moments(feats, resp)[0])
+
+
+def _refit_chunk(first: _FirstSweep, rows: np.ndarray, *,
                  rel_tol: float, reg_eps: float, max_iter: int) -> np.ndarray:
-    """Warm-started EM log-likelihood for each leave-one-out subset in ``rows``."""
-    m = rows.shape[0]
-    weights = np.tile(model.weights, (m, 1))
-    means = np.tile(model.means, (m, 1, 1))
-    covs = np.tile(model.covariances, (m, 1, 1, 1))
-    loglik, resp, covs = _batched_e_step(data, weights, means, covs, rows, reg_eps)
+    """Warm-started EM log-likelihood for each leave-one-out subset in ``rows``.
+
+    Problem i excludes row ``rows[i]``.  Its first E-step is the shared one
+    minus that row's log-likelihood term, and its first M-step starts from
+    the shared moments minus that row's weighted features; later E-steps
+    zero the row's responsibility and log-likelihood contribution.
+    """
+    feats = first.feats
+    loglik = first.row_ll.sum() - first.row_ll[rows]
     out = loglik.copy()
-    active = np.arange(m)
+    removed = first.resp[:, rows].T[..., None] * feats[:, rows].transpose(1, 0, 2)  # (m, G, d)
+    moments = first.moments - removed
+    active = np.arange(rows.shape[0])
     for _ in range(max_iter):
-        weights2, means2, covs2 = _batched_m_step(data, resp, rows[active])
-        loglik2, resp, covs2 = _batched_e_step(data, weights2, means2, covs2, rows[active], reg_eps)
+        excluded = rows[active]
+        weights, shifts, covs = _params_from_moments(moments, first.dim, excluded)
+        coefs = _log_density_coefs(weights, shifts, covs, excluded, reg_eps)
+        row_ll, resp = _posterior(_log_densities(feats, coefs))
+        batch = np.arange(active.shape[0])
+        row_ll[batch, excluded] = 0.0
+        resp[batch, :, excluded] = 0.0
+        loglik2 = row_ll.sum(axis=1)
         out[active] = loglik2
         denom = np.maximum(1.0, np.maximum(np.abs(loglik2), np.abs(loglik[active])))
         converged = np.abs(loglik2 - loglik[active]) < rel_tol * denom
         loglik[active] = loglik2
-        weights, means, covs = weights2, means2, covs2
         if converged.all():
             break
         keep = ~converged
         active = active[keep]
-        weights, means, covs, resp = weights[keep], means[keep], covs[keep], resp[keep]
+        moments = _moments(feats, resp[keep])
     return out
 
 
@@ -484,20 +566,21 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
     n, p = arr.shape
     n_comp = model.n_components
     if chunk_size is None:
-        # keep the (chunk, G, n, p) work arrays around a few tens of MB
+        # at most about 4e6 / p elements in each (chunk, G, n) work array
         chunk_size = int(np.clip(4_000_000 // max(1, n_comp * n * p), 8, 4096))
     rows = np.arange(n)
     chunks = [rows[i:i + chunk_size] for i in range(0, n, chunk_size)]
+    first = _first_sweep(arr, model, reg_eps)
     kwargs = dict(rel_tol=rel_tol, reg_eps=reg_eps, max_iter=max_iter)
     out = np.empty(n)
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda c: _refit_chunk(arr, model, c, **kwargs), chunks))
+            results = list(pool.map(lambda c: _refit_chunk(first, c, **kwargs), chunks))
         for chunk, vals in zip(chunks, results):
             out[chunk] = vals
     else:
         for chunk in chunks:
-            out[chunk] = _refit_chunk(arr, model, chunk, **kwargs)
+            out[chunk] = _refit_chunk(first, chunk, **kwargs)
     return out
 
 

@@ -216,6 +216,18 @@ def test_malformed_csv_exits_2_and_names_location(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_csv_cell_exits_2_and_names_location(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x1,x2\n1.0,2.0\n3.0,{cell}\n")
+    code, _, err = run_cli(
+        ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == 2
+    assert f"line 3, column 2 ('x2'): {cell!r} is not a finite number" in err
+
+
 def test_degenerate_input_exits_3(tmp_path, capsys):
     bad = tmp_path / "flat.csv"
     rows = "\n".join("1.0,1.0" for _ in range(40))

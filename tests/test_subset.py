@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from oclust import (
     BetaComponent,
+    ReferenceMixture,
     DeltaMode,
     DowndateVariant,
     FitConfig,
@@ -15,6 +16,7 @@ from oclust import (
     MixtureModel,
     approx_log_likelihood,
     beta_mixture_reference,
+    build_bins,
     cluster_stats,
     delta_formula,
     downdate_stats,
@@ -110,6 +112,62 @@ def test_refit_logliks_invariant_to_chunking_and_threads(fitted_blobs):
     base = loo_refit_logliks(data, model, chunk_size=7)
     assert np.array_equal(base, loo_refit_logliks(data, model, chunk_size=60))
     assert np.array_equal(base, loo_refit_logliks(data, model, chunk_size=13, n_threads=4))
+
+
+@pytest.fixture(scope="module")
+def fitted_blobs_300():
+    rng = np.random.default_rng(34)
+    data = np.vstack(
+        [rng.standard_normal((100, 2)) * scale + center
+         for scale, center in [(1.0, [0.0, 0.0]), (0.7, [7.0, 1.0]), (1.3, [2.0, 8.0])]]
+        + [rng.uniform(-8.0, 15.0, (12, 2))]
+    )
+    model, _, _ = em_fit(data, 3, FitConfig(seed=2))
+    return data, model
+
+
+def test_refit_logliks_invariant_to_uneven_chunks_at_larger_n(fitted_blobs_300):
+    data, model = fitted_blobs_300
+    n = data.shape[0]
+    base = loo_refit_logliks(data, model)
+    for chunk_size in [7, 64, n - 1]:
+        got = loo_refit_logliks(data, model, chunk_size=chunk_size, n_threads=2)
+        assert np.array_equal(base, got), chunk_size
+
+
+def test_refit_logliks_invariant_to_translation(fitted_blobs_300):
+    data, model = fitted_blobs_300
+    offset = 1e7
+    moved = MixtureModel(
+        weights=model.weights, means=model.means + offset, covariances=model.covariances
+    )
+    base = loo_refit_logliks(data, model) - mixture_log_likelihood(data, model)
+    far = loo_refit_logliks(data + offset, moved) - mixture_log_likelihood(data + offset, moved)
+    assert np.argmax(far) == np.argmax(base)
+    assert np.max(np.abs(far - base)) < 1e-6
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_comp=st.integers(1, 3),
+    p=st.integers(1, 3),
+    per_cluster=st.integers(8, 16),
+)
+@settings(max_examples=15)
+def test_refit_logliks_match_explicit_deletion_refits(seed, n_comp, p, per_cluster):
+    rng = np.random.default_rng(seed)
+    data = np.vstack(
+        [rng.standard_normal((per_cluster, p)) * rng.uniform(0.5, 2.0) + 9.0 * g
+         for g in range(n_comp)]
+    )
+    model, labels, _ = em_fit(data, n_comp, FitConfig(seed=seed))
+    # a fit with a component on a handful of points is degenerate: its refits
+    # chase likelihood spikes and depend on rounding, so no oracle applies
+    assume(np.array_equal(np.bincount(labels, minlength=n_comp), [per_cluster] * n_comp))
+    ours = loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500)
+    for j in range(data.shape[0]):
+        run = em_refine(np.delete(data, j, axis=0), model, rel_tol=1e-12, max_iter=500)
+        assert abs(ours[j] - run.loglik) <= 1e-9 * max(1.0, abs(run.loglik)), j
 
 
 def test_refit_deltas_are_subset_minus_full(fitted_blobs):
@@ -266,6 +324,53 @@ def test_reference_cdf_ppf_roundtrip():
         assert reference_mixture_cdf(y, ref) == pytest.approx(q, abs=1e-9)
     assert reference_mixture_cdf(ref.support_lo - 1.0, ref) == 0.0
     assert reference_mixture_cdf(ref.support_hi + 1.0, ref) == 1.0
+
+
+def scalar_bisection_ppf(q, ref):
+    """One-level quantile by bisection of the CDF: the reference for the array form."""
+    lo, hi = ref.support_lo, ref.support_hi
+    if q <= 0.0:
+        return lo
+    if q >= 1.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if reference_mixture_cdf(mid, ref) < q:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_comp=st.integers(1, 3),
+    p=st.integers(1, 6),
+    num_bins=st.integers(2, 40),
+)
+def test_array_ppf_equals_scalar_bisection(seed, n_comp, p, num_bins):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_comp))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    ref = ReferenceMixture(components=tuple(
+        BetaComponent(
+            shift=float(rng.uniform(-5.0, 5.0)),
+            scale=float(rng.uniform(0.01, 2.0)),
+            alpha=0.5 * p,
+            beta=0.5 * int(rng.integers(2, 400)),
+            weight=float(w),
+        )
+        for w in weights
+    ))
+    levels = np.concatenate([[0.0], np.arange(1, num_bins) / num_bins, [1.0]])
+    expected = np.array([scalar_bisection_ppf(q, ref) for q in levels])
+    assert np.array_equal(reference_mixture_ppf(levels, ref), expected)
+    if np.all(np.diff(expected) > 0):
+        assert np.array_equal(build_bins(ref, num_bins).edges, expected)
+    scalar = reference_mixture_ppf(float(levels[1]), ref)
+    assert isinstance(scalar, float) and scalar == expected[1]
 
 
 def test_reference_samples_stay_in_support():
