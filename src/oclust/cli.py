@@ -36,7 +36,7 @@ from .errors import (
 from .gmm import FitConfig
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
-from .trim import OclustConfig, default_max_outliers, error_rates, oclust_run
+from .trim import OclustConfig, constant_column, default_max_outliers, error_rates, oclust_run
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -153,6 +153,15 @@ def _cmd_oclust(args) -> int:
     if not feature_idx:
         raise InputFormatError(f"{in_path}: no feature columns")
     table = table[:, feature_idx]
+    flat = constant_column(table)
+    if flat is not None:
+        name = header[feature_idx[flat]]
+        raise InputFormatError(
+            f"{in_path}: column {feature_idx[flat] + 1} ({name!r}) is constant "
+            f"(every value is {float(table[0, flat])!r}); "
+            "it makes every cluster covariance singular",
+            column=name,
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = _default_threads(args.threads)

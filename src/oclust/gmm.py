@@ -10,6 +10,21 @@ The fitting path is deliberately plain maximum-likelihood EM:
 Seeding draws are keyed by row *content* (a keyed hash of the row bytes feeds
 an exponential race), so a fit is reproducible for a given seed and
 equivariant under row reordering.
+
+Every mixture density and EM sweep in the package, the single fit here and
+the leave-one-out refits in ``subset``, runs on one kernel over sufficient
+statistics.  Every row x gets, per component g, the features
+F_g(x) = [1, y, upper(y y')] with y = x - c_g, where the centre c_g is a fixed
+mean (the starting mean of a fit); centring per component keeps the second
+moments well conditioned even for data far from the origin.  The features are
+built once per call.  An E-step folds log w_g, the log-determinant and the
+quadratic form into one coefficient vector a_g, so that
+log w_g + log N(x; mu_g, Sigma_g) = a_g . F_g(x) and the log-densities of a
+problem come from one matrix product; an M-step turns the moments
+resp @ F_g into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
+Arrays carry a leading problem axis m (m = 1 for a single fit).  One helper,
+``_factor_covariances``, turns every covariance stack into Cholesky factors
+and log-determinants.
 """
 
 from __future__ import annotations
@@ -88,7 +103,7 @@ class MixtureModel:
             cov = self.covariances[g]
             if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
                 raise ValueError(f"covariance of component {g} is not symmetric")
-            _cholesky_strict(cov)
+        _factor_covariances(self.covariances)
 
 
 @dataclass(frozen=True)
@@ -156,34 +171,48 @@ class EmRun:
     history: tuple
 
 
-def _cholesky_strict(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising ``SingularCovarianceError`` on failure."""
+def _positive_definite(block: np.ndarray) -> bool:
     try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(f"covariance is not positive definite: {exc}") from exc
-
-
-def _cholesky_ridged(cov: np.ndarray, reg_eps: float):
-    """Cholesky with one regularized retry.
-
-    If the factorization fails, ``reg_eps * trace(cov)/p`` is added to the
-    diagonal and the factorization is attempted once more.  Returns the factor
-    together with the (possibly ridged) covariance actually factored.
-    """
-    try:
-        return np.linalg.cholesky(cov), cov
+        np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
-        pass
-    p = cov.shape[0]
-    ridge = reg_eps * float(np.trace(cov)) / p
-    ridged = cov + ridge * np.eye(p)
+        return False
+    return True
+
+
+def _factor_covariances(covs, reg_eps: float = 0.0, row_ids=None):
+    """Cholesky factors and log-determinants of a covariance stack (..., p, p).
+
+    Returns ``(chol, logdet, factored)``: the lower factors, the
+    log-determinants (shape ``covs.shape[:-2]``) and the covariances actually
+    factored.  When ``reg_eps > 0`` a block that is not positive definite is
+    retried once with ``reg_eps * trace/p`` added to its diagonal;
+    ``factored`` is ``covs`` itself when no block needed that ridge.  A block
+    that still fails raises ``SingularCovarianceError`` naming its component
+    (the last stack axis) and, given ``row_ids``, the row excluded by its
+    leave-one-out refit (the first stack axis).
+    """
+    covs = np.asarray(covs, dtype=float)
     try:
-        return np.linalg.cholesky(ridged), ridged
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "covariance is not positive definite even after regularization"
-        ) from exc
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        covs = covs.copy()
+        p = covs.shape[-1]
+        for idx in np.ndindex(covs.shape[:-2]):
+            if _positive_definite(covs[idx]):
+                continue
+            if reg_eps > 0:
+                ridge = reg_eps * float(np.trace(covs[idx])) / p
+                covs[idx] = covs[idx] + ridge * np.eye(p)
+                if _positive_definite(covs[idx]):
+                    continue
+            where = f"component {idx[-1]} covariance" if idx else "covariance"
+            if row_ids is not None:
+                where = f"leave-one-out refit for row {int(row_ids[idx[0]])}: {where}"
+            after = " even after regularization" if reg_eps > 0 else ""
+            raise SingularCovarianceError(f"{where} is not positive definite{after}")
+        chol = np.linalg.cholesky(covs)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return chol, logdet, covs
 
 
 def log_gaussian_density(x, mean, cov) -> float:
@@ -201,33 +230,99 @@ def log_gaussian_density(x, mean, cov) -> float:
         raise ValueError("dimension mismatch between point, mean and covariance")
     if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
         raise ValueError("covariance must be symmetric")
-    chol = _cholesky_strict(cov)
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    chol, logdet, _ = _factor_covariances(cov)
     z = solve_triangular(chol, x - mean, lower=True)
-    return -0.5 * (p * LOG_2PI + logdet + float(z @ z))
+    return -0.5 * (p * LOG_2PI + float(logdet) + float(z @ z))
 
 
-def _component_log_densities(data: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-point, per-component Gaussian log densities, shape (n, G)."""
-    n, p = data.shape
-    n_comp = means.shape[0]
-    out = np.empty((n, n_comp))
-    for g in range(n_comp):
-        chol = _cholesky_strict(covs[g])
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        z = solve_triangular(chol, (data - means[g]).T, lower=True)
-        out[:, g] = -0.5 * (p * LOG_2PI + logdet + np.einsum("ij,ij->j", z, z))
-    return out
+def _features(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Sufficient-statistic features F_g(x) = [1, y, upper(y y')], y = x - centers[g].
+
+    Returns shape (G, n, d) with d = 1 + p + p(p+1)/2.
+    """
+    iu = np.triu_indices(data.shape[1])
+    y = data[None, :, :] - centers[:, None, :]
+    ones = np.ones(y.shape[:-1] + (1,))
+    return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
+
+
+def _log_density_coefs(weights, shifts, covs, reg_eps, row_ids=None):
+    """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
+
+    Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
+    (m, G, d) coefficients and the covariances actually factored (see
+    ``_factor_covariances``).
+    """
+    p = shifts.shape[-1]
+    chol, logdet, factored = _factor_covariances(covs, reg_eps, row_ids)
+    chol_inv = np.linalg.inv(chol)
+    prec = chol_inv.swapaxes(-1, -2) @ chol_inv
+    whitened = (chol_inv @ shifts[..., None])[..., 0]
+    linear = (prec @ shifts[..., None])[..., 0]
+    iu = np.triu_indices(p)
+    quadratic = np.where(iu[0] == iu[1], -0.5, -1.0) * prec[..., iu[0], iu[1]]
+    const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
+    return np.concatenate([const[..., None], linear, quadratic], axis=-1), factored
+
+
+def _log_densities(feats, coefs):
+    """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients, shape (m, G, n).
+
+    Each problem and component gets its own (1, d) x (d, n) product, so a
+    value never depends on which other problems share the batch.
+    """
+    return (coefs[:, :, None, :] @ feats.transpose(0, 2, 1))[:, :, 0, :]
+
+
+def _posterior(logp):
+    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities."""
+    top = logp.max(axis=1)  # (m, n)
+    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
+    return row_ll, np.exp(logp - row_ll[:, None, :])
+
+
+def _moments(feats, resp):
+    """Responsibility-weighted feature sums resp @ F_g, shape (m, G, d)."""
+    return (resp[:, :, None, :] @ feats)[:, :, 0, :]
+
+
+def _params_from_moments(moments, p, row_ids=None):
+    """Weights, mean shifts from the centers and covariances from (m, G, d) moments.
+
+    A component whose responsibility mass falls below ``_MIN_SOFT_COUNT``
+    raises ``DegenerateFitError``, naming the excluded row given ``row_ids``.
+    """
+    soft = moments[..., 0]  # (m, G)
+    if np.any(soft < _MIN_SOFT_COUNT):
+        i, g = np.unravel_index(int(np.argmin(soft)), soft.shape)
+        message = f"component {g} collapsed to zero responsibility mass"
+        if row_ids is None:
+            raise DegenerateFitError(message)
+        raise DegenerateFitError(
+            f"leave-one-out refit for row {int(row_ids[i])}: {message}",
+            subset_index=int(row_ids[i]),
+        )
+    weights = soft / soft.sum(axis=-1, keepdims=True)
+    shifts = moments[..., 1:p + 1] / soft[..., None]
+    second = moments[..., p + 1:] / soft[..., None]
+    iu = np.triu_indices(p)
+    covs = np.empty(shifts.shape + (p,))
+    covs[..., iu[0], iu[1]] = second
+    covs[..., iu[1], iu[0]] = second
+    covs -= shifts[..., :, None] * shifts[..., None, :]
+    return weights, shifts, covs
 
 
 def _weighted_log_densities(data: np.ndarray, model: MixtureModel) -> np.ndarray:
+    """log w_g + log N(x; mu_g, Sigma_g) per row and component, shape (n, G); no ridge."""
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
-    return np.log(model.weights)[None, :] + _component_log_densities(
-        data, model.means, model.covariances
+    coefs, _ = _log_density_coefs(
+        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], 0.0
     )
+    return _log_densities(_features(data, model.means), coefs)[0].T
 
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
@@ -302,62 +397,36 @@ def _rel_change(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _e_step(data, weights, means, covs, reg_eps):
-    """One E-step.  Returns (loglik, responsibilities, covariances actually used)."""
-    n = data.shape[0]
-    n_comp = len(weights)
-    used = covs.copy()
-    logp = np.empty((n, n_comp))
-    p = data.shape[1]
-    for g in range(n_comp):
-        chol, used[g] = _cholesky_ridged(covs[g], reg_eps)
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        z = solve_triangular(chol, (data - means[g]).T, lower=True)
-        logp[:, g] = np.log(weights[g]) - 0.5 * (p * LOG_2PI + logdet + np.einsum("ij,ij->j", z, z))
-    top = logp.max(axis=1)
-    row_ll = top + np.log(np.exp(logp - top[:, None]).sum(axis=1))
-    resp = np.exp(logp - row_ll[:, None])
-    return float(row_ll.sum()), resp, used
-
-
-def _m_step(data, resp):
-    """Maximum-likelihood update from responsibilities."""
-    soft = resp.sum(axis=0)
-    if np.any(soft < _MIN_SOFT_COUNT):
-        g = int(np.argmin(soft))
-        raise DegenerateFitError(f"component {g} collapsed to zero responsibility mass")
-    weights = soft / soft.sum()
-    means = (resp.T @ data) / soft[:, None]
-    n_comp, p = means.shape
-    covs = np.empty((n_comp, p, p))
-    for g in range(n_comp):
-        centered = data - means[g]
-        weighted = centered * resp[:, g][:, None]
-        cov = weighted.T @ centered / soft[g]
-        covs[g] = 0.5 * (cov + cov.T)
-    return weights, means, covs
-
-
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
               rel_tol: float = 1e-8, reg_eps: float = 1e-8) -> EmRun:
     """Run EM updates from explicit starting parameters.
 
-    The log-likelihood history is monotone nondecreasing up to float rounding;
-    iteration stops once its relative change drops below ``rel_tol`` or after
-    ``max_iter`` update sweeps.  The returned log-likelihood is always that of
-    the returned parameters.
+    The log-likelihood history is monotone nondecreasing up to float rounding
+    on every sweep whose covariances factor without a ridge; a sweep that had
+    to ridge a covariance is exempt, since the ridge moves the parameters off
+    the EM update.  Iteration stops once the relative change drops below
+    ``rel_tol`` or after ``max_iter`` update sweeps.  The returned
+    log-likelihood is always that of the returned parameters, whose
+    covariances are the ones actually factored.
     """
     arr = validate_data(data)
-    weights = model.weights.copy()
-    means = model.means.copy()
-    covs = model.covariances.copy()
-    loglik, resp, covs = _e_step(arr, weights, means, covs, reg_eps)
+    p = arr.shape[1]
+    feats = _features(arr, model.means)
+
+    def e_step(weights, shifts, covs):
+        coefs, factored = _log_density_coefs(weights, shifts, covs, reg_eps)
+        row_ll, resp = _posterior(_log_densities(feats, coefs))
+        return float(row_ll.sum()), resp, factored, factored is not covs
+
+    weights = model.weights[None]
+    shifts = np.zeros((1,) + model.means.shape)
+    loglik, resp, covs, _ = e_step(weights, shifts, model.covariances[None])
     history = [loglik]
     for _ in range(max_iter):
-        weights, means, covs = _m_step(arr, resp)
-        new_ll, resp, covs = _e_step(arr, weights, means, covs, reg_eps)
+        weights, shifts, covs = _params_from_moments(_moments(feats, resp), p)
+        new_ll, resp, covs, ridged = e_step(weights, shifts, covs)
         history.append(new_ll)
-        if new_ll < loglik - 1e-7 * max(1.0, abs(loglik)):
+        if not ridged and new_ll < loglik - 1e-7 * max(1.0, abs(loglik)):
             raise DegenerateFitError(
                 f"log-likelihood decreased from {loglik} to {new_ll}; EM update is inconsistent"
             )
@@ -366,7 +435,8 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
         if converged:
             break
     return EmRun(
-        model=MixtureModel(weights=weights, means=means, covariances=covs),
+        model=MixtureModel(weights=weights[0], means=model.means + shifts[0],
+                           covariances=covs[0]),
         loglik=loglik,
         history=tuple(history),
     )
@@ -417,7 +487,7 @@ def _initial_model(data: np.ndarray, n_clusters: int, key_seed: int, reg_eps: fl
         pooled = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
     else:
         pooled = np.eye(p)
-    _, pooled = _cholesky_ridged(pooled, max(reg_eps, 1e-10))
+    pooled = _factor_covariances(pooled, max(reg_eps, 1e-10))[2]
     covs = np.broadcast_to(pooled, (n_clusters, p, p)).copy()
     weights = np.full(n_clusters, 1.0 / n_clusters)
     return MixtureModel(weights=weights, means=centers, covariances=covs)

@@ -25,19 +25,12 @@ Two ways of producing empirical deltas are provided:
   true mixture log-likelihoods.  All n refits run as one vectorized batch.
 * ``frozen``: the closed-form delta above, with full-data statistics.
 
-The refit batch works on sufficient statistics.  Every row x gets, per
-component g, the features F_g(x) = [1, y, upper(y y')] with y = x - c_g,
-where the centre c_g is the full-fit mean; centring per component keeps the
-second moments well conditioned even for data far from the origin.  The
-features are built once per call and shared read-only by every chunk and
-thread.  An E-step folds log w_g, the log-determinant and the quadratic form
-into one coefficient vector a_g, so that log w_g + log N(x; mu_g, Sigma_g) =
-a_g . F_g(x) and the log-densities of a problem come from one matrix product;
-an M-step turns the moments resp @ F_g into mean c_g + S1/S0 and covariance
-S2/S0 - d d' with d = S1/S0.  Since every problem starts from the full fit,
-the first sweep is shared: its E-step runs once on all n rows (problem j
-drops row j's log-likelihood term) and its M-step is the full moments minus
-row j's weighted features.
+The refit batch runs on the sufficient-statistics kernel of ``gmm``, with the
+features centred on the full-fit means and built once per call, shared
+read-only by every chunk and thread.  Since every problem starts from the
+full fit, the first sweep is shared: its E-step runs once on all n rows
+(problem j drops row j's log-likelihood term) and its M-step is the full
+moments minus row j's weighted features.
 """
 
 from __future__ import annotations
@@ -50,14 +43,20 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammaln
 
-from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
+from .errors import InsufficientPointsError
 from .gmm import (
-    _MIN_SOFT_COUNT,
     LOG_2PI,
     ClusterStats,
     FitConfig,
     MixtureModel,
-    _cholesky_strict,
+    _factor_covariances,
+    _features,
+    _log_density_coefs,
+    _log_densities,
+    _moments,
+    _params_from_moments,
+    _posterior,
+    _weighted_log_densities,
     cluster_stats,
     em_fit,
     validate_data,
@@ -103,7 +102,7 @@ def mahalanobis_sq(x, mean, cov) -> float:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if mean.shape[0] != x.shape[0] or cov.shape != (x.shape[0], x.shape[0]):
         raise ValueError("dimension mismatch between point, mean and covariance")
-    chol = _cholesky_strict(cov)
+    chol, _, _ = _factor_covariances(cov)
     z = solve_triangular(chol, x - mean, lower=True)
     return float(z @ z)
 
@@ -122,30 +121,21 @@ def delta_formula(x, mean, cov, weight) -> float:
         raise ValueError("cluster weight must lie in (0, 1]")
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     p = cov.shape[0]
-    chol = _cholesky_strict(cov)
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    _, logdet, _ = _factor_covariances(cov)
     return float(
         -np.log(weight) + 0.5 * p * LOG_2PI + 0.5 * logdet + 0.5 * mahalanobis_sq(x, mean, cov)
     )
 
 
 def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
-    """Closed-form deltas for every row, using fixed full-data statistics."""
+    """Closed-form deltas for every row, using fixed full-data statistics.
+
+    Row j's delta is minus its weighted log-density under its own cluster.
+    """
     arr = validate_data(data)
     lab = np.asarray(labels, dtype=int)
-    values = np.empty(arr.shape[0])
-    p = arr.shape[1]
-    for g in range(stats.n_clusters):
-        mask = lab == g
-        if not mask.any():
-            continue
-        chol = _cholesky_strict(stats.covariances[g])
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        z = solve_triangular(chol, (arr[mask] - stats.means[g]).T, lower=True)
-        t_sq = np.einsum("ij,ij->j", z, z)
-        shift = -np.log(stats.weights[g]) + 0.5 * p * LOG_2PI + 0.5 * logdet
-        values[mask] = shift + 0.5 * t_sq
-    return values
+    frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
+    return -_weighted_log_densities(arr, frozen)[np.arange(arr.shape[0]), lab]
 
 
 def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = DowndateVariant.EXACT):
@@ -252,7 +242,6 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
     parameter is positive.
     """
     p = stats.dim
-    comps = []
     for g in range(stats.n_clusters):
         n_g = int(stats.counts[g])
         if n_g <= p + 1:
@@ -260,11 +249,13 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
                 f"cluster {g} has {n_g} points; the beta reference needs more than {p + 1}",
                 cluster=g,
             )
-        chol = _cholesky_strict(stats.covariances[g])
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    _, logdets, _ = _factor_covariances(stats.covariances)
+    comps = []
+    for g in range(stats.n_clusters):
+        n_g = int(stats.counts[g])
         comps.append(
             BetaComponent(
-                shift=_beta_shift(float(stats.weights[g]), logdet, p),
+                shift=_beta_shift(float(stats.weights[g]), float(logdets[g]), p),
                 scale=2.0 * n_g / (n_g - 1) ** 2,
                 alpha=0.5 * p,
                 beta=0.5 * (n_g - p - 1),
@@ -277,17 +268,14 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
 def gamma_reference(model: MixtureModel) -> tuple:
     """Per-cluster population-parameter references: Gamma(p/2, 1) shifted by c_g."""
     p = model.dim
-    comps = []
-    for g in range(model.n_components):
-        chol = _cholesky_strict(model.covariances[g])
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        comps.append(
-            GammaComponent(
-                shift=_beta_shift(float(model.weights[g]), logdet, p),
-                shape=0.5 * p,
-            )
+    _, logdets, _ = _factor_covariances(model.covariances)
+    return tuple(
+        GammaComponent(
+            shift=_beta_shift(float(model.weights[g]), float(logdets[g]), p),
+            shape=0.5 * p,
         )
-    return tuple(comps)
+        for g in range(model.n_components)
+    )
 
 
 def _log_beta_norm(alpha: float, beta: float) -> float:
@@ -398,103 +386,6 @@ def gamma_reference_density(y, comp: GammaComponent) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _batched_cholesky(covs: np.ndarray, reg_eps: float, row_ids: np.ndarray):
-    """Cholesky factors for a (m, G, p, p) stack, with one ridged retry per block."""
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        pass
-    m, n_comp, p, _ = covs.shape
-    fixed = covs.copy()
-    eye = np.eye(p)
-    for i in range(m):
-        for g in range(n_comp):
-            try:
-                np.linalg.cholesky(fixed[i, g])
-            except np.linalg.LinAlgError:
-                ridge = reg_eps * float(np.trace(fixed[i, g])) / p
-                fixed[i, g] = fixed[i, g] + ridge * eye
-                try:
-                    np.linalg.cholesky(fixed[i, g])
-                except np.linalg.LinAlgError as exc:
-                    raise SingularCovarianceError(
-                        f"leave-one-out refit for row {int(row_ids[i])}: component {g} "
-                        "covariance is not positive definite even after regularization"
-                    ) from exc
-    return np.linalg.cholesky(fixed)
-
-
-def _features(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Sufficient-statistic features F_g(x) = [1, y, upper(y y')], y = x - centers[g].
-
-    Returns shape (G, n, d) with d = 1 + p + p(p+1)/2.
-    """
-    iu = np.triu_indices(data.shape[1])
-    y = data[None, :, :] - centers[:, None, :]
-    ones = np.ones(y.shape[:-1] + (1,))
-    return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
-
-
-def _log_density_coefs(weights, shifts, covs, row_ids, reg_eps):
-    """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
-
-    Inputs are batched as (m, G), (m, G, p) and (m, G, p, p); the result is
-    (m, G, d).  Each covariance is factored with one ridged retry.
-    """
-    p = shifts.shape[-1]
-    chol = _batched_cholesky(covs, reg_eps, row_ids)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)  # (m, G)
-    chol_inv = np.linalg.inv(chol)
-    prec = chol_inv.transpose(0, 1, 3, 2) @ chol_inv
-    whitened = (chol_inv @ shifts[..., None])[..., 0]
-    linear = (prec @ shifts[..., None])[..., 0]
-    iu = np.triu_indices(p)
-    quadratic = np.where(iu[0] == iu[1], -0.5, -1.0) * prec[..., iu[0], iu[1]]
-    const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
-    return np.concatenate([const[..., None], linear, quadratic], axis=-1)
-
-
-def _params_from_moments(moments, p, row_ids):
-    """Weights, mean shifts from the centers and covariances from (m, G, d) moments."""
-    soft = moments[..., 0]  # (m, G)
-    if np.any(soft < _MIN_SOFT_COUNT):
-        i, g = np.unravel_index(int(np.argmin(soft)), soft.shape)
-        raise DegenerateFitError(
-            f"leave-one-out refit for row {int(row_ids[i])}: component {g} collapsed",
-            subset_index=int(row_ids[i]),
-        )
-    weights = soft / soft.sum(axis=-1, keepdims=True)
-    shifts = moments[..., 1:p + 1] / soft[..., None]
-    second = moments[..., p + 1:] / soft[..., None]
-    iu = np.triu_indices(p)
-    covs = np.empty(shifts.shape + (p,))
-    covs[..., iu[0], iu[1]] = second
-    covs[..., iu[1], iu[0]] = second
-    covs -= shifts[..., :, None] * shifts[..., None, :]
-    return weights, shifts, covs
-
-
-def _log_densities(feats, coefs):
-    """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients, shape (m, G, n).
-
-    Each problem and component gets its own (1, d) x (d, n) product, so a
-    value never depends on which other problems share the batch.
-    """
-    return (coefs[:, :, None, :] @ feats.transpose(0, 2, 1))[:, :, 0, :]
-
-
-def _posterior(logp):
-    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities."""
-    top = logp.max(axis=1)  # (m, n)
-    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
-    return row_ll, np.exp(logp - row_ll[:, None, :])
-
-
-def _moments(feats, resp):
-    """Responsibility-weighted feature sums resp @ F_g, shape (m, G, d)."""
-    return (resp[:, :, None, :] @ feats)[:, :, 0, :]
-
-
 @dataclass(frozen=True)
 class _FirstSweep:
     """The shared warm start: features, E-step and moments before any row is removed."""
@@ -509,9 +400,8 @@ class _FirstSweep:
 def _first_sweep(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _FirstSweep:
     n_comp, p = model.means.shape
     feats = _features(data, model.means)
-    coefs = _log_density_coefs(
-        model.weights[None], np.zeros((1, n_comp, p)), model.covariances[None],
-        np.zeros(1, dtype=int), reg_eps,
+    coefs, _ = _log_density_coefs(
+        model.weights[None], np.zeros((1, n_comp, p)), model.covariances[None], reg_eps
     )
     row_ll, resp = _posterior(_log_densities(feats, coefs))
     return _FirstSweep(dim=p, feats=feats, row_ll=row_ll[0], resp=resp[0],
@@ -536,7 +426,7 @@ def _refit_chunk(first: _FirstSweep, rows: np.ndarray, *,
     for _ in range(max_iter):
         excluded = rows[active]
         weights, shifts, covs = _params_from_moments(moments, first.dim, excluded)
-        coefs = _log_density_coefs(weights, shifts, covs, excluded, reg_eps)
+        coefs, _ = _log_density_coefs(weights, shifts, covs, reg_eps, excluded)
         row_ll, resp = _posterior(_log_densities(feats, coefs))
         batch = np.arange(active.shape[0])
         row_ll[batch, excluded] = 0.0

@@ -102,16 +102,34 @@ def most_likely_outlier(subset_logliks) -> int:
     return int(np.argmax(values))
 
 
+def constant_column(data) -> int | None:
+    """Index of the first feature column that holds one value while others vary.
+
+    Such a column makes every cluster covariance singular.  When every column
+    is constant, all rows are one point and no column is to blame: the result
+    is ``None`` and the fit reports the degeneracy.
+    """
+    flat = np.flatnonzero(np.ptp(data, axis=0) == 0)
+    return int(flat[0]) if 0 < flat.size < data.shape[1] else None
+
+
 def oclust_run(data, config: OclustConfig) -> OclustResult:
     """Trim likely outliers one at a time and pick the count that best matches
     the beta-mixture reference.
 
     Raises ``DegenerateFitError`` (with the partial trace attached) if a
-    mid-run fit collapses, and ``ValueError`` if the trimming budget leaves
-    too few points to keep the mixture identifiable.
+    mid-run fit collapses, and ``ValueError`` if a feature column is constant
+    or the trimming budget leaves too few points to keep the mixture
+    identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
+    flat = constant_column(arr)
+    if flat is not None:
+        raise ValueError(
+            f"feature column {flat} is constant (every value is {float(arr[0, flat])!r}); "
+            "it makes every cluster covariance singular"
+        )
     budget = config.max_outliers
     if budget is None:
         budget = default_max_outliers(n)

@@ -239,6 +239,21 @@ def test_degenerate_input_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    rows = "\n".join(
+        f"{float(x)!r},5.0,{float(y)!r},0" for x, y in rng.standard_normal((60, 2))
+    )
+    bad = tmp_path / "flat_column.csv"
+    bad.write_text("x1,x2,x3,is_outlier\n" + rows + "\n")
+    code, _, err = run_cli(
+        ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == 2
+    assert "column 2 ('x2') is constant (every value is 5.0)" in err
+
+
 def test_invalid_mode_rejected(dataset_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["oclust", str(dataset_csv), "--clusters", "3", "--mode", "banana",

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from oclust import gmm
 from oclust import (
     DegenerateFitError,
     FitConfig,
@@ -243,3 +245,104 @@ def test_em_warns_when_ill_posed():
 def test_em_more_points_than_clusters_required():
     with pytest.raises(ValueError):
         em_fit(np.zeros((2, 2)), 3, FitConfig(seed=0))
+
+
+def test_em_ill_posed_fit_returns_positive_definite_covariances():
+    # the 5-point input of test_em_warns_when_ill_posed: a sweep that has to
+    # ridge a covariance is exempt from the decrease check, and the ridged
+    # covariance is the one returned
+    data = np.random.default_rng(0).standard_normal((5, 2))
+    with pytest.warns(UserWarning, match="ill-posed"):
+        model, _, _ = em_fit(data, 2, FitConfig(seed=0))
+    model.validate()
+    em_refine(data, model).model.validate()
+
+
+def test_em_decrease_on_unridged_sweep_raises(three_blob_data, monkeypatch):
+    data, _ = three_blob_data
+    model, _, _ = em_fit(data, 3, FitConfig(seed=5))
+    update = gmm._params_from_moments
+
+    def misplaced_mean(moments, p, row_ids=None):
+        weights, shifts, covs = update(moments, p, row_ids)
+        shifts = shifts.copy()
+        shifts[0, 0] += 3.0
+        return weights, shifts, covs
+
+    monkeypatch.setattr(gmm, "_params_from_moments", misplaced_mean)
+    with pytest.raises(DegenerateFitError, match="log-likelihood decreased"):
+        em_refine(data, model)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle for the shared Gaussian/EM kernel (scipy densities)
+# ---------------------------------------------------------------------------
+
+
+def far_mixture(seed, n_comp, p):
+    """Separated clusters far from the origin, and a mixture whose means sit
+    up to 10 units (5 to 20 cluster deviations) off the cluster centres."""
+    rng = np.random.default_rng(seed)
+    offset = rng.choice([-1.0, 1.0], p) * 10.0 ** rng.uniform(0.0, 6.0, p)
+    direction = rng.standard_normal(p)
+    direction /= np.linalg.norm(direction)
+    centers = offset + 40.0 * np.arange(n_comp)[:, None] * direction
+    data = np.vstack(
+        [center + rng.uniform(0.5, 2.0) * rng.standard_normal((int(rng.integers(p + 5, 30)), p))
+         for center in centers]
+    )
+    shifts = rng.standard_normal((n_comp, p))
+    shifts *= rng.uniform(0.0, 10.0, (n_comp, 1)) / np.linalg.norm(shifts, axis=1, keepdims=True)
+    model = MixtureModel(
+        weights=rng.dirichlet(np.ones(n_comp)),
+        means=centers + shifts,
+        covariances=np.stack([random_spd(rng, p, rng.uniform(0.5, 3.0)) for _ in range(n_comp)]),
+    )
+    return data, model
+
+
+def scipy_log_densities(data, weights, means, covs):
+    return np.column_stack(
+        [np.log(weights[g]) + multivariate_normal(mean=means[g], cov=covs[g]).logpdf(data)
+         for g in range(len(weights))]
+    )
+
+
+@given(seed=st.integers(0, 10_000), n_comp=st.integers(1, 3), p=st.integers(1, 6))
+def test_likelihood_and_labels_match_scipy(seed, n_comp, p):
+    data, model = far_mixture(seed, n_comp, p)
+    logp = scipy_log_densities(data, model.weights, model.means, model.covariances)
+    expected = logsumexp(logp, axis=1).sum()
+    assert mixture_log_likelihood(data, model) == pytest.approx(expected, rel=1e-12)
+    # rows whose two best components are within rounding of each other may
+    # go either way
+    ordered = np.sort(logp, axis=1)
+    gap = ordered[:, -1] - (ordered[:, -2] if n_comp > 1 else -np.inf)
+    clear = gap > 1e-6 * np.maximum(1.0, np.abs(ordered[:, -1]))
+    labels = hard_labels(data, model)
+    assert np.array_equal(labels[clear], np.argmax(logp, axis=1)[clear])
+
+
+@given(seed=st.integers(0, 10_000), n_comp=st.integers(1, 3), p=st.integers(1, 6))
+def test_one_em_sweep_matches_two_pass_update(seed, n_comp, p):
+    data, model = far_mixture(seed, n_comp, p)
+    logp = scipy_log_densities(data, model.weights, model.means, model.covariances)
+    row_ll = logsumexp(logp, axis=1)
+    resp = np.exp(logp - row_ll[:, None])
+    soft = resp.sum(axis=0)
+    # a component left with the mass of a few points has no stable update
+    assume(soft.min() > p + 1)
+    weights = soft / soft.sum()
+    means = (resp.T @ data) / soft[:, None]
+    covs = np.stack(
+        [((data - means[g]) * resp[:, [g]]).T @ (data - means[g]) / soft[g]
+         for g in range(n_comp)]
+    )
+    run = em_refine(data, model, max_iter=1)
+    scale = np.abs(covs).max()
+    assert run.history[0] == pytest.approx(row_ll.sum(), rel=1e-11)
+    assert np.allclose(run.model.weights, weights, rtol=0.0, atol=1e-12)
+    assert np.allclose(run.model.means, means, rtol=1e-13, atol=1e-10 * np.sqrt(scale))
+    assert np.allclose(run.model.covariances, covs, rtol=0.0, atol=1e-10 * scale)
+    after = logsumexp(scipy_log_densities(data, weights, means, covs), axis=1).sum()
+    assert run.history[1] == pytest.approx(after, rel=1e-11)

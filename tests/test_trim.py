@@ -6,8 +6,10 @@ from oclust import (
     DeltaMode,
     FitConfig,
     OclustConfig,
+    SimModelSpec,
     classify_errors,
     error_rates,
+    gen_dataset,
     most_likely_outlier,
     oclust_run,
     outlier_mask,
@@ -117,6 +119,26 @@ def test_budget_validation(contaminated_blobs):
     with pytest.raises(ValueError):
         # removing this many rows cannot leave an identifiable two-component fit
         oclust_run(data, OclustConfig(n_clusters=2, max_outliers=data.shape[0] - 8))
+
+
+def test_constant_column_is_named(contaminated_blobs):
+    data, _ = contaminated_blobs
+    flat = np.column_stack([data[:, 0], np.full(data.shape[0], 2.5), data[:, 1]])
+    with pytest.raises(ValueError, match=r"feature column 1 is constant \(every value is 2\.5\)"):
+        oclust_run(flat, OclustConfig(n_clusters=2, max_outliers=3))
+
+
+@pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
+def test_run_is_translation_invariant(mode):
+    # adding 1e7 rounds the data themselves, so only the chosen rows are
+    # compared, not the order in which they were removed
+    data = gen_dataset(SimModelSpec(model="I", n_good=189, n_outliers=10, seed=5)).data
+    config = OclustConfig(n_clusters=3, max_outliers=15, fit=FitConfig(seed=1), delta_mode=mode)
+    expected = {*range(189, 196), 197, 198}
+    for offset in [0.0, 1e7]:
+        result = oclust_run(data + offset, config)
+        assert result.chosen_num_outliers == 9, offset
+        assert set(result.outlier_indices) == expected, offset
 
 
 def test_degenerate_run_reports_partial_trace():
