@@ -123,12 +123,6 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
 def _default_threads(value: int | None) -> int:
     if value is not None:
         return max(1, value)
-    env = os.environ.get("OCLUST_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputFormatError(f"OCLUST_THREADS={env!r} is not an integer")
     # results are independent of thread count, so defaulting to the CPUs this
     # process may run on changes speed only
     try:
@@ -410,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="subset delta mode")
     run.add_argument("--threads", type=int, default=None,
                      help="worker threads for the subset refits "
-                          "(default: OCLUST_THREADS or all cores)")
+                          "(default: the cores this process may run on)")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=_cmd_oclust)
 

@@ -24,11 +24,14 @@ problem come from one matrix product; an M-step turns the moments
 resp @ F_g into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
 Arrays carry a leading problem axis m (m = 1 for a single fit).  One helper,
 ``_factor_covariances``, turns every covariance stack into Cholesky factors
-and log-determinants.
+and log-determinants.  One EM loop, ``_em_sweeps``, runs the single fit (one
+problem) and the leave-one-out refits (one problem per left-out row) under
+one convergence rule and one rule against a falling log-likelihood.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -235,12 +238,20 @@ def log_gaussian_density(x, mean, cov) -> float:
     return -0.5 * (p * LOG_2PI + float(logdet) + float(z @ z))
 
 
+@functools.cache
+def _upper(p: int):
+    """Row and column indices of the upper triangle of a p x p matrix (read-only)."""
+    iu = np.triu_indices(p)
+    iu[0].flags.writeable = iu[1].flags.writeable = False
+    return iu
+
+
 def _features(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Sufficient-statistic features F_g(x) = [1, y, upper(y y')], y = x - centers[g].
 
     Returns shape (G, n, d) with d = 1 + p + p(p+1)/2.
     """
-    iu = np.triu_indices(data.shape[1])
+    iu = _upper(data.shape[1])
     y = data[None, :, :] - centers[:, None, :]
     ones = np.ones(y.shape[:-1] + (1,))
     return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
@@ -259,7 +270,7 @@ def _log_density_coefs(weights, shifts, covs, reg_eps, row_ids=None):
     prec = chol_inv.swapaxes(-1, -2) @ chol_inv
     whitened = (chol_inv @ shifts[..., None])[..., 0]
     linear = (prec @ shifts[..., None])[..., 0]
-    iu = np.triu_indices(p)
+    iu = _upper(p)
     quadratic = np.where(iu[0] == iu[1], -0.5, -1.0) * prec[..., iu[0], iu[1]]
     const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
     return np.concatenate([const[..., None], linear, quadratic], axis=-1), factored
@@ -286,6 +297,14 @@ def _moments(feats, resp):
     return (resp[:, :, None, :] @ feats)[:, :, 0, :]
 
 
+def _problem_error(message: str, row_ids, i) -> DegenerateFitError:
+    """The error for problem ``i``, naming its excluded row given ``row_ids``."""
+    if row_ids is None:
+        return DegenerateFitError(message)
+    row = int(row_ids[i])
+    return DegenerateFitError(f"leave-one-out refit for row {row}: {message}", subset_index=row)
+
+
 def _params_from_moments(moments, p, row_ids=None):
     """Weights, mean shifts from the centers and covariances from (m, G, d) moments.
 
@@ -295,17 +314,11 @@ def _params_from_moments(moments, p, row_ids=None):
     soft = moments[..., 0]  # (m, G)
     if np.any(soft < _MIN_SOFT_COUNT):
         i, g = np.unravel_index(int(np.argmin(soft)), soft.shape)
-        message = f"component {g} collapsed to zero responsibility mass"
-        if row_ids is None:
-            raise DegenerateFitError(message)
-        raise DegenerateFitError(
-            f"leave-one-out refit for row {int(row_ids[i])}: {message}",
-            subset_index=int(row_ids[i]),
-        )
+        raise _problem_error(f"component {g} collapsed to zero responsibility mass", row_ids, i)
     weights = soft / soft.sum(axis=-1, keepdims=True)
     shifts = moments[..., 1:p + 1] / soft[..., None]
     second = moments[..., p + 1:] / soft[..., None]
-    iu = np.triu_indices(p)
+    iu = _upper(p)
     covs = np.empty(shifts.shape + (p,))
     covs[..., iu[0], iu[1]] = second
     covs[..., iu[1], iu[0]] = second
@@ -327,10 +340,8 @@ def _weighted_log_densities(data: np.ndarray, model: MixtureModel) -> np.ndarray
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
     """Total mixture log-likelihood of the data, accumulated via log-sum-exp."""
-    arr = validate_data(data)
-    logp = _weighted_log_densities(arr, model)
-    top = logp.max(axis=1)
-    return float((top + np.log(np.exp(logp - top[:, None]).sum(axis=1))).sum())
+    row_ll, _ = _posterior(_weighted_log_densities(validate_data(data), model).T[None])
+    return float(row_ll.sum())
 
 
 def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
@@ -392,14 +403,91 @@ def hard_labels(data, model: MixtureModel) -> np.ndarray:
     return np.argmax(logp, axis=1)
 
 
-def _rel_change(a: float, b: float) -> float:
-    """Relative log-likelihood change used by every convergence check."""
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+@dataclass(frozen=True)
+class _EmStart:
+    """Warm start shared by a batch of EM problems: the start model, the
+    features centred on its means, and its E-step on every row."""
+
+    model: MixtureModel
+    covs: np.ndarray  # (G, p, p), as factored
+    feats: np.ndarray  # (G, n, d)
+    row_ll: np.ndarray  # (n,)
+    resp: np.ndarray  # (G, n)
+    moments: np.ndarray  # (G, d)
+
+
+def _em_start(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _EmStart:
+    feats = _features(data, model.means)
+    coefs, covs = _log_density_coefs(
+        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], reg_eps
+    )
+    row_ll, resp = _posterior(_log_densities(feats, coefs))
+    return _EmStart(model, covs[0], feats, row_ll[0], resp[0], _moments(feats, resp)[0])
+
+
+def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float,
+               reg_eps: float):
+    """Warm-started EM sweeps for a batch of problems that share ``start``.
+
+    With ``leave_out`` None the batch is one problem on every row; otherwise
+    problem i leaves out row ``leave_out[i]``, whose log-likelihood term and
+    weighted features are taken off the shared first E-step.  A problem stops
+    once its relative log-likelihood change drops below ``rel_tol`` or after
+    ``max_iter`` sweeps; a fall by more than 1e-7 max(1, |l|) raises
+    ``DegenerateFitError`` unless the problem's covariances needed a ridge.
+    Returns per problem the final log-likelihood (m,), the parameters it
+    belongs to as ``(weights, means, covs)``, and the log-likelihood before
+    the first and after every sweep, (sweeps + 1, m), held once it stops.
+    """
+    feats, p = start.feats, start.model.dim
+    rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
+    if rows is None:
+        loglik = start.row_ll.sum(keepdims=True)
+        moments = start.moments[None]
+    else:
+        loglik = start.row_ll.sum() - start.row_ll[rows]
+        removed = start.resp[:, rows].T[..., None] * feats[:, rows].transpose(1, 0, 2)
+        moments = start.moments - removed
+    m = loglik.shape[0]
+    weights = np.repeat(start.model.weights[None], m, axis=0)
+    shifts = np.zeros((m,) + start.model.means.shape)
+    covs = np.repeat(start.covs[None], m, axis=0)
+    history = [loglik.copy()]
+    active = np.arange(m)
+    for _ in range(max_iter):
+        excluded = None if rows is None else rows[active]
+        w, s, c = _params_from_moments(moments, p, excluded)
+        coefs, factored = _log_density_coefs(w, s, c, reg_eps, excluded)
+        row_ll, resp = _posterior(_log_densities(feats, coefs))
+        if excluded is not None:
+            batch = np.arange(active.shape[0])
+            row_ll[batch, excluded] = 0.0
+            resp[batch, :, excluded] = 0.0
+        old, new = loglik[active], row_ll.sum(axis=1)
+        scale = np.maximum(1.0, np.abs(old))
+        fell = new < old - 1e-7 * scale
+        if factored is not c:  # a problem whose covariances were ridged is exempt
+            fell &= (factored == c).all(axis=(1, 2, 3))
+        if fell.any():
+            i = int(np.argmax(fell))
+            raise _problem_error(
+                f"log-likelihood decreased from {float(old[i])} to {float(new[i])}; "
+                "EM update is inconsistent", excluded, i,
+            )
+        loglik[active], weights[active], shifts[active], covs[active] = new, w, s, factored
+        history.append(loglik.copy())
+        keep = ~(np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol)
+        if not keep.any():
+            break
+        if not keep.all():
+            active, resp = active[keep], resp[keep]
+        moments = _moments(feats, resp)
+    return loglik, (weights, start.model.means + shifts, covs), np.array(history)
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
               rel_tol: float = 1e-8, reg_eps: float = 1e-8) -> EmRun:
-    """Run EM updates from explicit starting parameters.
+    """Run EM updates from explicit starting parameters (one problem of ``_em_sweeps``).
 
     The log-likelihood history is monotone nondecreasing up to float rounding
     on every sweep whose covariances factor without a ridge; a sweep that had
@@ -410,35 +498,13 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     covariances are the ones actually factored.
     """
     arr = validate_data(data)
-    p = arr.shape[1]
-    feats = _features(arr, model.means)
-
-    def e_step(weights, shifts, covs):
-        coefs, factored = _log_density_coefs(weights, shifts, covs, reg_eps)
-        row_ll, resp = _posterior(_log_densities(feats, coefs))
-        return float(row_ll.sum()), resp, factored, factored is not covs
-
-    weights = model.weights[None]
-    shifts = np.zeros((1,) + model.means.shape)
-    loglik, resp, covs, _ = e_step(weights, shifts, model.covariances[None])
-    history = [loglik]
-    for _ in range(max_iter):
-        weights, shifts, covs = _params_from_moments(_moments(feats, resp), p)
-        new_ll, resp, covs, ridged = e_step(weights, shifts, covs)
-        history.append(new_ll)
-        if not ridged and new_ll < loglik - 1e-7 * max(1.0, abs(loglik)):
-            raise DegenerateFitError(
-                f"log-likelihood decreased from {loglik} to {new_ll}; EM update is inconsistent"
-            )
-        converged = _rel_change(new_ll, loglik) < rel_tol
-        loglik = new_ll
-        if converged:
-            break
+    loglik, (weights, means, covs), history = _em_sweeps(
+        _em_start(arr, model, reg_eps), max_iter=max_iter, rel_tol=rel_tol, reg_eps=reg_eps
+    )
     return EmRun(
-        model=MixtureModel(weights=weights[0], means=model.means + shifts[0],
-                           covariances=covs[0]),
-        loglik=loglik,
-        history=tuple(history),
+        model=MixtureModel(weights=weights[0], means=means[0], covariances=covs[0]),
+        loglik=float(loglik[0]),
+        history=tuple(history[:, 0].tolist()),
     )
 
 

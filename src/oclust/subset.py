@@ -25,12 +25,12 @@ Two ways of producing empirical deltas are provided:
   true mixture log-likelihoods.  All n refits run as one vectorized batch.
 * ``frozen``: the closed-form delta above, with full-data statistics.
 
-The refit batch runs on the sufficient-statistics kernel of ``gmm``, with the
-features centred on the full-fit means and built once per call, shared
-read-only by every chunk and thread.  Since every problem starts from the
-full fit, the first sweep is shared: its E-step runs once on all n rows
-(problem j drops row j's log-likelihood term) and its M-step is the full
-moments minus row j's weighted features.
+The refits run in the EM loop of ``gmm``, the one that also runs the single
+fit.  Its warm start (features centred on the full-fit means and the first
+E-step on all n rows) is built once per call and shared read-only by every
+chunk and thread.  A refit is held to the single fit's rules: the same
+convergence test, and a ``DegenerateFitError`` naming row j when the refit
+without row j lowers its log-likelihood on a sweep that needed no ridge.
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ from .gmm import (
     ClusterStats,
     FitConfig,
     MixtureModel,
+    _em_start,
+    _em_sweeps,
     _factor_covariances,
-    _features,
-    _log_density_coefs,
-    _log_densities,
-    _moments,
-    _params_from_moments,
-    _posterior,
     _weighted_log_densities,
     cluster_stats,
     em_fit,
@@ -386,64 +382,6 @@ def gamma_reference_density(y, comp: GammaComponent) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FirstSweep:
-    """The shared warm start: features, E-step and moments before any row is removed."""
-
-    dim: int
-    feats: np.ndarray  # (G, n, d)
-    row_ll: np.ndarray  # (n,)
-    resp: np.ndarray  # (G, n)
-    moments: np.ndarray  # (G, d)
-
-
-def _first_sweep(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _FirstSweep:
-    n_comp, p = model.means.shape
-    feats = _features(data, model.means)
-    coefs, _ = _log_density_coefs(
-        model.weights[None], np.zeros((1, n_comp, p)), model.covariances[None], reg_eps
-    )
-    row_ll, resp = _posterior(_log_densities(feats, coefs))
-    return _FirstSweep(dim=p, feats=feats, row_ll=row_ll[0], resp=resp[0],
-                       moments=_moments(feats, resp)[0])
-
-
-def _refit_chunk(first: _FirstSweep, rows: np.ndarray, *,
-                 rel_tol: float, reg_eps: float, max_iter: int) -> np.ndarray:
-    """Warm-started EM log-likelihood for each leave-one-out subset in ``rows``.
-
-    Problem i excludes row ``rows[i]``.  Its first E-step is the shared one
-    minus that row's log-likelihood term, and its first M-step starts from
-    the shared moments minus that row's weighted features; later E-steps
-    zero the row's responsibility and log-likelihood contribution.
-    """
-    feats = first.feats
-    loglik = first.row_ll.sum() - first.row_ll[rows]
-    out = loglik.copy()
-    removed = first.resp[:, rows].T[..., None] * feats[:, rows].transpose(1, 0, 2)  # (m, G, d)
-    moments = first.moments - removed
-    active = np.arange(rows.shape[0])
-    for _ in range(max_iter):
-        excluded = rows[active]
-        weights, shifts, covs = _params_from_moments(moments, first.dim, excluded)
-        coefs, _ = _log_density_coefs(weights, shifts, covs, reg_eps, excluded)
-        row_ll, resp = _posterior(_log_densities(feats, coefs))
-        batch = np.arange(active.shape[0])
-        row_ll[batch, excluded] = 0.0
-        resp[batch, :, excluded] = 0.0
-        loglik2 = row_ll.sum(axis=1)
-        out[active] = loglik2
-        denom = np.maximum(1.0, np.maximum(np.abs(loglik2), np.abs(loglik[active])))
-        converged = np.abs(loglik2 - loglik[active]) < rel_tol * denom
-        loglik[active] = loglik2
-        if converged.all():
-            break
-        keep = ~converged
-        active = active[keep]
-        moments = _moments(feats, resp[keep])
-    return out
-
-
 def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
                       reg_eps: float = 1e-8, max_iter: int = 100,
                       n_threads: int = 1, chunk_size: int | None = None) -> np.ndarray:
@@ -460,25 +398,22 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
         chunk_size = int(np.clip(4_000_000 // max(1, n_comp * n * p), 8, 4096))
     rows = np.arange(n)
     chunks = [rows[i:i + chunk_size] for i in range(0, n, chunk_size)]
-    first = _first_sweep(arr, model, reg_eps)
-    kwargs = dict(rel_tol=rel_tol, reg_eps=reg_eps, max_iter=max_iter)
-    out = np.empty(n)
+    start = _em_start(arr, model, reg_eps)
+
+    def refit(chunk):
+        return _em_sweeps(start, chunk, max_iter=max_iter, rel_tol=rel_tol, reg_eps=reg_eps)[0]
+
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda c: _refit_chunk(first, c, **kwargs), chunks))
-        for chunk, vals in zip(chunks, results):
-            out[chunk] = vals
-    else:
-        for chunk in chunks:
-            out[chunk] = _refit_chunk(first, chunk, **kwargs)
-    return out
+            return np.concatenate(list(pool.map(refit, chunks)))
+    return np.concatenate([refit(chunk) for chunk in chunks])
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
                   rel_tol: float = 1e-8, reg_eps: float = 1e-8,
-                  refit_max_iter: int = 100, n_threads: int = 1) -> SubsetDeltaSet:
+                  n_threads: int = 1) -> SubsetDeltaSet:
     """Subset deltas for an already fitted mixture.
 
     ``loglik`` must be the full-data mixture log-likelihood of ``model``.
@@ -488,8 +423,7 @@ def subset_deltas(data, model: MixtureModel, labels, loglik: float,
     mode = DeltaMode(mode)
     if mode is DeltaMode.REFIT:
         subset_ll = loo_refit_logliks(
-            arr, model, rel_tol=rel_tol, reg_eps=reg_eps,
-            max_iter=refit_max_iter, n_threads=n_threads,
+            arr, model, rel_tol=rel_tol, reg_eps=reg_eps, n_threads=n_threads
         )
         values = subset_ll - loglik
     else:

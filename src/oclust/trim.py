@@ -36,7 +36,6 @@ class OclustConfig:
         num_bins: histogram bins for the divergence; ``None`` selects
             max(10, ceil(sqrt(n_current))) per iteration.
         bin_method: histogram binning rule.
-        refit_max_iter: EM sweep cap for each warm-started leave-one-out refit.
         n_threads: worker threads for the batched leave-one-out refits.
     """
 
@@ -46,7 +45,6 @@ class OclustConfig:
     delta_mode: DeltaMode = DeltaMode.REFIT
     num_bins: int | None = None
     bin_method: BinMethod = BinMethod.EQUAL_PROBABILITY
-    refit_max_iter: int = 100
     n_threads: int = 1
 
     def __post_init__(self):
@@ -149,8 +147,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             stats = cluster_stats(current, labels, config.n_clusters)
             deltas = subset_deltas(
                 current, model, labels, loglik, stats, config.delta_mode,
-                rel_tol=config.fit.rel_tol, reg_eps=config.fit.reg_eps,
-                refit_max_iter=config.refit_max_iter, n_threads=config.n_threads,
+                rel_tol=config.fit.rel_tol, reg_eps=config.fit.reg_eps, n_threads=config.n_threads,
             )
             reference = beta_mixture_reference(stats)
             num_bins = config.num_bins

@@ -6,11 +6,7 @@ import pytest
 
 import oclust
 
-# importing oclust.__main__ runs the command line, and it holds no examples
-MODULES = ["oclust"] + [
-    f"oclust.{info.name}" for info in pkgutil.iter_modules(oclust.__path__)
-    if info.name != "__main__"
-]
+MODULES = ["oclust"] + [f"oclust.{info.name}" for info in pkgutil.iter_modules(oclust.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 
 from oclust import (
     BetaComponent,
+    DegenerateFitError,
     ReferenceMixture,
     DeltaMode,
     DowndateVariant,
@@ -35,6 +36,7 @@ from oclust import (
     subset_deltas,
     subset_loglik_set,
 )
+from oclust import gmm
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,71 @@ def test_refit_logliks_match_explicit_deletion_refits(seed, n_comp, p, per_clust
     for j in range(data.shape[0]):
         run = em_refine(np.delete(data, j, axis=0), model, rel_tol=1e-12, max_iter=500)
         assert abs(ours[j] - run.loglik) <= 1e-9 * max(1.0, abs(run.loglik)), j
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_comp=st.integers(1, 3),
+    p=st.integers(1, 3),
+    per_cluster=st.integers(8, 16),
+)
+@settings(max_examples=15)
+def test_refit_logliks_match_independent_oracle_property(seed, n_comp, p, per_cluster):
+    # em_refine shares the refit's EM loop, so this checks against scipy instead
+    rng = np.random.default_rng(seed)
+    data = np.vstack(
+        [rng.standard_normal((per_cluster, p)) * rng.uniform(0.5, 2.0) + 9.0 * g
+         for g in range(n_comp)]
+    )
+    model, labels, _ = em_fit(data, n_comp, FitConfig(seed=seed))
+    assume(np.array_equal(np.bincount(labels, minlength=n_comp), [per_cluster] * n_comp))
+    ours = loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500)
+    expected = np.array(
+        [oracle_loo_loglik(data, model, j, rel_tol=1e-12, max_iter=500)
+         for j in range(data.shape[0])]
+    )
+    assert np.max(np.abs(ours - expected)) < 1e-6
+
+
+def test_degenerate_refit_raises_on_a_decrease():
+    # one component sits on 3 points with a near-singular covariance; the
+    # refits chase likelihood spikes, and a sweep that lowers the
+    # log-likelihood must be reported whatever the chunking
+    rng = np.random.default_rng(2)
+    data = np.vstack(
+        [rng.standard_normal((8, 3)) * rng.uniform(0.5, 2.0) + 9.0 * g for g in range(3)]
+    )
+    model, _, _ = em_fit(data, 3, FitConfig(seed=2))
+    for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
+        with pytest.raises(DegenerateFitError, match="leave-one-out refit for row") as info:
+            loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500, **kwargs)
+        assert info.value.subset_index is not None
+
+
+def test_refit_decrease_is_checked_per_problem(fitted_blobs, monkeypatch):
+    # in the same sweep, problem 17's mean is moved off the EM update and
+    # problem 3's covariances come back ridged: only problem 3 is exempt from
+    # the decrease rule, whatever the chunking
+    data, model, _, _ = fitted_blobs
+    update, factor = gmm._params_from_moments, gmm._factor_covariances
+
+    def misplaced_mean(moments, p, row_ids=None):
+        weights, shifts, covs = update(moments, p, row_ids)
+        shifts = shifts.copy()
+        shifts[row_ids == 17, 0] += 3.0
+        return weights, shifts, covs
+
+    def ridged_row_3(covs, reg_eps=0.0, row_ids=None):
+        if row_ids is not None:
+            covs = covs + 1e-12 * (row_ids == 3)[:, None, None, None] * np.eye(covs.shape[-1])
+        return factor(covs, reg_eps, row_ids)
+
+    monkeypatch.setattr(gmm, "_params_from_moments", misplaced_mean)
+    monkeypatch.setattr(gmm, "_factor_covariances", ridged_row_3)
+    for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
+        with pytest.raises(DegenerateFitError, match="row 17: log-likelihood decreased") as info:
+            loo_refit_logliks(data, model, max_iter=1, **kwargs)
+        assert info.value.subset_index == 17
 
 
 def test_refit_deltas_are_subset_minus_full(fitted_blobs):
