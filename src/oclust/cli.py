@@ -171,13 +171,13 @@ def _cmd_oclust(args) -> int:
     result = oclust_run(table, config)
 
     with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iteration,removed_row,kl,loglik,n_remaining\n")
+        handle.write("iteration,removed_row,kl,loglik,n_remaining,clamped\n")
         n = table.shape[0]
         for record in result.trace:
             removed = "" if record.removed_point is None else str(record.removed_point)
             handle.write(
                 f"{record.iteration},{removed},{_fmt(record.kl.value)},"
-                f"{_fmt(record.loglik)},{n - record.iteration}\n"
+                f"{_fmt(record.loglik)},{n - record.iteration},{record.kl.clamped_count}\n"
             )
 
     with open(out_dir / "labels.csv", "w", encoding="utf-8", newline="\n") as handle:

@@ -9,7 +9,8 @@ The fitting path is deliberately plain maximum-likelihood EM:
 
 Seeding draws are keyed by row *content* (a keyed hash of the row bytes feeds
 an exponential race), so a fit is reproducible for a given seed and
-equivariant under row reordering.
+equivariant under row reordering.  Each draw keys one BLAKE2b state and copies
+it for every row, and the digests are read as one uint64 array.
 
 Every mixture density and EM sweep in the package, the single fit here and
 the leave-one-out refits in ``subset``, runs on one kernel over sufficient
@@ -26,7 +27,9 @@ Arrays carry a leading problem axis m (m = 1 for a single fit).  One helper,
 ``_factor_covariances``, turns every covariance stack into Cholesky factors
 and log-determinants.  One EM loop, ``_em_sweeps``, runs the single fit (one
 problem) and the leave-one-out refits (one problem per left-out row) under
-one convergence rule and one rule against a falling log-likelihood.
+one convergence rule and one rule against a falling log-likelihood.  A single
+fit's hard labels are the argmax of its final E-step, which belongs to the
+returned parameters, so ``em_fit`` takes no extra pass over the data for them.
 """
 
 from __future__ import annotations
@@ -167,11 +170,13 @@ class ClusterStats:
 
 @dataclass(frozen=True)
 class EmRun:
-    """One EM run: final model, its log-likelihood, and the per-sweep history."""
+    """One EM run: final model, its log-likelihood, the per-sweep history and
+    the hard maximum-posterior labels under the final model."""
 
     model: MixtureModel
     loglik: float
     history: tuple
+    labels: np.ndarray
 
 
 def _positive_definite(block: np.ndarray) -> bool:
@@ -246,13 +251,13 @@ def _upper(p: int):
     return iu
 
 
-def _features(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Sufficient-statistic features F_g(x) = [1, y, upper(y y')], y = x - centers[g].
+def _features(y: np.ndarray) -> np.ndarray:
+    """Sufficient-statistic features [1, y, upper(y y')] of deviations y (..., p).
 
-    Returns shape (G, n, d) with d = 1 + p + p(p+1)/2.
+    Returns shape (..., d) with d = 1 + p + p(p+1)/2; F_g(x) is the value at
+    y = x - c_g.
     """
-    iu = _upper(data.shape[1])
-    y = data[None, :, :] - centers[:, None, :]
+    iu = _upper(y.shape[-1])
     ones = np.ones(y.shape[:-1] + (1,))
     return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
 
@@ -326,8 +331,11 @@ def _params_from_moments(moments, p, row_ids=None):
     return weights, shifts, covs
 
 
-def _weighted_log_densities(data: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """log w_g + log N(x; mu_g, Sigma_g) per row and component, shape (n, G); no ridge."""
+def _weighted_log_densities(data: np.ndarray, model: MixtureModel, labels=None) -> np.ndarray:
+    """log w_g + log N(x; mu_g, Sigma_g) per row and component, shape (n, G); no ridge.
+
+    Given ``labels``, only each row's own component g = labels[row], shape (n,).
+    """
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
@@ -335,7 +343,9 @@ def _weighted_log_densities(data: np.ndarray, model: MixtureModel) -> np.ndarray
     coefs, _ = _log_density_coefs(
         model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], 0.0
     )
-    return _log_densities(_features(data, model.means), coefs)[0].T
+    if labels is not None:
+        return (coefs[0, labels] * _features(data - model.means[labels])).sum(axis=-1)
+    return _log_densities(_features(data[None] - model.means[:, None]), coefs)[0].T
 
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
@@ -417,7 +427,7 @@ class _EmStart:
 
 
 def _em_start(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _EmStart:
-    feats = _features(data, model.means)
+    feats = _features(data[None] - model.means[:, None])
     coefs, covs = _log_density_coefs(
         model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], reg_eps
     )
@@ -438,6 +448,9 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     Returns per problem the final log-likelihood (m,), the parameters it
     belongs to as ``(weights, means, covs)``, and the log-likelihood before
     the first and after every sweep, (sweeps + 1, m), held once it stops.
+    With ``leave_out`` None it also returns the hard labels (n,) of the last
+    E-step, which belongs to the returned parameters (ties go to the lower
+    component); otherwise the labels are None.
     """
     feats, p = start.feats, start.model.dim
     rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
@@ -458,7 +471,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         excluded = None if rows is None else rows[active]
         w, s, c = _params_from_moments(moments, p, excluded)
         coefs, factored = _log_density_coefs(w, s, c, reg_eps, excluded)
-        row_ll, resp = _posterior(_log_densities(feats, coefs))
+        logp = _log_densities(feats, coefs)
+        row_ll, resp = _posterior(logp)
         if excluded is not None:
             batch = np.arange(active.shape[0])
             row_ll[batch, excluded] = 0.0
@@ -482,7 +496,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         if not keep.all():
             active, resp = active[keep], resp[keep]
         moments = _moments(feats, resp)
-    return loglik, (weights, start.model.means + shifts, covs), np.array(history)
+    labels = logp[0].argmax(axis=0) if rows is None else None
+    return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
@@ -495,16 +510,18 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     the EM update.  Iteration stops once the relative change drops below
     ``rel_tol`` or after ``max_iter`` update sweeps.  The returned
     log-likelihood is always that of the returned parameters, whose
-    covariances are the ones actually factored.
+    covariances are the ones actually factored; the returned labels are the
+    maximum-posterior components of the final E-step under those parameters.
     """
     arr = validate_data(data)
-    loglik, (weights, means, covs), history = _em_sweeps(
+    loglik, (weights, means, covs), history, labels = _em_sweeps(
         _em_start(arr, model, reg_eps), max_iter=max_iter, rel_tol=rel_tol, reg_eps=reg_eps
     )
     return EmRun(
         model=MixtureModel(weights=weights[0], means=means[0], covariances=covs[0]),
         loglik=float(loglik[0]),
         history=tuple(history[:, 0].tolist()),
+        labels=labels,
     )
 
 
@@ -515,11 +532,18 @@ def _content_uniforms(data: np.ndarray, key_seed: int, draw: int) -> np.ndarray:
     under row permutation.
     """
     key = int(key_seed).to_bytes(8, "little") + int(draw).to_bytes(8, "little")
-    out = np.empty(data.shape[0])
-    for i in range(data.shape[0]):
-        digest = hashlib.blake2b(data[i].tobytes(), key=key, digest_size=8).digest()
-        out[i] = (int.from_bytes(digest, "little") + 1) / 18446744073709551616.0
-    return out
+    keyed = hashlib.blake2b(key=key, digest_size=8)
+    raw = data.tobytes()
+    width = len(raw) // data.shape[0]
+    digests = []
+    for start in range(0, len(raw), width):
+        h = keyed.copy()
+        h.update(raw[start:start + width])
+        digests.append(h.digest())
+    # (digest + 1) / 2**64, rounded once: the +1 is exact in uint64, where
+    # only the largest digest wraps to 0 and stands for 2**64
+    counts = np.frombuffer(b"".join(digests), dtype="<u8") + np.uint64(1)
+    return np.where(counts == 0, 2.0 ** 64, counts.astype(float)) / 18446744073709551616.0
 
 
 def _seed_mean_indices(data: np.ndarray, n_clusters: int, key_seed: int) -> list[int]:
@@ -595,7 +619,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
                 rel_tol=config.rel_tol,
                 reg_eps=config.reg_eps,
             )
-            labels = hard_labels(arr, run.model)
+            labels = run.labels
             counts = np.bincount(labels, minlength=n_clusters)
             if np.any(counts < 2):
                 g = int(np.argmin(counts))

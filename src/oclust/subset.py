@@ -131,7 +131,7 @@ def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
     arr = validate_data(data)
     lab = np.asarray(labels, dtype=int)
     frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
-    return -_weighted_log_densities(arr, frozen)[np.arange(arr.shape[0]), lab]
+    return -_weighted_log_densities(arr, frozen, lab)
 
 
 def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = DowndateVariant.EXACT):

@@ -61,7 +61,7 @@ def test_oclust_end_to_end(dataset_csv, tmp_path, capsys):
     assert "outputs in" in out
 
     trace_lines = (out_dir / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iteration,removed_row,kl,loglik,n_remaining"
+    assert trace_lines[0] == "iteration,removed_row,kl,loglik,n_remaining,clamped"
     assert len(trace_lines) == 17  # header + budget + 1 iterations
     first = trace_lines[1].split(",")
     assert first[0] == "0" and first[1] == ""  # nothing removed before iteration 0
@@ -92,6 +92,34 @@ def test_oclust_end_to_end(dataset_csv, tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "oclust"
     assert len(manifest["input_digest"]) == 64  # sha256 hex of the input file
+
+
+def test_trace_clamped_column_sums_to_run_total(tmp_path, capsys, monkeypatch):
+    from oclust import cli
+
+    # on this dataset refit mode clamps a delta at 3 of the 16 iterations
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--model", "I", "--n-good", "150", "--n-out", "10",
+                 "--seed", "1", "--out", str(data)]) == 0
+    results = []
+    run = cli.oclust_run
+
+    def recording_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "oclust_run", recording_run)
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        ["oclust", str(data), "--clusters", "3", "--max-outliers", "15",
+         "--seed", "1", "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 0
+    rows = (out_dir / "trace.csv").read_text().splitlines()[1:]
+    column = [int(row.split(",")[5]) for row in rows]
+    (result,) = results
+    assert sum(column) == sum(record.kl.clamped_count for record in result.trace) == 3
 
 
 def test_oclust_rerun_is_byte_identical(dataset_csv, tmp_path, capsys):

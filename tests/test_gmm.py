@@ -1,6 +1,9 @@
+import hashlib
+import types
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -346,3 +349,159 @@ def test_one_em_sweep_matches_two_pass_update(seed, n_comp, p):
     assert np.allclose(run.model.covariances, covs, rtol=0.0, atol=1e-10 * scale)
     after = logsumexp(scipy_log_densities(data, weights, means, covs), axis=1).sum()
     assert run.history[1] == pytest.approx(after, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# k-means++ seeding uniforms (keyed row hashes)
+# ---------------------------------------------------------------------------
+
+
+def reference_uniforms(data, key_seed, draw):
+    """The per-row hash loop: a fresh keyed BLAKE2b of every row's bytes."""
+    key = int(key_seed).to_bytes(8, "little") + int(draw).to_bytes(8, "little")
+    return np.array([
+        (int.from_bytes(hashlib.blake2b(data[i].tobytes(), key=key, digest_size=8).digest(),
+                        "little") + 1) / 18446744073709551616.0
+        for i in range(data.shape[0])
+    ])
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(1, 300),
+    p=st.integers(1, 20),
+    key_seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    draw=st.integers(0, 3),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_content_uniforms_match_per_row_hash(n, p, key_seed, draw, data_seed):
+    # rows of 8p bytes span up to three 128-byte BLAKE2b blocks
+    rng = np.random.default_rng(data_seed)
+    data = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    data[rng.random(n) < 0.2] = 0.0
+    expected = reference_uniforms(data, key_seed, draw)
+    assert np.array_equal(gmm._content_uniforms(data, key_seed, draw), expected)
+
+
+class EchoHash:
+    """Stands in for ``hashlib.blake2b``: the digest is the first 8 message bytes."""
+
+    def __init__(self, data=b"", *, key=b"", digest_size=8):
+        self.message = bytes(data)
+
+    def copy(self):
+        return EchoHash(self.message)
+
+    def update(self, data):
+        self.message += bytes(data)
+
+    def digest(self):
+        return self.message[:8]
+
+
+def test_content_uniforms_round_digest_plus_one_once(monkeypatch):
+    # digests chosen so that rounding the digest and then adding 1 would
+    # differ from rounding digest + 1, plus the largest digest, which wraps
+    # in uint64 and must give exactly 1.0
+    digests = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**54 + 1, 2**63, 2**64 - 2049,
+               2**64 - 1025, 2**64 - 2, 2**64 - 1]
+    data = np.array(digests, dtype=np.uint64).view(np.float64).reshape(-1, 1)
+    monkeypatch.setattr(gmm, "hashlib", types.SimpleNamespace(blake2b=EchoHash))
+    uniforms = gmm._content_uniforms(data, 5, 1)
+    assert np.array_equal(uniforms, [(d + 1) / 18446744073709551616.0 for d in digests])
+    assert uniforms[-1] == 1.0
+
+
+def test_content_uniforms_pinned_values():
+    # recorded from the per-row hash loop; guards against the code and its
+    # reference in this file drifting together
+    data = np.array([[0.0, 1.0], [-0.0, 1.0], [2.5, -3.25], [1e300, 5e-324]])
+    pinned = {
+        (0, 0): ["0x1.ac020813eb3c8p-3", "0x1.84beb10dac5c6p-3",
+                 "0x1.1da3a9428d0c6p-6", "0x1.a8571856317a1p-1"],
+        (2**64 - 1, 3): ["0x1.7803d2473d530p-1", "0x1.7882874c38024p-3",
+                         "0x1.b54ac114637bfp-4", "0x1.ff872a4c74c37p-1"],
+        (123456789, 1): ["0x1.027a8126d214bp-3", "0x1.31a0e0e8795f9p-2",
+                         "0x1.d1703024af24ep-2", "0x1.5dca042083cf3p-1"],
+    }
+    for (key_seed, draw), values in pinned.items():
+        expected = [float.fromhex(v) for v in values]
+        assert np.array_equal(gmm._content_uniforms(data, key_seed, draw), expected)
+
+
+# ---------------------------------------------------------------------------
+# hard labels of a fit, taken from its final E-step
+# ---------------------------------------------------------------------------
+
+
+def clear_rows(data, model, margin=1e-9):
+    """Rows whose two best weighted log-densities differ by more than ``margin``."""
+    logp = scipy_log_densities(data, model.weights, model.means, model.covariances)
+    if logp.shape[1] == 1:
+        return np.ones(data.shape[0], dtype=bool)
+    ordered = np.sort(logp, axis=1)
+    return ordered[:, -1] - ordered[:, -2] > margin
+
+
+def overlapping_start(seed, n_comp, p):
+    """Clusters about two deviations apart, and a start whose means are data
+    rows: many rows change component during the first sweeps."""
+    rng = np.random.default_rng(seed)
+    centers = 2.0 * rng.standard_normal((n_comp, p))
+    data = np.vstack(
+        [center + rng.standard_normal((int(rng.integers(4 * p + 10, 60)), p)) for center in centers]
+    )
+    model = MixtureModel(
+        weights=np.full(n_comp, 1.0 / n_comp),
+        means=data[rng.choice(data.shape[0], n_comp, replace=False)],
+        covariances=np.repeat(np.cov(data, rowvar=False).reshape(1, p, p), n_comp, axis=0),
+    )
+    return data, model
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 10_000), n_comp=st.integers(1, 3), p=st.integers(1, 6),
+       max_iter=st.sampled_from([1, 2, 5, 1000]))
+def test_em_refine_labels_match_hard_labels(seed, n_comp, p, max_iter):
+    data, model = overlapping_start(seed, n_comp, p)
+    try:
+        run = em_refine(data, model, max_iter=max_iter)
+    except (DegenerateFitError, SingularCovarianceError):
+        assume(False)
+    clear = clear_rows(data, run.model)
+    assert np.array_equal(run.labels[clear], hard_labels(data, run.model)[clear])
+
+
+def test_em_refine_labels_when_stopped_by_max_iter(three_blob_data):
+    data, _ = three_blob_data
+    start = gmm._initial_model(data, 3, 17, 1e-8)
+    run = em_refine(data, start, max_iter=3, rel_tol=1e-14)
+    assert len(run.history) == 4  # three sweeps, none of them converged
+    assert abs(run.history[-1] - run.history[-2]) > 1e-14 * abs(run.history[-1])
+    clear = clear_rows(data, run.model)
+    assert clear.sum() > 100
+    assert np.array_equal(run.labels[clear], hard_labels(data, run.model)[clear])
+
+
+def test_em_refine_labels_after_ridged_last_sweep():
+    # a component on four collinear points has a singular covariance at
+    # every sweep, so the last E-step runs on a ridged covariance
+    rng = np.random.default_rng(4)
+    line = np.array([30.0, 30.0]) + np.outer(np.arange(4.0), [1.0, 2.0])
+    data = np.vstack([rng.standard_normal((40, 2)), line])
+    start = MixtureModel(weights=[0.5, 0.5], means=[[0.0, 0.0], line.mean(axis=0) + 1.0],
+                         covariances=[np.eye(2), np.eye(2)])
+    run = em_refine(data, start)
+    cov = run.model.covariances[1]
+    ridge = 1e-8 * np.trace(cov) / 2
+    assert np.linalg.eigvalsh(cov).min() == pytest.approx(ridge, rel=1e-6)
+    assert np.array_equal(run.labels, np.repeat([0, 1], [40, 4]))
+    assert np.array_equal(run.labels, hard_labels(data, run.model))
+
+
+def test_em_fit_labels_are_its_final_e_step(three_blob_data, monkeypatch):
+    data, _ = three_blob_data
+    expected = em_fit(data, 3, FitConfig(seed=5))
+    monkeypatch.setattr(gmm, "hard_labels", None)  # em_fit must not recompute them
+    model, labels, loglik = em_fit(data, 3, FitConfig(seed=5))
+    assert np.array_equal(labels, expected[1]) and loglik == expected[2]

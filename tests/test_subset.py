@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,7 @@ from oclust import (
     BetaComponent,
     DegenerateFitError,
     ReferenceMixture,
+    SimModelSpec,
     DeltaMode,
     DowndateVariant,
     FitConfig,
@@ -25,6 +28,7 @@ from oclust import (
     em_refine,
     frozen_subset_deltas,
     gamma_reference,
+    gen_dataset,
     gamma_reference_density,
     loo_refit_logliks,
     mahalanobis_sq,
@@ -135,6 +139,18 @@ def test_refit_logliks_invariant_to_uneven_chunks_at_larger_n(fitted_blobs_300):
     for chunk_size in [7, 64, n - 1]:
         got = loo_refit_logliks(data, model, chunk_size=chunk_size, n_threads=2)
         assert np.array_equal(base, got), chunk_size
+
+
+def test_refit_logliks_pinned_on_acceptance_scenario():
+    # model I, 450 + 50 points, data seed 1000, fit seed 0: the values are
+    # rounding-exact (recorded with OpenBLAS 0.3.31 on x86-64), so this fails
+    # if anything in the shared EM loop changes a refit's arithmetic
+    data = gen_dataset(SimModelSpec(model="I", n_good=450, n_outliers=50, p=2, seed=1000)).data
+    model, _, _ = em_fit(data, 3, FitConfig(seed=0))
+    values = loo_refit_logliks(data, model)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "5ef49af8d40c7f274e5cb2803137f2138dff905e9c01324388b4060dbc97cb68"
+    )
 
 
 def test_refit_logliks_invariant_to_translation(fitted_blobs_300):
