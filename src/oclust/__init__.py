@@ -52,7 +52,6 @@ from .subset import (
     DowndateVariant,
     GammaComponent,
     ReferenceMixture,
-    SubsetDeltaSet,
     beta_component_density,
     beta_mixture_reference,
     delta_formula,
@@ -67,7 +66,6 @@ from .subset import (
     reference_mixture_ppf,
     sample_reference,
     subset_deltas,
-    subset_loglik_set,
 )
 from .trim import (
     IterationRecord,

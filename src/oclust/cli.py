@@ -122,7 +122,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 def _default_threads(value: int | None) -> int:
     if value is not None:
-        return max(1, value)
+        return value
     # results are independent of thread count, so defaulting to the CPUs this
     # process may run on changes speed only
     try:
@@ -156,8 +156,6 @@ def _cmd_oclust(args) -> int:
             "it makes every cluster covariance singular",
             column=name,
         )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     threads = _default_threads(args.threads)
     config = OclustConfig(
         n_clusters=args.clusters,
@@ -168,6 +166,8 @@ def _cmd_oclust(args) -> int:
         bin_method=BinMethod.EQUAL_PROBABILITY,
         n_threads=threads,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = oclust_run(table, config)
 
     with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="\n") as handle:
@@ -440,10 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateFitError, SingularCovarianceError, InsufficientPointsError,

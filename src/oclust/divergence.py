@@ -49,7 +49,6 @@ class KlEstimate:
     """A divergence value plus bookkeeping about how it was computed."""
 
     value: float
-    bins_used: int
     clamped_count: int
 
 
@@ -90,10 +89,9 @@ def kl_divergence(samples, ref: ReferenceMixture, bins: BinningScheme) -> KlEsti
     """Relative-frequency KL divergence of samples against the reference.
 
     Samples outside the reference support are clamped into the nearest end
-    bin and reported via ``clamped_count``.  Accepts a plain array or any
-    object with a ``values`` attribute (such as a subset delta set).
+    bin and reported via ``clamped_count``.
     """
-    values = np.asarray(getattr(samples, "values", samples), dtype=float).reshape(-1)
+    values = np.asarray(samples, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one sample")
     edges = bins.edges
@@ -116,4 +114,4 @@ def kl_divergence(samples, ref: ReferenceMixture, bins: BinningScheme) -> KlEsti
             )
     occupied = p_hat > 0.0
     value = float((p_hat[occupied] * np.log(p_hat[occupied] / q[occupied])).sum())
-    return KlEstimate(value=value, bins_used=num_bins, clamped_count=clamped)
+    return KlEstimate(value=value, clamped_count=clamped)

@@ -25,7 +25,11 @@ problem come from one matrix product; an M-step turns the moments
 resp @ F_g into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
 Arrays carry a leading problem axis m (m = 1 for a single fit).  One helper,
 ``_factor_covariances``, turns every covariance stack into Cholesky factors
-and log-determinants.  One EM loop, ``_em_sweeps``, runs the single fit (one
+and log-determinants, and one, ``_evaluate``, puts a model on the data (its
+features, its log-densities and its covariances as factored) for the start of
+EM, the mixture and hard-assignment log-likelihoods and the hard labels; the
+frozen subset deltas take each row's own component only
+(``_own_log_densities``).  One EM loop, ``_em_sweeps``, runs the single fit (one
 problem) and the leave-one-out refits (one problem per left-out row) under
 one convergence rule and one rule against a falling log-likelihood.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
@@ -331,26 +335,37 @@ def _params_from_moments(moments, p, row_ids=None):
     return weights, shifts, covs
 
 
-def _weighted_log_densities(data: np.ndarray, model: MixtureModel, labels=None) -> np.ndarray:
-    """log w_g + log N(x; mu_g, Sigma_g) per row and component, shape (n, G); no ridge.
+def _model_coefs(model: MixtureModel, reg_eps: float = 0.0):
+    """Coefficients (1, G, d) of a model's log-densities about its own means,
+    and its covariances as factored (1, G, p, p); a ridge only if ``reg_eps > 0``."""
+    return _log_density_coefs(
+        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], reg_eps
+    )
 
-    Given ``labels``, only each row's own component g = labels[row], shape (n,).
-    """
+
+def _evaluate(data: np.ndarray, model: MixtureModel, reg_eps: float = 0.0):
+    """A model on every row: its features centred on its means (G, n, d), its
+    log-densities log w_g + log N(x; mu_g, Sigma_g) as (1, G, n) and its
+    covariances as factored (G, p, p)."""
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
-    coefs, _ = _log_density_coefs(
-        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], 0.0
-    )
-    if labels is not None:
-        return (coefs[0, labels] * _features(data - model.means[labels])).sum(axis=-1)
-    return _log_densities(_features(data[None] - model.means[:, None]), coefs)[0].T
+    coefs, covs = _model_coefs(model, reg_eps)
+    feats = _features(data[None] - model.means[:, None])
+    return feats, _log_densities(feats, coefs), covs[0]
+
+
+def _own_log_densities(data: np.ndarray, model: MixtureModel, labels: np.ndarray) -> np.ndarray:
+    """log w_g + log N(x; mu_g, Sigma_g) of each row under its own component
+    g = labels[row] only, shape (n,); no ridge."""
+    coefs, _ = _model_coefs(model)
+    return (coefs[0, labels] * _features(data - model.means[labels])).sum(axis=-1)
 
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
     """Total mixture log-likelihood of the data, accumulated via log-sum-exp."""
-    row_ll, _ = _posterior(_weighted_log_densities(validate_data(data), model).T[None])
+    row_ll, _ = _posterior(_evaluate(validate_data(data), model)[1])
     return float(row_ll.sum())
 
 
@@ -367,8 +382,8 @@ def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
         raise ValueError("labels must be one integer per data row")
     if lab.min() < 0 or lab.max() >= model.n_components:
         raise ValueError("labels refer to components outside the model")
-    logp = _weighted_log_densities(arr, model)
-    return float(logp[np.arange(arr.shape[0]), lab].sum())
+    logp = _evaluate(arr, model)[1]
+    return float(logp[0, lab, np.arange(arr.shape[0])].sum())
 
 
 def cluster_stats(data, labels, n_clusters: int | None = None) -> ClusterStats:
@@ -408,9 +423,7 @@ def cluster_stats(data, labels, n_clusters: int | None = None) -> ClusterStats:
 
 def hard_labels(data, model: MixtureModel) -> np.ndarray:
     """Maximum-posterior component per row; ties go to the lower index."""
-    arr = validate_data(data)
-    logp = _weighted_log_densities(arr, model)
-    return np.argmax(logp, axis=1)
+    return _evaluate(validate_data(data), model)[1][0].argmax(axis=0)
 
 
 @dataclass(frozen=True)
@@ -427,12 +440,9 @@ class _EmStart:
 
 
 def _em_start(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _EmStart:
-    feats = _features(data[None] - model.means[:, None])
-    coefs, covs = _log_density_coefs(
-        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], reg_eps
-    )
-    row_ll, resp = _posterior(_log_densities(feats, coefs))
-    return _EmStart(model, covs[0], feats, row_ll[0], resp[0], _moments(feats, resp)[0])
+    feats, logp, covs = _evaluate(data, model, reg_eps)
+    row_ll, resp = _posterior(logp)
+    return _EmStart(model, covs, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
 def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float,
@@ -605,7 +615,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
             "the fit is ill-posed",
             stacklevel=2,
         )
-    best: tuple[float, int, EmRun, np.ndarray] | None = None
+    best: EmRun | None = None
     first_failure: Exception | None = None
     first_failure_run = -1
     for restart in range(config.restarts):
@@ -619,8 +629,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
                 rel_tol=config.rel_tol,
                 reg_eps=config.reg_eps,
             )
-            labels = run.labels
-            counts = np.bincount(labels, minlength=n_clusters)
+            counts = np.bincount(run.labels, minlength=n_clusters)
             if np.any(counts < 2):
                 g = int(np.argmin(counts))
                 raise DegenerateFitError(
@@ -632,13 +641,12 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
                 first_failure = exc
                 first_failure_run = restart
             continue
-        if best is None or run.loglik > best[0]:
-            best = (run.loglik, restart, run, labels)
+        if best is None or run.loglik > best.loglik:
+            best = run
     if best is None:
         raise DegenerateFitError(
             f"all {config.restarts} restarts degenerated; first failure "
             f"(restart {first_failure_run}): {first_failure}",
             run_index=first_failure_run,
         ) from first_failure
-    _, _, run, labels = best
-    return run.model, labels, run.loglik
+    return best.model, best.labels, best.loglik

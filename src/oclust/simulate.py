@@ -22,7 +22,7 @@ index of a clustering is the minimum over cluster pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import chi2
@@ -402,12 +402,7 @@ def separation_experiment(p: int, target: float, replicates: int, seed: int, *,
         except ValueError:
             continue
         points = deviates + scale * directions[labels]
-        model, hard, loglik = em_fit(
-            points, 3, FitConfig(
-                restarts=fit.restarts, max_iter=fit.max_iter, rel_tol=fit.rel_tol,
-                reg_eps=fit.reg_eps, seed=derive_seed(seed, 4, r),
-            ),
-        )
+        model, hard, loglik = em_fit(points, 3, replace(fit, seed=derive_seed(seed, 4, r)))
         hard_ll = approx_log_likelihood(points, model, hard)
         gaps.append((hard_ll - loglik) / loglik)
         achieved_values.append(value)

@@ -18,7 +18,8 @@ used.  Across clusters the deltas therefore follow a mixture of shifted,
 scaled beta densities weighted by the cluster proportions; that mixture is the
 reference distribution the trimming loop compares against.
 
-Two ways of producing empirical deltas are provided:
+``subset_deltas`` turns a fitted mixture into the empirical deltas, one float
+per row, in one of two ways:
 
 * ``refit``: each leave-one-out subset gets its own EM refinement
   (warm-started from the full-data fit) and the delta is the difference of
@@ -47,14 +48,12 @@ from .errors import InsufficientPointsError
 from .gmm import (
     LOG_2PI,
     ClusterStats,
-    FitConfig,
     MixtureModel,
     _em_start,
     _em_sweeps,
     _factor_covariances,
-    _weighted_log_densities,
+    _own_log_densities,
     cluster_stats,
-    em_fit,
     validate_data,
 )
 
@@ -71,24 +70,6 @@ class DowndateVariant(str, Enum):
 
     EXACT = "exact"
     ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class SubsetDeltaSet:
-    """Leave-one-out deltas for every row of a dataset.
-
-    ``values[j]`` is the subset log-likelihood minus the full-data
-    log-likelihood when row j is removed; ``source_labels[j]`` is the hard
-    cluster of row j in the full-data fit.
-    """
-
-    values: np.ndarray
-    source_labels: np.ndarray
-    mode: DeltaMode
-
-    def __post_init__(self):
-        if self.values.shape != self.source_labels.shape:
-            raise ValueError("values and source_labels must align")
 
 
 def mahalanobis_sq(x, mean, cov) -> float:
@@ -131,7 +112,7 @@ def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
     arr = validate_data(data)
     lab = np.asarray(labels, dtype=int)
     frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
-    return -_weighted_log_densities(arr, frozen, lab)
+    return -_own_log_densities(arr, frozen, lab)
 
 
 def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = DowndateVariant.EXACT):
@@ -413,34 +394,21 @@ def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
                   rel_tol: float = 1e-8, reg_eps: float = 1e-8,
-                  n_threads: int = 1) -> SubsetDeltaSet:
-    """Subset deltas for an already fitted mixture.
+                  n_threads: int = 1) -> np.ndarray:
+    """Subset deltas (n,) for an already fitted mixture.
 
-    ``loglik`` must be the full-data mixture log-likelihood of ``model``.
+    Entry j is the subset log-likelihood minus the full-data log-likelihood
+    when row j is removed.  ``loglik`` must be the full-data mixture
+    log-likelihood of ``model``; ``labels`` are its hard clusters, read in
+    frozen mode.
     """
     arr = validate_data(data)
-    lab = np.asarray(labels, dtype=int)
-    mode = DeltaMode(mode)
-    if mode is DeltaMode.REFIT:
+    if DeltaMode(mode) is DeltaMode.REFIT:
         subset_ll = loo_refit_logliks(
             arr, model, rel_tol=rel_tol, reg_eps=reg_eps, n_threads=n_threads
         )
-        values = subset_ll - loglik
-    else:
-        if stats is None:
-            stats = cluster_stats(arr, lab, model.n_components)
-        values = frozen_subset_deltas(arr, lab, stats)
-    return SubsetDeltaSet(values=values, source_labels=lab.copy(), mode=mode)
-
-
-def subset_loglik_set(data, n_clusters: int, config: FitConfig = FitConfig(),
-                      mode: DeltaMode = DeltaMode.REFIT, *,
-                      n_threads: int = 1) -> SubsetDeltaSet:
-    """Fit a mixture, then compute the subset delta for every row."""
-    arr = validate_data(data)
-    model, labels, loglik = em_fit(arr, n_clusters, config)
-    stats = cluster_stats(arr, labels, n_clusters)
-    return subset_deltas(
-        arr, model, labels, loglik, stats, mode,
-        rel_tol=config.rel_tol, reg_eps=config.reg_eps, n_threads=n_threads,
-    )
+        return subset_ll - loglik
+    lab = np.asarray(labels, dtype=int)
+    if stats is None:
+        stats = cluster_stats(arr, lab, model.n_components)
+    return frozen_subset_deltas(arr, lab, stats)

@@ -36,7 +36,8 @@ class OclustConfig:
         num_bins: histogram bins for the divergence; ``None`` selects
             max(10, ceil(sqrt(n_current))) per iteration.
         bin_method: histogram binning rule.
-        n_threads: worker threads for the batched leave-one-out refits.
+        n_threads: worker threads for the batched leave-one-out refits (at
+            least 1).
     """
 
     n_clusters: int
@@ -54,6 +55,8 @@ class OclustConfig:
             raise ValueError("max_outliers must be >= 1")
         if self.num_bins is not None and self.num_bins < 2:
             raise ValueError("num_bins must be >= 2")
+        if self.n_threads < 1:
+            raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
                 )
             )
             if m < budget:
-                local = most_likely_outlier(deltas.values)
+                local = most_likely_outlier(deltas)
                 removed.append(int(original_rows[local]))
                 current = np.delete(current, local, axis=0)
                 original_rows = np.delete(original_rows, local)

@@ -282,6 +282,19 @@ def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
     assert "column 2 ('x2') is constant (every value is 5.0)" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_nonpositive_threads_exit_2(dataset_csv, tmp_path, capsys, threads):
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(
+        ["oclust", str(dataset_csv), "--clusters", "3", "--max-outliers", "3",
+         "--threads", threads, "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 2
+    assert f"n_threads must be >= 1, got {threads}" in err
+    assert not out_dir.exists()
+
+
 def test_invalid_mode_rejected(dataset_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["oclust", str(dataset_csv), "--clusters", "3", "--mode", "banana",

@@ -117,14 +117,3 @@ def test_equal_width_empty_reference_bin_raises(reference):
     with pytest.raises(BinningError):
         kl_divergence(sample, reference, bins)
 
-
-def test_kl_accepts_delta_set_like_objects(reference):
-    class Wrapper:
-        def __init__(self, values):
-            self.values = values
-
-    bins = build_bins(reference, 10)
-    raw = sample_reference(reference, 500, np.random.default_rng(8))
-    direct = kl_divergence(raw, reference, bins)
-    wrapped = kl_divergence(Wrapper(raw), reference, bins)
-    assert wrapped.value == direct.value

@@ -38,7 +38,6 @@ from oclust import (
     reference_mixture_ppf,
     sample_reference,
     subset_deltas,
-    subset_loglik_set,
 )
 from oclust import gmm
 
@@ -257,10 +256,9 @@ def test_refit_deltas_are_subset_minus_full(fitted_blobs):
     data, model, labels, loglik = fitted_blobs
     deltas = subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT)
     lls = loo_refit_logliks(data, model)
-    assert np.array_equal(deltas.values, lls - loglik)
-    assert deltas.mode is DeltaMode.REFIT
+    assert np.array_equal(deltas, lls - loglik)
     # removing a point can only help the remaining fit
-    assert deltas.values.min() > 0.0
+    assert deltas.min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +296,14 @@ def test_delta_formula_pieces():
     assert delta_formula(x, mean, cov, 0.4) == pytest.approx(expected, abs=1e-12)
 
 
-def test_subset_loglik_set_end_to_end(three_blob_data):
+def test_frozen_and_refit_deltas_agree_on_one_fit(three_blob_data):
     data, _ = three_blob_data
-    frozen = subset_loglik_set(data, 3, FitConfig(seed=1), mode="frozen")
-    refit = subset_loglik_set(data, 3, FitConfig(seed=1), mode="refit")
-    assert frozen.values.shape == (data.shape[0],)
-    assert np.array_equal(frozen.source_labels, refit.source_labels)
+    model, labels, loglik = em_fit(data, 3, FitConfig(seed=1))
+    frozen = subset_deltas(data, model, labels, loglik, mode="frozen")
+    refit = subset_deltas(data, model, labels, loglik, mode="refit")
+    assert frozen.shape == refit.shape == (data.shape[0],)
     # the two routes agree closely for well-separated clusters
-    assert np.corrcoef(frozen.values, refit.values)[0, 1] > 0.99
+    assert np.corrcoef(frozen, refit)[0, 1] > 0.99
 
 
 # ---------------------------------------------------------------------------

@@ -195,3 +195,31 @@ def test_error_rates_closed_form():
     assert error_rates(np.zeros(4, bool), np.zeros(4, bool)) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         error_rates([True], [True, False])
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_nonpositive_threads_are_rejected(threads):
+    with pytest.raises(ValueError, match=rf"n_threads must be >= 1, got {threads}"):
+        OclustConfig(n_clusters=2, n_threads=threads)
+
+
+@pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
+@pytest.mark.parametrize("case", ["good-row", "outlier-row", "random-rows"])
+def test_duplicate_rows_finish(mode, case):
+    # 30 of 150 rows become duplicates: copies of one good row, copies of one
+    # outlier row, or copies of other rows drawn at random
+    ds = gen_dataset(SimModelSpec(model="I", n_good=141, n_outliers=9, seed=3))
+    data = ds.data.copy()
+    rng = np.random.default_rng(11)
+    if case == "random-rows":
+        targets = rng.choice(150, 30, replace=False)
+        data[targets] = data[rng.choice(np.setdiff1d(np.arange(150), targets), 30)]
+    else:
+        source = np.flatnonzero(ds.outlier_mask == (case == "outlier-row"))[0]
+        data[rng.choice(np.setdiff1d(np.arange(150), [source]), 30, replace=False)] = data[source]
+    config = OclustConfig(n_clusters=3, max_outliers=15, fit=FitConfig(seed=1), delta_mode=mode)
+    result = oclust_run(data, config)
+    removed = [record.removed_point for record in result.trace[1:]]
+    assert len(result.trace) == 16
+    assert len(set(removed)) == 15
+    assert result.chosen_num_outliers <= 15
