@@ -8,7 +8,6 @@ deltas agree best with the reference, as measured by KL divergence.
 """
 
 from .divergence import (
-    BinMethod,
     BinningScheme,
     KlEstimate,
     build_bins,

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divergence import BinMethod
 from .errors import (
     BinningError,
     DegenerateFitError,
@@ -163,7 +162,6 @@ def _cmd_oclust(args) -> int:
         fit=FitConfig(seed=args.seed),
         delta_mode=DeltaMode(args.mode),
         num_bins=args.bins,
-        bin_method=BinMethod.EQUAL_PROBABILITY,
         n_threads=threads,
     )
     out_dir = Path(args.out)
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trimming budget (default: ceil(0.125 n))")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--bins", type=int, default=None,
-                     help="KL histogram bins (default: max(10, ceil(sqrt(n))))")
+                     help="equal-probability KL histogram bins (default: max(10, ceil(sqrt(n))))")
     run.add_argument("--mode", choices=[m.value for m in DeltaMode], default=DeltaMode.REFIT.value,
                      help="subset delta mode")
     run.add_argument("--threads", type=int, default=None,

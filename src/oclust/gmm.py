@@ -369,6 +369,17 @@ def mixture_log_likelihood(data, model: MixtureModel) -> float:
     return float(row_ll.sum())
 
 
+def _component_labels(labels, n: int, n_components: int) -> np.ndarray:
+    """Labels as an int array of shape (n,); raises ``ValueError`` unless each
+    names one of ``n_components`` components."""
+    lab = np.asarray(labels, dtype=int)
+    if lab.shape != (n,):
+        raise ValueError("labels must be one integer per data row")
+    if lab.min() < 0 or lab.max() >= n_components:
+        raise ValueError("labels refer to components outside the model")
+    return lab
+
+
 def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
     """Hard-assignment log-likelihood.
 
@@ -377,11 +388,7 @@ def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
     clusters separate.
     """
     arr = validate_data(data)
-    lab = np.asarray(labels, dtype=int)
-    if lab.shape != (arr.shape[0],):
-        raise ValueError("labels must be one integer per data row")
-    if lab.min() < 0 or lab.max() >= model.n_components:
-        raise ValueError("labels refer to components outside the model")
+    lab = _component_labels(labels, arr.shape[0], model.n_components)
     logp = _evaluate(arr, model)[1]
     return float(logp[0, lab, np.arange(arr.shape[0])].sum())
 

@@ -49,6 +49,7 @@ from .gmm import (
     LOG_2PI,
     ClusterStats,
     MixtureModel,
+    _component_labels,
     _em_start,
     _em_sweeps,
     _factor_covariances,
@@ -108,10 +109,11 @@ def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
     """Closed-form deltas for every row, using fixed full-data statistics.
 
     Row j's delta is minus its weighted log-density under its own cluster.
+    Labels that are not one per row, or name no cluster, raise ``ValueError``.
     """
     arr = validate_data(data)
-    lab = np.asarray(labels, dtype=int)
     frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
+    lab = _component_labels(labels, arr.shape[0], frozen.n_components)
     return -_own_log_densities(arr, frozen, lab)
 
 

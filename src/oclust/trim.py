@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergence import BinMethod, KlEstimate, build_bins, default_num_bins, kl_divergence
+from .divergence import KlEstimate, build_bins, default_num_bins, kl_divergence
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .gmm import FitConfig, MixtureModel, cluster_stats, em_fit, validate_data
 from .rng import derive_seed
@@ -34,8 +34,8 @@ class OclustConfig:
         fit: EM settings used for every refit.
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
         num_bins: histogram bins for the divergence; ``None`` selects
-            max(10, ceil(sqrt(n_current))) per iteration.
-        bin_method: histogram binning rule.
+            max(10, ceil(sqrt(n_current))) per iteration.  The bins are
+            equal-probability bins of the beta-mixture reference.
         n_threads: worker threads for the batched leave-one-out refits (at
             least 1).
     """
@@ -45,7 +45,6 @@ class OclustConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     delta_mode: DeltaMode = DeltaMode.REFIT
     num_bins: int | None = None
-    bin_method: BinMethod = BinMethod.EQUAL_PROBABILITY
     n_threads: int = 1
 
     def __post_init__(self):
@@ -95,11 +94,16 @@ def default_max_outliers(n: int) -> int:
 def most_likely_outlier(subset_logliks) -> int:
     """Index whose removal leaves the highest subset log-likelihood.
 
-    Ties go to the lowest index.
+    Ties go to the lowest index.  A non-finite value raises ``ValueError``.
     """
     values = np.asarray(subset_logliks, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one subset log-likelihood")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"subset log-likelihood {int(bad[0])} is not finite ({float(values[bad[0]])!r})"
+        )
     return int(np.argmax(values))
 
 
@@ -156,8 +160,8 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             num_bins = config.num_bins
             if num_bins is None:
                 num_bins = default_num_bins(current.shape[0])
-            bins = build_bins(reference, num_bins, config.bin_method)
-            kl = kl_divergence(deltas, reference, bins)
+            bins = build_bins(reference, num_bins)
+            kl = kl_divergence(deltas, bins)
             records.append(
                 IterationRecord(
                     iteration=m,

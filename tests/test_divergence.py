@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oclust import (
-    BinMethod,
     BinningError,
     BinningScheme,
     beta_mixture_reference,
@@ -44,24 +43,18 @@ def test_equal_probability_bins_have_uniform_reference_mass(reference):
     assert np.allclose(np.diff(cdf), 1.0 / 16.0, atol=1e-9)
 
 
-def test_equal_width_bins_are_uniformly_spaced(reference):
-    bins = build_bins(reference, 12, BinMethod.EQUAL_WIDTH)
-    widths = np.diff(bins.edges)
-    assert np.allclose(widths, widths[0], atol=1e-9)
-
-
 def test_bins_reject_bad_requests(reference):
     with pytest.raises(BinningError):
         build_bins(reference, 1)
     with pytest.raises(BinningError):
-        BinningScheme(edges=np.array([0.0, 1.0, 1.0]), method=BinMethod.EQUAL_WIDTH)
+        BinningScheme(edges=np.array([0.0, 1.0, 1.0]))
 
 
 def test_kl_of_reference_samples_is_small(reference):
     rng = np.random.default_rng(4)
     draws = sample_reference(reference, 4000, rng)
     bins = build_bins(reference, default_num_bins(4000))
-    est = kl_divergence(draws, reference, bins)
+    est = kl_divergence(draws, bins)
     assert 0.0 <= est.value < 0.01
     assert est.clamped_count == 0
 
@@ -71,16 +64,14 @@ def test_kl_detects_shifted_samples(reference):
     good = sample_reference(reference, 2000, rng)
     bins = build_bins(reference, 20)
     shifted = good + 0.5 * (reference.support_hi - reference.support_lo)
-    assert kl_divergence(shifted, reference, bins).value > kl_divergence(
-        good, reference, bins
-    ).value + 0.5
+    assert kl_divergence(shifted, bins).value > kl_divergence(good, bins).value + 0.5
 
 
 def test_kl_point_mass_equals_log_num_bins(reference):
     # all samples in one equal-probability bin: KL is exactly log(B)
     bins = build_bins(reference, 10)
     mid = 0.5 * (bins.edges[3] + bins.edges[4])
-    est = kl_divergence(np.full(57, mid), reference, bins)
+    est = kl_divergence(np.full(57, mid), bins)
     assert est.value == np.log(10.0)
 
 
@@ -88,7 +79,7 @@ def test_kl_clamps_and_counts_out_of_support(reference):
     bins = build_bins(reference, 10)
     inside = np.linspace(bins.edges[1], bins.edges[-2], 20)
     outside = np.array([reference.support_lo - 5.0, reference.support_hi + 5.0])
-    est = kl_divergence(np.concatenate([inside, outside]), reference, bins)
+    est = kl_divergence(np.concatenate([inside, outside]), bins)
     assert est.clamped_count == 2
     assert np.isfinite(est.value)
 
@@ -99,21 +90,34 @@ def test_kl_nonnegative_for_arbitrary_samples(reference, seed, num_bins):
     bins = build_bins(reference, num_bins)
     lo, hi = reference.support_lo, reference.support_hi
     values = rng.uniform(lo - 1.0, hi + 1.0, size=rng.integers(1, 200))
-    est = kl_divergence(values, reference, bins)
+    est = kl_divergence(values, bins)
     assert est.value >= -1e-12
 
 
-def test_equal_width_empty_reference_bin_raises(reference):
-    # far tail bins of the beta mixture can carry (numerically) zero reference
-    # mass; samples there must raise rather than divide by zero
-    bins = build_bins(reference, 400, BinMethod.EQUAL_WIDTH)
-    cdf = np.asarray(reference_mixture_cdf(bins.edges, reference))
-    q = np.diff(cdf)
-    empty = np.flatnonzero(q <= 0.0)
-    if empty.size == 0:
-        pytest.skip("no numerically empty bin for this reference")
-    target = int(empty[0])
-    sample = np.full(5, 0.5 * (bins.edges[target] + bins.edges[target + 1]))
-    with pytest.raises(BinningError):
-        kl_divergence(sample, reference, bins)
+def test_kl_rejects_non_finite_samples(reference):
+    bins = build_bins(reference, 10)
+    x = 0.5 * (bins.edges[3] + bins.edges[4])
+    with pytest.raises(ValueError, match="sample 0 is not finite"):
+        kl_divergence([np.nan] * 5 + [x] * 5, bins)
+    with pytest.raises(ValueError, match="sample 2 is not finite"):
+        kl_divergence([x, x, -np.inf, np.nan], bins)
 
+
+@given(seed=st.integers(0, 2_000), num_bins=st.integers(2, 200))
+def test_kl_matches_reference_mass_oracle(reference, seed, num_bins):
+    # slow path: bin masses q_b from reference CDF differences at the edges,
+    # samples binned by np.histogram after clamping into the support
+    rng = np.random.default_rng(seed)
+    bins = build_bins(reference, num_bins)
+    lo, hi = reference.support_lo, reference.support_hi
+    values = np.concatenate([
+        sample_reference(reference, int(rng.integers(0, 300)), rng),
+        rng.uniform(lo - 1.0, hi + 1.0, size=rng.integers(1, 50)),
+    ])
+    q = np.diff(np.asarray(reference_mixture_cdf(bins.edges, reference)))
+    p_hat = np.histogram(np.clip(values, lo, hi), bins=bins.edges)[0] / values.size
+    occupied = p_hat > 0.0
+    expected = float((p_hat[occupied] * np.log(p_hat[occupied] / q[occupied])).sum())
+    est = kl_divergence(values, bins)
+    assert est.value == pytest.approx(expected, rel=0.0, abs=1e-10)
+    assert est.clamped_count == int(((values < lo) | (values > hi)).sum())

@@ -281,6 +281,20 @@ def test_frozen_deltas_match_two_evaluation_oracle(fitted_blobs):
         assert values[j] == pytest.approx(q_minus - q_full, abs=1e-9)
 
 
+def test_frozen_deltas_reject_bad_labels(fitted_blobs):
+    # a label of -1 must not wrap round to the last cluster
+    data, _, labels, _ = fitted_blobs
+    stats = cluster_stats(data, labels, 2)
+    wrapped = labels.copy()
+    wrapped[0] = -1
+    with pytest.raises(ValueError, match="outside the model"):
+        frozen_subset_deltas(data, wrapped, stats)
+    with pytest.raises(ValueError, match="outside the model"):
+        frozen_subset_deltas(data, np.full_like(labels, 2), stats)
+    with pytest.raises(ValueError, match="one integer per data row"):
+        frozen_subset_deltas(data, labels[:-1], stats)
+
+
 def test_delta_formula_pieces():
     mean = np.array([1.0, -1.0])
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -46,6 +46,13 @@ def test_most_likely_outlier_argmax_and_ties():
         most_likely_outlier([])
 
 
+def test_most_likely_outlier_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="log-likelihood 1 is not finite"):
+        most_likely_outlier([1.0, np.nan, 3.0])
+    with pytest.raises(ValueError, match="log-likelihood 2 is not finite"):
+        most_likely_outlier([1.0, 2.0, np.inf])
+
+
 def test_trimming_recovers_planted_outliers(contaminated_blobs):
     data, truth = contaminated_blobs
     config = OclustConfig(n_clusters=2, max_outliers=12, fit=FitConfig(seed=1))
