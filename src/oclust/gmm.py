@@ -34,6 +34,9 @@ problem) and the leave-one-out refits (one problem per left-out row) under
 one convergence rule and one rule against a falling log-likelihood.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for them.
+Its E-steps write into a workspace (``_em_workspace``) that a caller can
+reuse across batches, on the leading rows for the problems still active, so
+a sweep allocates nothing of size n; the values are the same bits as without.
 """
 
 from __future__ import annotations
@@ -255,6 +258,16 @@ def _upper(p: int):
     return iu
 
 
+@functools.cache
+def _upper_scale(p: int) -> np.ndarray:
+    """Factor of each upper-triangle precision entry in the quadratic
+    coefficients: -1/2 on the diagonal, -1 off it (read-only)."""
+    iu = _upper(p)
+    scale = np.where(iu[0] == iu[1], -0.5, -1.0)
+    scale.flags.writeable = False
+    return scale
+
+
 def _features(y: np.ndarray) -> np.ndarray:
     """Sufficient-statistic features [1, y, upper(y y')] of deviations y (..., p).
 
@@ -280,25 +293,40 @@ def _log_density_coefs(weights, shifts, covs, reg_eps, row_ids=None):
     whitened = (chol_inv @ shifts[..., None])[..., 0]
     linear = (prec @ shifts[..., None])[..., 0]
     iu = _upper(p)
-    quadratic = np.where(iu[0] == iu[1], -0.5, -1.0) * prec[..., iu[0], iu[1]]
+    quadratic = _upper_scale(p) * prec[..., iu[0], iu[1]]
     const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
     return np.concatenate([const[..., None], linear, quadratic], axis=-1), factored
 
 
-def _log_densities(feats, coefs):
+def _log_densities(feats, coefs, out=None):
     """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients, shape (m, G, n).
 
     Each problem and component gets its own (1, d) x (d, n) product, so a
-    value never depends on which other problems share the batch.
+    value never depends on which other problems share the batch.  Given
+    ``out`` (m, G, n), the values are written there.
     """
-    return (coefs[:, :, None, :] @ feats.transpose(0, 2, 1))[:, :, 0, :]
+    if out is None:
+        out = np.empty(coefs.shape[:2] + feats.shape[1:2])
+    np.matmul(coefs[:, :, None, :], feats.transpose(0, 2, 1), out=out[:, :, None, :])
+    return out
 
 
-def _posterior(logp):
-    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities."""
-    top = logp.max(axis=1)  # (m, n)
-    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
-    return row_ll, np.exp(logp - row_ll[:, None, :])
+def _posterior(logp, resp=None, top=None, row_ll=None):
+    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities.
+
+    ``resp`` (m, G, n), ``top`` and ``row_ll`` (m, n) are optional buffers;
+    ``logp`` is left as it is.  The steps, in order, are those of
+    top + log(sum exp(logp - top)) and exp(logp - row_ll), buffers or not.
+    """
+    top = np.max(logp, axis=1, out=top)
+    resp = np.subtract(logp, top[:, None, :], out=resp)
+    np.exp(resp, out=resp)
+    row_ll = np.sum(resp, axis=1, out=row_ll)
+    np.log(row_ll, out=row_ll)
+    row_ll += top
+    np.subtract(logp, row_ll[:, None, :], out=resp)
+    np.exp(resp, out=resp)
+    return row_ll, resp
 
 
 def _moments(feats, resp):
@@ -452,8 +480,16 @@ def _em_start(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _EmStart
     return _EmStart(model, covs, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
+def _em_workspace(m: int, n_components: int, n: int):
+    """Work buffers for ``_em_sweeps`` batches of up to m problems on n rows:
+    the log-densities and responsibilities (m, G, n), and the per-row maxima
+    and log-likelihoods (m, n)."""
+    return (np.empty((m, n_components, n)), np.empty((m, n_components, n)),
+            np.empty((m, n)), np.empty((m, n)))
+
+
 def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float,
-               reg_eps: float):
+               reg_eps: float, work=None):
     """Warm-started EM sweeps for a batch of problems that share ``start``.
 
     With ``leave_out`` None the batch is one problem on every row; otherwise
@@ -462,6 +498,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     once its relative log-likelihood change drops below ``rel_tol`` or after
     ``max_iter`` sweeps; a fall by more than 1e-7 max(1, |l|) raises
     ``DegenerateFitError`` unless the problem's covariances needed a ridge.
+    The E-steps write into ``work`` (from ``_em_workspace``, for at least m
+    problems; made here when None), on its leading rows for the active ones.
     Returns per problem the final log-likelihood (m,), the parameters it
     belongs to as ``(weights, means, covs)``, and the log-likelihood before
     the first and after every sweep, (sweeps + 1, m), held once it stops.
@@ -479,19 +517,22 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         removed = start.resp[:, rows].T[..., None] * feats[:, rows].transpose(1, 0, 2)
         moments = start.moments - removed
     m = loglik.shape[0]
+    if work is None:
+        work = _em_workspace(m, start.model.n_components, feats.shape[1])
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.covs[None], m, axis=0)
     history = [loglik.copy()]
     active = np.arange(m)
     for _ in range(max_iter):
+        k = active.shape[0]
         excluded = None if rows is None else rows[active]
         w, s, c = _params_from_moments(moments, p, excluded)
         coefs, factored = _log_density_coefs(w, s, c, reg_eps, excluded)
-        logp = _log_densities(feats, coefs)
-        row_ll, resp = _posterior(logp)
+        logp = _log_densities(feats, coefs, out=work[0][:k])
+        row_ll, resp = _posterior(logp, work[1][:k], work[2][:k], work[3][:k])
         if excluded is not None:
-            batch = np.arange(active.shape[0])
+            batch = np.arange(k)
             row_ll[batch, excluded] = 0.0
             resp[batch, :, excluded] = 0.0
         old, new = loglik[active], row_ll.sum(axis=1)
@@ -510,9 +551,9 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         keep = ~(np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol)
         if not keep.any():
             break
-        if not keep.all():
-            active, resp = active[keep], resp[keep]
         moments = _moments(feats, resp)
+        if not keep.all():
+            active, moments = active[keep], moments[keep]
     labels = logp[0].argmax(axis=0) if rows is None else None
     return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels
 

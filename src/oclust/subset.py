@@ -29,9 +29,11 @@ per row, in one of two ways:
 The refits run in the EM loop of ``gmm``, the one that also runs the single
 fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
-chunk and thread.  A refit is held to the single fit's rules: the same
-convergence test, and a ``DegenerateFitError`` naming row j when the refit
-without row j lowers its log-likelihood on a sweep that needed no ridge.
+chunk and thread.  Chunks are sized for a core's cache, and each thread
+reuses one workspace for all its chunks (see ``loo_refit_logliks``).  A
+refit is held to the single fit's rules: the same convergence test, and a
+``DegenerateFitError`` naming row j when the refit without row j lowers its
+log-likelihood on a sweep that needed no ridge.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .gmm import (
     _component_labels,
     _em_start,
     _em_sweeps,
+    _em_workspace,
     _factor_covariances,
     _own_log_densities,
     cluster_stats,
@@ -370,26 +373,38 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
                       n_threads: int = 1, chunk_size: int | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
-    All subsets are iterated as one vectorized batch (optionally split across
-    threads); the result is independent of chunking and thread count.
+    The refits run as vectorized batches of ``chunk_size`` subsets, by default
+    clip(2**18 // (G n), 8, 4096), so that each (chunk, G, n) work array
+    holds about 2 MiB and stays in a core's cache.  The rows are split into
+    min(n_threads, number of chunks) contiguous groups, one per worker
+    thread; each worker makes one workspace and reuses it for every chunk of
+    its group.  The result is independent of chunking and thread count.
+    ``n_threads`` and ``chunk_size`` below 1 raise ``ValueError``.
     """
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     arr = validate_data(data)
-    n, p = arr.shape
+    n = arr.shape[0]
     n_comp = model.n_components
     if chunk_size is None:
-        # at most about 4e6 / p elements in each (chunk, G, n) work array
-        chunk_size = int(np.clip(4_000_000 // max(1, n_comp * n * p), 8, 4096))
-    rows = np.arange(n)
-    chunks = [rows[i:i + chunk_size] for i in range(0, n, chunk_size)]
+        chunk_size = int(np.clip(2**18 // (n_comp * n), 8, 4096))
     start = _em_start(arr, model, reg_eps)
 
-    def refit(chunk):
-        return _em_sweeps(start, chunk, max_iter=max_iter, rel_tol=rel_tol, reg_eps=reg_eps)[0]
+    def refit(group):
+        work = _em_workspace(min(chunk_size, group.shape[0]), n_comp, n)
+        return np.concatenate([
+            _em_sweeps(start, group[i:i + chunk_size], max_iter=max_iter, rel_tol=rel_tol,
+                       reg_eps=reg_eps, work=work)[0]
+            for i in range(0, group.shape[0], chunk_size)
+        ])
 
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return np.concatenate(list(pool.map(refit, chunks)))
-    return np.concatenate([refit(chunk) for chunk in chunks])
+    groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk_size)))
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            return np.concatenate(list(pool.map(refit, groups)))
+    return refit(groups[0])
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,

@@ -352,6 +352,66 @@ def test_one_em_sweep_matches_two_pass_update(seed, n_comp, p):
 
 
 # ---------------------------------------------------------------------------
+# the E-step in work buffers
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    n_comp=st.integers(1, 4),
+    n=st.integers(1, 50),
+    spread=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 40.0, 1e3]),
+    ties=st.booleans(),
+)
+def test_posterior_in_buffers_matches_two_exp_formula(seed, m, n_comp, n, spread, ties):
+    rng = np.random.default_rng(seed)
+    logp = rng.uniform(-spread, spread, (m, n_comp, n)) + rng.uniform(-1e3, 10.0, (m, 1, n))
+    if ties:
+        # exact ties between components, some of them at the row maximum
+        logp[:, rng.integers(n_comp)] = logp[:, rng.integers(n_comp)]
+    given_logp = logp.copy()
+    top = logp.max(axis=1)
+    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
+    resp = np.exp(logp - row_ll[:, None, :])
+    # buffers are the leading rows of a larger workspace, filled with junk
+    work = gmm._em_workspace(m + 3, n_comp, n)
+    for buffer in work:
+        buffer.fill(np.nan)
+    for got in (gmm._posterior(logp), gmm._posterior(logp, work[1][:m], work[2][:m], work[3][:m])):
+        assert np.array_equal(got[0], row_ll)
+        assert np.array_equal(got[1], resp)
+    assert np.array_equal(logp, given_logp)
+
+
+def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_data):
+    # problems converge after different numbers of sweeps, so later sweeps
+    # run on ever shorter leading views of the workspace
+    data, _ = three_blob_data
+    model, _, _ = em_fit(data, 3, FitConfig(seed=5, max_iter=3))
+    start = gmm._em_start(data, model, 1e-8)
+    n = data.shape[0]
+    for rows in [None, np.arange(0, n, 2)]:
+        kwargs = dict(max_iter=200, rel_tol=1e-12, reg_eps=1e-8)
+        fresh = gmm._em_sweeps(start, rows, **kwargs)
+        work = gmm._em_workspace(n + 4, 3, n)
+        for buffer in work:
+            buffer.fill(np.nan)
+        reused = gmm._em_sweeps(start, rows, work=work, **kwargs)
+        assert np.array_equal(fresh[0], reused[0])
+        for a, b in zip(fresh[1], reused[1]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fresh[2], reused[2])
+        if rows is None:
+            assert np.array_equal(fresh[3], reused[3])
+            assert np.array_equal(fresh[3], em_refine(data, model, **kwargs).labels)
+        else:
+            sweeps = (np.diff(fresh[2], axis=0) != 0).sum(axis=0)
+            assert len(set(sweeps.tolist())) > 1
+
+
+# ---------------------------------------------------------------------------
 # k-means++ seeding uniforms (keyed row hashes)
 # ---------------------------------------------------------------------------
 

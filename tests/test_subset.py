@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from oclust import (
     sample_reference,
     subset_deltas,
 )
-from oclust import gmm
+from oclust import gmm, subset
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,41 @@ def test_refit_logliks_invariant_to_uneven_chunks_at_larger_n(fitted_blobs_300):
     for chunk_size in [7, 64, n - 1]:
         got = loo_refit_logliks(data, model, chunk_size=chunk_size, n_threads=2)
         assert np.array_equal(base, got), chunk_size
+
+
+def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monkeypatch):
+    # 312 rows: the default chunk rule gives more than one chunk, so two
+    # threads each take a group; every thread's first call waits at a
+    # barrier, which times out unless a second thread is running
+    data, model = fitted_blobs_300
+    serial = loo_refit_logliks(data, model, n_threads=1)
+    sweeps, seen, barrier = subset._em_sweeps, set(), threading.Barrier(2, timeout=30)
+
+    def recording(*args, **kwargs):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    pooled = loo_refit_logliks(data, model, n_threads=2)
+    assert len(seen) == 2
+    assert np.array_equal(serial, pooled)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_threads=0), "n_threads must be >= 1, got 0"),
+    (dict(n_threads=-2), "n_threads must be >= 1, got -2"),
+    (dict(chunk_size=0), "chunk_size must be >= 1, got 0"),
+    (dict(chunk_size=-3), "chunk_size must be >= 1, got -3"),
+])
+def test_refit_rejects_bad_threads_and_chunk_size(fitted_blobs, kwargs, message):
+    data, model, labels, loglik = fitted_blobs
+    with pytest.raises(ValueError, match=message):
+        loo_refit_logliks(data, model, **kwargs)
+    if "n_threads" in kwargs:
+        with pytest.raises(ValueError, match=message):
+            subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT, **kwargs)
 
 
 def test_refit_logliks_pinned_on_acceptance_scenario():
