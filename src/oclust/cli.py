@@ -35,7 +35,7 @@ from .errors import (
 from .gmm import FitConfig
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
-from .trim import OclustConfig, constant_column, default_max_outliers, error_rates, oclust_run
+from .trim import OclustConfig, constant_column, error_rates, oclust_run
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,19 +71,21 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a comma-separated numeric table with a header row.
 
-    Raises ``InputFormatError`` carrying the offending line and column when a
+    Blank lines are skipped.  Raises ``InputFormatError`` carrying the
+    offending line (numbered by its position in the file) and column when a
     field does not parse or is not finite (``nan``, ``inf``).
     """
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
     if not lines:
         raise InputFormatError(f"{path}: empty file", line=1)
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != len(header):
             raise InputFormatError(
@@ -108,8 +110,8 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row_idx, col_idx = (int(k) for k in bad[0])
-        lineno = row_idx + 2
-        field = lines[lineno - 1].split(",")[col_idx]
+        lineno, line = lines[row_idx + 1]
+        field = line.split(",")[col_idx]
         raise InputFormatError(
             f"{path}: line {lineno}, column {col_idx + 1} ({header[col_idx]!r}): "
             f"{field.strip()!r} is not a finite number",
@@ -161,7 +163,6 @@ def _cmd_oclust(args) -> int:
         max_outliers=args.max_outliers,
         fit=FitConfig(seed=args.seed),
         delta_mode=DeltaMode(args.mode),
-        num_bins=args.bins,
         n_threads=threads,
     )
     out_dir = Path(args.out)
@@ -198,9 +199,7 @@ def _cmd_oclust(args) -> int:
             "weights": result.final_model.weights.tolist(),
         },
         "manifest": "manifest.json",
-        "max_outliers": args.max_outliers
-        if args.max_outliers is not None
-        else default_max_outliers(table.shape[0]),
+        "max_outliers": len(result.trace) - 1,
         "min_kl": min(r.kl.value for r in result.trace),
         "mode": args.mode,
         "n_points": table.shape[0],
@@ -213,7 +212,6 @@ def _cmd_oclust(args) -> int:
         out_dir / "manifest.json",
         "oclust",
         {
-            "bins": args.bins,
             "clusters": args.clusters,
             "input": str(in_path),
             "max_outliers": args.max_outliers,
@@ -396,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-outliers", type=int, default=None,
                      help="trimming budget (default: ceil(0.125 n))")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--bins", type=int, default=None,
-                     help="equal-probability KL histogram bins (default: max(10, ceil(sqrt(n))))")
     run.add_argument("--mode", choices=[m.value for m in DeltaMode], default=DeltaMode.REFIT.value,
                      help="subset delta mode")
     run.add_argument("--threads", type=int, default=None,

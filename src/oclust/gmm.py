@@ -57,6 +57,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Soft cluster mass below which an EM component is considered collapsed.
 _MIN_SOFT_COUNT = 1e-9
 
+# Ridge factor: a covariance that is not positive definite at the start of EM
+# or after an M-step is retried once with _RIDGE * trace/p added to its diagonal.
+_RIDGE = 1e-8
+
 
 def validate_data(data) -> np.ndarray:
     """Coerce input to a C-contiguous float64 matrix of shape (n, p).
@@ -127,15 +131,15 @@ class FitConfig:
         restarts: number of independently seeded EM runs; the best wins.
         max_iter: cap on EM update sweeps per run.
         rel_tol: relative log-likelihood change that counts as converged.
-        reg_eps: diagonal ridge factor used when a covariance loses positive
-            definiteness (scaled by trace/p before being added).
         seed: master seed; every random draw derives from it.
+
+    A covariance that loses positive definiteness during EM gets the fixed
+    ridge 1e-8 * trace/p on its diagonal.
     """
 
     restarts: int = 3
     max_iter: int = 1000
     rel_tol: float = 1e-8
-    reg_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -145,8 +149,6 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.reg_eps < 0:
-            raise ValueError("reg_eps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,6 @@ class ClusterStats:
     @property
     def n_clusters(self) -> int:
         return self.counts.shape[0]
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
 
     @property
     def dim(self) -> int:
@@ -421,24 +419,25 @@ def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
     return float(logp[0, lab, np.arange(arr.shape[0])].sum())
 
 
-def cluster_stats(data, labels, n_clusters: int | None = None) -> ClusterStats:
-    """Sample counts, proportions, means and covariances for a hard clustering.
+def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
+    """Sample counts, proportions, means and covariances for a hard clustering
+    into ``n_clusters`` clusters.
 
-    Every cluster index in ``[0, n_clusters)`` must hold at least two points;
+    Labels must be one integer in ``[0, n_clusters)`` per row, or
+    ``ValueError`` is raised.  Every cluster must hold at least two points;
     otherwise an ``InsufficientPointsError`` naming the cluster is raised.
     """
     arr = validate_data(data)
     lab = np.asarray(labels, dtype=int)
     if lab.shape != (arr.shape[0],):
         raise ValueError("labels must be one integer per data row")
-    n_comp = int(lab.max()) + 1 if n_clusters is None else int(n_clusters)
-    if lab.min() < 0 or lab.max() >= n_comp:
+    if lab.min() < 0 or lab.max() >= n_clusters:
         raise ValueError("labels out of range for the requested cluster count")
     n, p = arr.shape
-    counts = np.bincount(lab, minlength=n_comp)
-    means = np.empty((n_comp, p))
-    covs = np.empty((n_comp, p, p))
-    for g in range(n_comp):
+    counts = np.bincount(lab, minlength=n_clusters)
+    means = np.empty((n_clusters, p))
+    covs = np.empty((n_clusters, p, p))
+    for g in range(n_clusters):
         if counts[g] < 2:
             raise InsufficientPointsError(
                 f"cluster {g} has {counts[g]} points; at least 2 are required",
@@ -474,8 +473,8 @@ class _EmStart:
     moments: np.ndarray  # (G, d)
 
 
-def _em_start(data: np.ndarray, model: MixtureModel, reg_eps: float) -> _EmStart:
-    feats, logp, covs = _evaluate(data, model, reg_eps)
+def _em_start(data: np.ndarray, model: MixtureModel) -> _EmStart:
+    feats, logp, covs = _evaluate(data, model, _RIDGE)
     row_ll, resp = _posterior(logp)
     return _EmStart(model, covs, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
@@ -488,8 +487,7 @@ def _em_workspace(m: int, n_components: int, n: int):
             np.empty((m, n)), np.empty((m, n)))
 
 
-def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float,
-               reg_eps: float, work=None):
+def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float, work=None):
     """Warm-started EM sweeps for a batch of problems that share ``start``.
 
     With ``leave_out`` None the batch is one problem on every row; otherwise
@@ -528,7 +526,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         k = active.shape[0]
         excluded = None if rows is None else rows[active]
         w, s, c = _params_from_moments(moments, p, excluded)
-        coefs, factored = _log_density_coefs(w, s, c, reg_eps, excluded)
+        coefs, factored = _log_density_coefs(w, s, c, _RIDGE, excluded)
         logp = _log_densities(feats, coefs, out=work[0][:k])
         row_ll, resp = _posterior(logp, work[1][:k], work[2][:k], work[3][:k])
         if excluded is not None:
@@ -559,7 +557,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
-              rel_tol: float = 1e-8, reg_eps: float = 1e-8) -> EmRun:
+              rel_tol: float = 1e-8) -> EmRun:
     """Run EM updates from explicit starting parameters (one problem of ``_em_sweeps``).
 
     The log-likelihood history is monotone nondecreasing up to float rounding
@@ -573,7 +571,7 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     """
     arr = validate_data(data)
     loglik, (weights, means, covs), history, labels = _em_sweeps(
-        _em_start(arr, model, reg_eps), max_iter=max_iter, rel_tol=rel_tol, reg_eps=reg_eps
+        _em_start(arr, model), max_iter=max_iter, rel_tol=rel_tol
     )
     return EmRun(
         model=MixtureModel(weights=weights[0], means=means[0], covariances=covs[0]),
@@ -628,14 +626,14 @@ def _seed_mean_indices(data: np.ndarray, n_clusters: int, key_seed: int) -> list
     return chosen
 
 
-def _initial_model(data: np.ndarray, n_clusters: int, key_seed: int, reg_eps: float) -> MixtureModel:
+def _initial_model(data: np.ndarray, n_clusters: int, key_seed: int) -> MixtureModel:
     n, p = data.shape
     centers = data[_seed_mean_indices(data, n_clusters, key_seed)].copy()
     if n >= 2:
         pooled = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
     else:
         pooled = np.eye(p)
-    pooled = _factor_covariances(pooled, max(reg_eps, 1e-10))[2]
+    pooled = _factor_covariances(pooled, _RIDGE)[2]
     covs = np.broadcast_to(pooled, (n_clusters, p, p)).copy()
     weights = np.full(n_clusters, 1.0 / n_clusters)
     return MixtureModel(weights=weights, means=centers, covariances=covs)
@@ -669,14 +667,8 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
     for restart in range(config.restarts):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
-            start = _initial_model(arr, n_clusters, key_seed, config.reg_eps)
-            run = em_refine(
-                arr,
-                start,
-                max_iter=config.max_iter,
-                rel_tol=config.rel_tol,
-                reg_eps=config.reg_eps,
-            )
+            start = _initial_model(arr, n_clusters, key_seed)
+            run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)
             if np.any(counts < 2):
                 g = int(np.argmin(counts))

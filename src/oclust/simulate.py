@@ -16,13 +16,14 @@ of the clusters' projected samples (cluster 1 has the lower projected mean;
 L and U are the lower and upper alpha/2 sample quantiles).  J approaches 1
 for widely separated clusters, is near 0 when they just touch, and is
 negative when they overlap.  For multivariate data the index of a pair is the
-maximum over a small set of discriminating projection directions, and the
-index of a clustering is the minimum over cluster pairs.
+larger of its values along two projection directions, the mean difference
+and the linear discriminant, and the index of a clustering is the minimum over
+cluster pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -233,7 +234,8 @@ def separation_index_univariate(sample_a, sample_b, alpha: float = 0.05) -> floa
 
 
 def _pair_directions(block_a: np.ndarray, block_b: np.ndarray) -> list[np.ndarray]:
-    """Candidate projection directions that discriminate two clusters."""
+    """Unit projection directions that discriminate two clusters: the mean
+    difference delta and the linear discriminant pooled^-1 delta."""
     mean_a = block_a.mean(axis=0)
     mean_b = block_b.mean(axis=0)
     delta = mean_b - mean_a
@@ -250,15 +252,6 @@ def _pair_directions(block_a: np.ndarray, block_b: np.ndarray) -> list[np.ndarra
     norm = np.linalg.norm(whitened)
     if norm > 0:
         directions.append(whitened / norm)
-    # leading eigendirection of the whitened between-pair scatter
-    chol = np.linalg.cholesky(pooled)
-    half = np.linalg.solve(chol, delta)
-    scatter = np.outer(half, half)
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    top = np.linalg.solve(chol.T, eigvecs[:, -1])
-    norm = np.linalg.norm(top)
-    if norm > 0:
-        directions.append(top / norm)
     return directions
 
 
@@ -329,64 +322,64 @@ def _mean_directions(p: int, rng: np.random.Generator) -> np.ndarray:
     return base @ q.T
 
 
-def _calibrate_scale(deviates, directions, labels, target: float, alpha: float,
-                     tol: float = 0.02, max_expand: int = 12, max_bisect: int = 60):
+def _calibrate_scale(deviates, directions, labels, target: float):
     """Bisect the center spacing until the achieved separation hits the target.
 
     ``deviates`` are the fixed zero-mean cluster samples; scaling moves only
-    the centers.  Returns (scale, achieved index).  Raises ``ValueError`` if
-    no bracket can be found.
+    the centers.  The upper end of the bracket starts at 8 and doubles up to
+    12 times; at most 60 bisections follow, stopping within 0.01 of the
+    target.  Returns (scale, achieved index) for the closest spacing seen.
+    Raises ``ValueError`` if no bracket can be found or the closest index is
+    more than 0.02 from the target.
     """
 
     def achieved(scale: float) -> float:
         points = deviates + scale * directions[labels]
-        return separation_index_pairwise(points, labels, alpha)
+        return separation_index_pairwise(points, labels)
 
     lo, hi = 0.0, 8.0
     value_hi = achieved(hi)
     expansions = 0
-    while value_hi < target and expansions < max_expand:
+    while value_hi < target and expansions < 12:
         hi *= 2.0
         value_hi = achieved(hi)
         expansions += 1
     if value_hi < target:
         raise ValueError(f"could not bracket separation target {target}")
     best_scale, best_value = hi, value_hi
-    for _ in range(max_bisect):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         value = achieved(mid)
         if abs(value - target) < abs(best_value - target):
             best_scale, best_value = mid, value
-        if abs(value - target) <= tol * 0.5:
+        if abs(value - target) <= 0.01:
             break
         if value < target:
             lo = mid
         else:
             hi = mid
-    if abs(best_value - target) > tol:
+    if abs(best_value - target) > 0.02:
         raise ValueError(
             f"calibration stalled at separation {best_value:.4f} for target {target}"
         )
     return best_scale, best_value
 
 
-def separation_experiment(p: int, target: float, replicates: int, seed: int, *,
-                          n_per_cluster: int = 600, alpha: float = 0.05,
-                          fit: FitConfig | None = None) -> SeparationReport:
+def separation_experiment(p: int, target: float, replicates: int, seed: int) -> SeparationReport:
     """Measure how the hard-assignment likelihood gap depends on separation.
 
-    Each replicate draws three random-covariance clusters, scales their
-    center spacing until the pairwise separation index matches ``target``
-    (within 0.02), fits a three-component mixture, and records the relative
-    gap between the hard-assignment and mixture log-likelihoods.  Replicates
+    Each replicate draws three random-covariance clusters of 600 points,
+    scales their center spacing until the pairwise separation index (at
+    alpha = 0.05) matches ``target`` (within 0.02), fits a three-component
+    mixture (two restarts, ``rel_tol`` 1e-7), and records the relative gap
+    between the hard-assignment and mixture log-likelihoods.  Replicates
     whose calibration fails are skipped; at least one must succeed.
     """
     if not -1.0 < target < 1.0:
         raise ValueError("target separation must lie in (-1, 1)")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    if fit is None:
-        fit = FitConfig(restarts=2, rel_tol=1e-7)
+    n_per_cluster = 600
     labels = np.repeat(np.arange(3), n_per_cluster)
     gaps = []
     achieved_values = []
@@ -398,11 +391,12 @@ def separation_experiment(p: int, target: float, replicates: int, seed: int, *,
         raw = rng.standard_normal((3, n_per_cluster, p))
         deviates = np.concatenate([raw[g] @ chols[g].T for g in range(3)])
         try:
-            scale, value = _calibrate_scale(deviates, directions, labels, target, alpha)
+            scale, value = _calibrate_scale(deviates, directions, labels, target)
         except ValueError:
             continue
         points = deviates + scale * directions[labels]
-        model, hard, loglik = em_fit(points, 3, replace(fit, seed=derive_seed(seed, 4, r)))
+        fit = FitConfig(restarts=2, rel_tol=1e-7, seed=derive_seed(seed, 4, r))
+        model, hard, loglik = em_fit(points, 3, fit)
         hard_ll = approx_log_likelihood(points, model, hard)
         gaps.append((hard_ll - loglik) / loglik)
         achieved_values.append(value)

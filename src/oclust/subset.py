@@ -368,8 +368,7 @@ def gamma_reference_density(y, comp: GammaComponent) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
-                      reg_eps: float = 1e-8, max_iter: int = 100,
+def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
                       n_threads: int = 1, chunk_size: int | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
@@ -390,13 +389,13 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
     n_comp = model.n_components
     if chunk_size is None:
         chunk_size = int(np.clip(2**18 // (n_comp * n), 8, 4096))
-    start = _em_start(arr, model, reg_eps)
+    start = _em_start(arr, model)
 
     def refit(group):
         work = _em_workspace(min(chunk_size, group.shape[0]), n_comp, n)
         return np.concatenate([
             _em_sweeps(start, group[i:i + chunk_size], max_iter=max_iter, rel_tol=rel_tol,
-                       reg_eps=reg_eps, work=work)[0]
+                       work=work)[0]
             for i in range(0, group.shape[0], chunk_size)
         ])
 
@@ -410,8 +409,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8,
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
-                  rel_tol: float = 1e-8, reg_eps: float = 1e-8,
-                  n_threads: int = 1) -> np.ndarray:
+                  rel_tol: float = 1e-8, n_threads: int = 1) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood
@@ -421,10 +419,7 @@ def subset_deltas(data, model: MixtureModel, labels, loglik: float,
     """
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
-        subset_ll = loo_refit_logliks(
-            arr, model, rel_tol=rel_tol, reg_eps=reg_eps, n_threads=n_threads
-        )
-        return subset_ll - loglik
+        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
     lab = np.asarray(labels, dtype=int)
     if stats is None:
         stats = cluster_stats(arr, lab, model.n_components)

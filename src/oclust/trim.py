@@ -31,20 +31,23 @@ class OclustConfig:
         n_clusters: number of mixture components.
         max_outliers: most points the loop may remove (the trace then has
             ``max_outliers + 1`` entries).  ``None`` selects ceil(0.125 * n).
-        fit: EM settings used for every refit.
+        fit: EM settings.  ``restarts`` and ``max_iter`` apply to each
+            iteration's fit (``em_fit``) and to the final fit, whose seeds
+            derive from ``seed``; the leave-one-out refits in refit mode take
+            only ``rel_tol`` and keep their own cap of 100 sweeps
+            (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
-        num_bins: histogram bins for the divergence; ``None`` selects
-            max(10, ceil(sqrt(n_current))) per iteration.  The bins are
-            equal-probability bins of the beta-mixture reference.
         n_threads: worker threads for the batched leave-one-out refits (at
             least 1).
+
+    The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
+    equal-probability bins of the beta-mixture reference.
     """
 
     n_clusters: int
     max_outliers: int | None = None
     fit: FitConfig = field(default_factory=FitConfig)
     delta_mode: DeltaMode = DeltaMode.REFIT
-    num_bins: int | None = None
     n_threads: int = 1
 
     def __post_init__(self):
@@ -52,8 +55,6 @@ class OclustConfig:
             raise ValueError("n_clusters must be >= 1")
         if self.max_outliers is not None and self.max_outliers < 1:
             raise ValueError("max_outliers must be >= 1")
-        if self.num_bins is not None and self.num_bins < 2:
-            raise ValueError("num_bins must be >= 2")
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
 
@@ -154,13 +155,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             stats = cluster_stats(current, labels, config.n_clusters)
             deltas = subset_deltas(
                 current, model, labels, loglik, stats, config.delta_mode,
-                rel_tol=config.fit.rel_tol, reg_eps=config.fit.reg_eps, n_threads=config.n_threads,
+                rel_tol=config.fit.rel_tol, n_threads=config.n_threads,
             )
             reference = beta_mixture_reference(stats)
-            num_bins = config.num_bins
-            if num_bins is None:
-                num_bins = default_num_bins(current.shape[0])
-            bins = build_bins(reference, num_bins)
+            bins = build_bins(reference, default_num_bins(current.shape[0]))
             kl = kl_divergence(deltas, bins)
             records.append(
                 IterationRecord(

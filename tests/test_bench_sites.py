@@ -1,8 +1,10 @@
-"""The names the benchmark in ``perfbench/`` patches and hooks still exist.
+"""The names the benchmark in ``perfbench/`` patches and hooks still exist,
+and its tiny workloads still run and pass their output checks.
 
 A traced benchmark run wraps the functions listed in ``tracing.PATCH_SITES``
 and the speed probe hooks ``trim.<speed.HOOK_SITE>``; a rename under ``src/``
-would silently drop their spans or break calibration.
+would silently drop their spans or break calibration.  The workloads pass
+config fields and CLI flags; deleting one that they still use fails here.
 """
 
 import importlib
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oclust import MixtureModel, em_refine, trim
+from oclust import MixtureModel, cli, em_refine, oclust_run, trim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,19 +23,20 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def bench():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        yield importlib.import_module("tracing"), importlib.import_module("speed")
+        yield (importlib.import_module("tracing"), importlib.import_module("speed"),
+               importlib.import_module("workloads"))
     finally:
         sys.path.remove(str(PERFBENCH))
 
 
 def test_patch_sites_resolve_to_callables(bench):
-    tracing, _ = bench
+    tracing, _, _ = bench
     for layer, module, attr in tracing.PATCH_SITES:
         assert callable(getattr(module, attr, None)), f"{layer}.{attr}"
 
 
 def test_speed_hook_site_exists(bench):
-    _, speed = bench
+    _, speed, _ = bench
     assert callable(getattr(trim, speed.HOOK_SITE, None))
 
 
@@ -42,3 +45,15 @@ def test_em_refine_reports_history():
     start = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[np.eye(2)])
     run = em_refine(data, start)
     assert len(run.history) >= 2
+
+
+@pytest.mark.parametrize("name", ["smoke-refit", "smoke-frozen", "smoke-cli"])
+def test_smoke_workloads_pass_their_checks(bench, tmp_path, name):
+    _, _, workloads = bench
+    wl = workloads.WORKLOADS[name]
+    inputs = workloads.make_inputs(wl, 0, tmp_path)
+    if wl.cli:
+        outcome = workloads.run_cli(wl, 0, inputs, tmp_path / "out", main=cli.main, timeout=60)
+    else:
+        outcome = workloads.run_library(wl, 0, inputs, oclust_run)
+    assert workloads.check(wl, 0, inputs.data.shape[0], outcome, None) == ""

@@ -77,6 +77,7 @@ def test_oclust_end_to_end(dataset_csv, tmp_path, capsys):
     assert summary["n_points"] == 160
     assert summary["chosen_num_outliers"] == len(summary["outlier_rows"])
     assert 0.0 <= summary["alpha_hat"] <= 15 / 160
+    assert summary["max_outliers"] == 15
     assert len(summary["final_model"]["weights"]) == 3
 
     # a clear majority of the ten planted outliers (rows 150..159) is flagged;
@@ -136,14 +137,17 @@ def test_oclust_rerun_is_byte_identical(dataset_csv, tmp_path, capsys):
 
 
 def test_oclust_frozen_mode_runs(dataset_csv, tmp_path, capsys):
+    # no --max-outliers: the default budget ceil(0.125 n) is run and recorded
     code, _, _ = run_cli(
-        ["oclust", str(dataset_csv), "--clusters", "3", "--max-outliers", "5",
+        ["oclust", str(dataset_csv), "--clusters", "3",
          "--mode", "frozen", "--out", str(tmp_path / "frozen")],
         capsys,
     )
     assert code == 0
     summary = json.loads((tmp_path / "frozen" / "summary.json").read_text())
     assert summary["mode"] == "frozen"
+    assert summary["max_outliers"] == 20  # ceil(0.125 * 160)
+    assert len((tmp_path / "frozen" / "trace.csv").read_text().splitlines()) == 22
 
 
 def test_score_command(dataset_csv, tmp_path, capsys):
@@ -234,26 +238,33 @@ def test_missing_input_exits_2(tmp_path, capsys):
 
 
 def test_malformed_csv_exits_2_and_names_location(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x1,x2\n1.0,2.0\n3.0,not-a-number\n")
-    code, _, err = run_cli(
-        ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
-        capsys,
-    )
-    assert code == 2
-    assert "line 3" in err
+    # blank lines are skipped but still counted in the reported line number
+    for text, message in [
+        ("x1,x2\n1.0,2.0\n3.0,not-a-number\n", "line 3, column 2 ('x2'): cannot parse"),
+        ("x1,x2\n1,2\n\n\n3,abc\n", "line 5, column 2 ('x2'): cannot parse 'abc'"),
+        ("x1,x2\n1,2\n\n3\n", "line 4 has 1 fields, expected 2"),
+    ]:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, _, err = run_cli(
+            ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_csv_cell_exits_2_and_names_location(tmp_path, capsys, cell):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f"x1,x2\n1.0,2.0\n3.0,{cell}\n")
-    code, _, err = run_cli(
-        ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
-        capsys,
-    )
-    assert code == 2
-    assert f"line 3, column 2 ('x2'): {cell!r} is not a finite number" in err
+    for text, line in [(f"x1,x2\n1.0,2.0\n3.0,{cell}\n", 3), (f"x1,x2\n1,2\n\n3,{cell}\n", 4)]:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, _, err = run_cli(
+            ["oclust", str(bad), "--clusters", "2", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert f"line {line}, column 2 ('x2'): {cell!r} is not a finite number" in err
 
 
 def test_degenerate_input_exits_3(tmp_path, capsys):

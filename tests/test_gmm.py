@@ -390,10 +390,10 @@ def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_d
     # run on ever shorter leading views of the workspace
     data, _ = three_blob_data
     model, _, _ = em_fit(data, 3, FitConfig(seed=5, max_iter=3))
-    start = gmm._em_start(data, model, 1e-8)
+    start = gmm._em_start(data, model)
     n = data.shape[0]
     for rows in [None, np.arange(0, n, 2)]:
-        kwargs = dict(max_iter=200, rel_tol=1e-12, reg_eps=1e-8)
+        kwargs = dict(max_iter=200, rel_tol=1e-12)
         fresh = gmm._em_sweeps(start, rows, **kwargs)
         work = gmm._em_workspace(n + 4, 3, n)
         for buffer in work:
@@ -534,7 +534,7 @@ def test_em_refine_labels_match_hard_labels(seed, n_comp, p, max_iter):
 
 def test_em_refine_labels_when_stopped_by_max_iter(three_blob_data):
     data, _ = three_blob_data
-    start = gmm._initial_model(data, 3, 17, 1e-8)
+    start = gmm._initial_model(data, 3, 17)
     run = em_refine(data, start, max_iter=3, rel_tol=1e-14)
     assert len(run.history) == 4  # three sweeps, none of them converged
     assert abs(run.history[-1] - run.history[-2]) > 1e-14 * abs(run.history[-1])

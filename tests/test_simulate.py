@@ -188,6 +188,35 @@ def test_pairwise_separation_picks_discriminating_direction():
     assert value > projected_on_noise + 1.0
 
 
+def test_pairwise_separation_is_best_of_mean_difference_and_discriminant():
+    # oracle: each pair's index is the larger of its values along the mean
+    # difference delta and the linear discriminant pooled^-1 delta (pooled
+    # with the same 1e-10 trace/p ridge), and the clustering takes the worst pair
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        p = 2 + seed % 5
+        covs = simulate._random_covariances(p, rng)
+        means = rng.normal(scale=4.0, size=(3, p))
+        sizes = [60, 80, 100]
+        data = np.vstack([rng.multivariate_normal(means[g], covs[g], size=sizes[g])
+                          for g in range(3)])
+        labels = np.repeat(np.arange(3), sizes)
+        pair_values = []
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            a, b = data[labels == i], data[labels == j]
+            delta = b.mean(axis=0) - a.mean(axis=0)
+            pooled = ((len(a) - 1) * np.cov(a.T) + (len(b) - 1) * np.cov(b.T)) / (
+                len(a) + len(b) - 2)
+            pooled += 1e-10 * np.trace(pooled) / p * np.eye(p)
+            lda = np.linalg.solve(pooled, delta)
+            pair_values.append(max(
+                separation_index_univariate(a @ u, b @ u)
+                for u in (delta / np.linalg.norm(delta), lda / np.linalg.norm(lda))
+            ))
+        assert separation_index_pairwise(data, labels) == pytest.approx(
+            min(pair_values), rel=1e-12)
+
+
 def test_pairwise_separation_needs_two_clusters():
     with pytest.raises(ValueError):
         separation_index_pairwise(np.zeros((5, 2)), np.zeros(5, dtype=int))
