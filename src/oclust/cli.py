@@ -56,16 +56,31 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_manifest(path: Path, command: str, config: dict, seed: int,
                     input_digest: str | None) -> None:
-    manifest = {
+    _write_json(path, {
         "command": command,
         "config": config,
         "input_digest": input_digest,
         "seed": seed,
         "version": __version__,
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
+
+
+def _write_trace(path: Path, records, n: int) -> None:
+    """Write one ``trace.csv`` row per trimming iteration; ``n`` is the input row count."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("iteration,removed_row,kl,loglik,n_remaining,clamped\n")
+        for record in records:
+            removed = "" if record.removed_point is None else str(record.removed_point)
+            handle.write(
+                f"{record.iteration},{removed},{_fmt(record.kl.value)},"
+                f"{_fmt(record.loglik)},{n - record.iteration},{record.kl.clamped_count}\n"
+            )
 
 
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -167,17 +182,19 @@ def _cmd_oclust(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = oclust_run(table, config)
-
-    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iteration,removed_row,kl,loglik,n_remaining,clamped\n")
-        n = table.shape[0]
-        for record in result.trace:
-            removed = "" if record.removed_point is None else str(record.removed_point)
-            handle.write(
-                f"{record.iteration},{removed},{_fmt(record.kl.value)},"
-                f"{_fmt(record.loglik)},{n - record.iteration},{record.kl.clamped_count}\n"
-            )
+    try:
+        result = oclust_run(table, config)
+    except DegenerateFitError as exc:
+        # an aborted run still leaves the iterations it completed
+        if exc.partial_trace is not None:
+            _write_trace(out_dir / "trace.csv", exc.partial_trace, table.shape[0])
+            _write_json(out_dir / "summary.json", {
+                "aborted": True,
+                "completed_iterations": len(exc.partial_trace),
+                "error": str(exc),
+            })
+        raise
+    _write_trace(out_dir / "trace.csv", result.trace, table.shape[0])
 
     with open(out_dir / "labels.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("row,label\n")
@@ -205,9 +222,7 @@ def _cmd_oclust(args) -> int:
         "n_points": table.shape[0],
         "outlier_rows": [int(i) for i in result.outlier_indices],
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "summary.json", summary)
     _write_manifest(
         out_dir / "manifest.json",
         "oclust",
@@ -336,15 +351,16 @@ def _cmd_score(args) -> int:
     pred_path = Path(args.pred)
     truth_path = Path(args.truth)
     try:
-        pred_lines = [
-            line for line in pred_path.read_text(encoding="utf-8").splitlines() if line.strip()
-        ]
+        text = pred_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {pred_path}: {exc}") from exc
-    if not pred_lines or pred_lines[0].split(",")[0].strip() != "row":
+    # blank lines are skipped but keep their place in the line numbers
+    pred_lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+                  if line.strip()]
+    if not pred_lines or pred_lines[0][1].split(",")[0].strip() != "row":
         raise InputFormatError(f"{pred_path}: expected a header starting with 'row'", line=1)
     pred_flags = []
-    for lineno, line in enumerate(pred_lines[1:], start=2):
+    for lineno, line in pred_lines[1:]:
         fields = line.split(",")
         if len(fields) != 2:
             raise InputFormatError(

@@ -47,7 +47,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .rng import derive_seed
@@ -244,7 +243,7 @@ def log_gaussian_density(x, mean, cov) -> float:
     if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
         raise ValueError("covariance must be symmetric")
     chol, logdet, _ = _factor_covariances(cov)
-    z = solve_triangular(chol, x - mean, lower=True)
+    z = np.linalg.solve(chol, x - mean)
     return -0.5 * (p * LOG_2PI + float(logdet) + float(z @ z))
 
 

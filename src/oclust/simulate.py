@@ -6,7 +6,11 @@ varies their covariances through five named shape settings (``I`` through
 ``V``, from spherical and well separated to strongly elliptical and
 overlapping).  Outliers are drawn uniformly over the bounding box of the good
 points and accepted only when they are far (in Mahalanobis distance) from
-every cluster, so they are gross outliers by construction.
+every cluster, so they are gross outliers by construction.  "Far" is a
+squared distance above the 0.995 quantile of chi-squared with p degrees of
+freedom, taken as 2 * gammaincinv(p / 2, 0.995): the chi-squared quantile at
+level q is twice the inverse regularized lower incomplete gamma function at
+shape p/2.
 
 Separation between two clusters is summarized by the gap/spread ratio
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import GenerationStallError
 from .gmm import FitConfig, approx_log_likelihood, em_fit
@@ -164,7 +168,7 @@ def gen_dataset(spec: SimModelSpec) -> SimDataset:
 
     box_lo = good.min(axis=0)
     box_hi = good.max(axis=0)
-    threshold = float(chi2.ppf(0.995, spec.p))
+    threshold = float(2.0 * gammaincinv(0.5 * spec.p, 0.995))
     inv_chols = np.stack([np.linalg.inv(chols[g]) for g in range(3)])
 
     outliers = np.empty((spec.n_outliers, spec.p))

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincinv, gammaln
 
 from .errors import InsufficientPointsError
 from .gmm import (
@@ -84,7 +83,7 @@ def mahalanobis_sq(x, mean, cov) -> float:
     if mean.shape[0] != x.shape[0] or cov.shape != (x.shape[0], x.shape[0]):
         raise ValueError("dimension mismatch between point, mean and covariance")
     chol, _, _ = _factor_covariances(cov)
-    z = solve_triangular(chol, x - mean, lower=True)
+    z = np.linalg.solve(chol, x - mean)
     return float(z @ z)
 
 
@@ -335,9 +334,11 @@ def reference_mixture_ppf(q, ref: ReferenceMixture):
 
 
 def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw from the reference mixture by component choice plus inverse CDF."""
-    from scipy.stats import beta as beta_dist
+    """Draw from the reference mixture by component choice plus inverse CDF.
 
+    The Beta(a, b) quantile at level u is the inverse regularized incomplete
+    beta function, ``betaincinv(a, b, u)``.
+    """
     weights = np.array([c.weight for c in ref.components])
     picks = rng.choice(len(ref.components), size=size, p=weights / weights.sum())
     uniforms = rng.random(size)
@@ -345,7 +346,7 @@ def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator)
     for idx, comp in enumerate(ref.components):
         mask = picks == idx
         if mask.any():
-            u = beta_dist.ppf(uniforms[mask], comp.alpha, comp.beta)
+            u = betaincinv(comp.alpha, comp.beta, uniforms[mask])
             out[mask] = comp.shift + u / comp.scale
     return out
 

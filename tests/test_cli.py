@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -172,6 +173,14 @@ def test_score_command(dataset_csv, tmp_path, capsys):
     assert report["misclassification_rate"] <= 0.05
 
 
+def test_score_names_file_line_after_blank_lines(dataset_csv, tmp_path, capsys):
+    pred = tmp_path / "labels.csv"
+    pred.write_text("row,label\n0,1\n\n1\n")
+    code, _, err = run_cli(["score", "--pred", str(pred), "--truth", str(dataset_csv)], capsys)
+    assert code == 2
+    assert "line 4 must be 'row,label'" in err
+
+
 def test_separation_study_small_grid(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(
@@ -276,6 +285,42 @@ def test_degenerate_input_exits_3(tmp_path, capsys):
         capsys,
     )
     assert code == 3
+    trace = (tmp_path / "o" / "trace.csv").read_text()
+    assert trace == "iteration,removed_row,kl,loglik,n_remaining,clamped\n"
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["aborted"] is True
+    assert summary["completed_iterations"] == 0
+    assert err == f"error: numerical degeneracy: {summary['error']}\n"
+
+
+def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
+    # a 4-point cluster: trimming one of its points leaves 3 = p + 1, too few
+    # for the beta reference, so the second iteration aborts
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.standard_normal((60, 2)), 20.0 + 0.5 * rng.standard_normal((4, 2))])
+    path = tmp_path / "tiny_cluster.csv"
+    path.write_text("x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in data.tolist()))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(
+        ["oclust", str(path), "--clusters", "2", "--max-outliers", "5", "--threads", "1",
+         "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 3
+    assert "trimming aborted after 1 of 6 iterations: cluster 1 has 3 points" in err
+    trace = (out_dir / "trace.csv").read_text().splitlines()
+    assert trace[0] == "iteration,removed_row,kl,loglik,n_remaining,clamped"
+    assert len(trace) == 2
+    iteration, removed, kl, loglik, remaining, clamped = trace[1].split(",")
+    assert (iteration, removed, remaining) == ("0", "", "64")
+    assert np.isfinite(float(kl)) and np.isfinite(float(loglik)) and int(clamped) >= 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary == {
+        "aborted": True,
+        "completed_iterations": 1,
+        "error": err.removeprefix("error: numerical degeneracy: ").rstrip("\n"),
+    }
+    assert not (out_dir / "labels.csv").exists()
 
 
 def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
@@ -321,6 +366,19 @@ def test_console_entry_point_help():
     assert "oclust" in proc.stdout
     for sub in ["simulate", "separation-study", "score"]:
         assert sub in proc.stdout
+
+
+def test_import_loads_neither_scipy_stats_nor_linalg():
+    # importing scipy.stats more than doubles the start-up time of the CLI
+    code = (
+        "import sys, oclust, oclust.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'linalg'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_version_flag(capsys):

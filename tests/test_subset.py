@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
+from scipy.stats import beta as beta_dist
 from scipy.stats import multivariate_normal
 
 from oclust import (
@@ -511,6 +512,40 @@ def test_reference_samples_stay_in_support():
     assert draws.shape == (5000,)
     assert draws.min() >= ref.support_lo
     assert draws.max() <= ref.support_hi
+
+
+def test_sample_reference_matches_scipy_stats_beta_ppf():
+    # oracle: the same component picks and uniforms through scipy.stats.beta.ppf
+    def stats_path(ref, size, rng):
+        weights = np.array([c.weight for c in ref.components])
+        picks = rng.choice(len(ref.components), size=size, p=weights / weights.sum())
+        uniforms = rng.random(size)
+        out = np.empty(size)
+        for idx, comp in enumerate(ref.components):
+            mask = picks == idx
+            if mask.any():
+                u = beta_dist.ppf(uniforms[mask], comp.alpha, comp.beta)
+                out[mask] = comp.shift + u / comp.scale
+        return out
+
+    _, _, stats = reference_stats()
+    refs = [
+        beta_mixture_reference(stats),
+        ReferenceMixture((
+            BetaComponent(shift=-1.0, scale=0.01, alpha=1.0, beta=200.0, weight=1.0),
+        )),
+        ReferenceMixture((
+            BetaComponent(shift=0.5, scale=0.004, alpha=1.5, beta=450.0, weight=0.3),
+            BetaComponent(shift=2.0, scale=0.1, alpha=0.5, beta=30.0, weight=0.5),
+            BetaComponent(shift=3.0, scale=1.0, alpha=1.0, beta=1.0, weight=0.2),
+        )),
+    ]
+    for ref in refs:
+        for seed in range(5):
+            assert np.array_equal(
+                sample_reference(ref, 4000, np.random.default_rng(seed)),
+                stats_path(ref, 4000, np.random.default_rng(seed)),
+            )
 
 
 def test_frozen_deltas_lie_inside_reference_support():
