@@ -27,7 +27,6 @@ class DegenerateFitError(OclustError):
     """Model fitting collapsed (empty cluster, runaway component, ...).
 
     Attributes:
-        run_index: index of the offending EM restart, when known.
         subset_index: row whose leave-one-out refit degenerated, when known.
         partial_trace: iteration records accumulated before a trimming run
             aborted, when the failure happened mid-run.
@@ -36,12 +35,10 @@ class DegenerateFitError(OclustError):
     def __init__(
         self,
         message: str,
-        run_index: int | None = None,
         subset_index: int | None = None,
         partial_trace: list | None = None,
     ):
         super().__init__(message)
-        self.run_index = run_index
         self.subset_index = subset_index
         self.partial_trace = partial_trace
 

@@ -31,7 +31,8 @@ EM, the mixture and hard-assignment log-likelihoods and the hard labels; the
 frozen subset deltas take each row's own component only
 (``_own_log_densities``).  One EM loop, ``_em_sweeps``, runs the single fit (one
 problem) and the leave-one-out refits (one problem per left-out row) under
-one convergence rule and one rule against a falling log-likelihood.  A single
+one convergence rule and one set of failures, returned per problem while the
+others run on; the caller decides what a failure means.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for them.
 Its E-steps write into a workspace (``_em_workspace``) that a caller can
@@ -144,10 +145,15 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        _check_em_limits(self.max_iter, self.rel_tol)
+
+
+def _check_em_limits(max_iter: int, rel_tol: float) -> None:
+    """Raise ``ValueError`` unless ``max_iter >= 1`` and ``rel_tol > 0`` (not NaN)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def _positive_definite(block: np.ndarray) -> bool:
     return True
 
 
-def _factor_covariances(covs, reg_eps: float = 0.0, row_ids=None):
+def _factor_covariances(covs, reg_eps: float = 0.0):
     """Cholesky factors and log-determinants of a covariance stack (..., p, p).
 
     Returns ``(chol, logdet, factored)``: the lower factors, the
@@ -199,9 +205,7 @@ def _factor_covariances(covs, reg_eps: float = 0.0, row_ids=None):
     factored.  When ``reg_eps > 0`` a block that is not positive definite is
     retried once with ``reg_eps * trace/p`` added to its diagonal;
     ``factored`` is ``covs`` itself when no block needed that ridge.  A block
-    that still fails raises ``SingularCovarianceError`` naming its component
-    (the last stack axis) and, given ``row_ids``, the row excluded by its
-    leave-one-out refit (the first stack axis).
+    that still fails raises ``SingularCovarianceError`` naming its component.
     """
     covs = np.asarray(covs, dtype=float)
     try:
@@ -218,8 +222,6 @@ def _factor_covariances(covs, reg_eps: float = 0.0, row_ids=None):
                 if _positive_definite(covs[idx]):
                     continue
             where = f"component {idx[-1]} covariance" if idx else "covariance"
-            if row_ids is not None:
-                where = f"leave-one-out refit for row {int(row_ids[idx[0]])}: {where}"
             after = " even after regularization" if reg_eps > 0 else ""
             raise SingularCovarianceError(f"{where} is not positive definite{after}")
         chol = np.linalg.cholesky(covs)
@@ -276,7 +278,7 @@ def _features(y: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
 
 
-def _log_density_coefs(weights, shifts, covs, reg_eps, row_ids=None):
+def _log_density_coefs(weights, shifts, covs, reg_eps):
     """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
 
     Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
@@ -284,7 +286,7 @@ def _log_density_coefs(weights, shifts, covs, reg_eps, row_ids=None):
     ``_factor_covariances``).
     """
     p = shifts.shape[-1]
-    chol, logdet, factored = _factor_covariances(covs, reg_eps, row_ids)
+    chol, logdet, factored = _factor_covariances(covs, reg_eps)
     chol_inv = np.linalg.inv(chol)
     prec = chol_inv.swapaxes(-1, -2) @ chol_inv
     whitened = (chol_inv @ shifts[..., None])[..., 0]
@@ -331,24 +333,9 @@ def _moments(feats, resp):
     return (resp[:, :, None, :] @ feats)[:, :, 0, :]
 
 
-def _problem_error(message: str, row_ids, i) -> DegenerateFitError:
-    """The error for problem ``i``, naming its excluded row given ``row_ids``."""
-    if row_ids is None:
-        return DegenerateFitError(message)
-    row = int(row_ids[i])
-    return DegenerateFitError(f"leave-one-out refit for row {row}: {message}", subset_index=row)
-
-
-def _params_from_moments(moments, p, row_ids=None):
-    """Weights, mean shifts from the centers and covariances from (m, G, d) moments.
-
-    A component whose responsibility mass falls below ``_MIN_SOFT_COUNT``
-    raises ``DegenerateFitError``, naming the excluded row given ``row_ids``.
-    """
+def _params_from_moments(moments, p):
+    """Weights, mean shifts and covariances from (m, G, d) moments of positive mass."""
     soft = moments[..., 0]  # (m, G)
-    if np.any(soft < _MIN_SOFT_COUNT):
-        i, g = np.unravel_index(int(np.argmin(soft)), soft.shape)
-        raise _problem_error(f"component {g} collapsed to zero responsibility mass", row_ids, i)
     weights = soft / soft.sum(axis=-1, keepdims=True)
     shifts = moments[..., 1:p + 1] / soft[..., None]
     second = moments[..., p + 1:] / soft[..., None]
@@ -396,10 +383,15 @@ def mixture_log_likelihood(data, model: MixtureModel) -> float:
 
 def _component_labels(labels, n: int, n_components: int) -> np.ndarray:
     """Labels as an int array of shape (n,); raises ``ValueError`` unless each
-    names one of ``n_components`` components."""
-    lab = np.asarray(labels, dtype=int)
-    if lab.shape != (n,):
+    is an integer naming one of ``n_components`` components."""
+    raw = np.asarray(labels)
+    if raw.shape != (n,):
         raise ValueError("labels must be one integer per data row")
+    with np.errstate(invalid="ignore"):
+        lab = raw.astype(int, copy=False)
+    bad = np.flatnonzero(lab != raw)
+    if bad.size:
+        raise ValueError(f"label of row {bad[0]} is not an integer: {raw[bad[0]]}")
     if lab.min() < 0 or lab.max() >= n_components:
         raise ValueError("labels refer to components outside the model")
     return lab
@@ -427,11 +419,7 @@ def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
     otherwise an ``InsufficientPointsError`` naming the cluster is raised.
     """
     arr = validate_data(data)
-    lab = np.asarray(labels, dtype=int)
-    if lab.shape != (arr.shape[0],):
-        raise ValueError("labels must be one integer per data row")
-    if lab.min() < 0 or lab.max() >= n_clusters:
-        raise ValueError("labels out of range for the requested cluster count")
+    lab = _component_labels(labels, arr.shape[0], n_clusters)
     n, p = arr.shape
     counts = np.bincount(lab, minlength=n_clusters)
     means = np.empty((n_clusters, p))
@@ -493,16 +481,17 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     problem i leaves out row ``leave_out[i]``, whose log-likelihood term and
     weighted features are taken off the shared first E-step.  A problem stops
     once its relative log-likelihood change drops below ``rel_tol`` or after
-    ``max_iter`` sweeps; a fall by more than 1e-7 max(1, |l|) raises
-    ``DegenerateFitError`` unless the problem's covariances needed a ridge.
-    The E-steps write into ``work`` (from ``_em_workspace``, for at least m
-    problems; made here when None), on its leading rows for the active ones.
-    Returns per problem the final log-likelihood (m,), the parameters it
-    belongs to as ``(weights, means, covs)``, and the log-likelihood before
-    the first and after every sweep, (sweeps + 1, m), held once it stops.
-    With ``leave_out`` None it also returns the hard labels (n,) of the last
-    E-step, which belongs to the returned parameters (ties go to the lower
-    component); otherwise the labels are None.
+    ``max_iter`` sweeps.  It stops as failed when a component's mass falls
+    below ``_MIN_SOFT_COUNT`` or a covariance stays singular after the ridge,
+    or when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep
+    that needed no ridge; the others run on, to the same bits.  The E-steps
+    write into ``work`` (from ``_em_workspace``, for at least m problems; made
+    here when None), on its leading rows for the active ones.  Returns per
+    problem the final log-likelihood (m,), the parameters it belongs to as
+    ``(weights, means, covs)``, the log-likelihood before the first and after
+    every sweep, (sweeps + 1, m), held once it stops, the hard labels (n,) of
+    the last E-step (ties to the lower component; None unless ``leave_out`` is
+    None and nothing failed), and a dict of failed problems to their errors.
     """
     feats, p = start.feats, start.model.dim
     rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
@@ -521,15 +510,32 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     covs = np.repeat(start.covs[None], m, axis=0)
     history = [loglik.copy()]
     active = np.arange(m)
+    failures = {}
     for _ in range(max_iter):
-        k = active.shape[0]
-        excluded = None if rows is None else rows[active]
-        w, s, c = _params_from_moments(moments, p, excluded)
-        coefs, factored = _log_density_coefs(w, s, c, _RIDGE, excluded)
+        collapsed = (moments[..., 0] < _MIN_SOFT_COUNT).any(axis=1)
+        if collapsed.any():
+            for i in np.flatnonzero(collapsed):
+                g = int(np.argmin(moments[i, :, 0]))
+                failures[int(active[i])] = DegenerateFitError(
+                    f"component {g} collapsed to zero responsibility mass")
+            active, moments = active[~collapsed], moments[~collapsed]
+        w, s, c = _params_from_moments(moments, p)
+        try:
+            coefs, factored = _log_density_coefs(w, s, c, _RIDGE)
+        except SingularCovarianceError:
+            for i in range(active.shape[0]):
+                try:
+                    _factor_covariances(c[i], _RIDGE)
+                except SingularCovarianceError as exc:
+                    failures[int(active[i])] = exc
+            kept = ~np.isin(active, list(failures))
+            active, w, s, c = active[kept], w[kept], s[kept], c[kept]
+            coefs, factored = _log_density_coefs(w, s, c, _RIDGE)
+        k = active.shape[0]  # when 0, the sweep runs on empty arrays and ends the loop
         logp = _log_densities(feats, coefs, out=work[0][:k])
         row_ll, resp = _posterior(logp, work[1][:k], work[2][:k], work[3][:k])
-        if excluded is not None:
-            batch = np.arange(k)
+        if rows is not None:
+            batch, excluded = np.arange(k), rows[active]
             row_ll[batch, excluded] = 0.0
             resp[batch, :, excluded] = 0.0
         old, new = loglik[active], row_ll.sum(axis=1)
@@ -537,22 +543,22 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         fell = new < old - 1e-7 * scale
         if factored is not c:  # a problem whose covariances were ridged is exempt
             fell &= (factored == c).all(axis=(1, 2, 3))
-        if fell.any():
-            i = int(np.argmax(fell))
-            raise _problem_error(
-                f"log-likelihood decreased from {float(old[i])} to {float(new[i])}; "
-                "EM update is inconsistent", excluded, i,
-            )
         loglik[active], weights[active], shifts[active], covs[active] = new, w, s, factored
         history.append(loglik.copy())
         keep = ~(np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol)
+        if fell.any():
+            for i in np.flatnonzero(fell):
+                failures[int(active[i])] = DegenerateFitError(
+                    f"log-likelihood decreased from {float(old[i])} to {float(new[i])}; "
+                    "EM update is inconsistent")
+            keep &= ~fell
         if not keep.any():
             break
         moments = _moments(feats, resp)
         if not keep.all():
             active, moments = active[keep], moments[keep]
-    labels = logp[0].argmax(axis=0) if rows is None else None
-    return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels
+    labels = logp[0].argmax(axis=0) if rows is None and not failures else None
+    return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels, failures
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
@@ -563,15 +569,19 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     on every sweep whose covariances factor without a ridge; a sweep that had
     to ridge a covariance is exempt, since the ridge moves the parameters off
     the EM update.  Iteration stops once the relative change drops below
-    ``rel_tol`` or after ``max_iter`` update sweeps.  The returned
+    ``rel_tol`` or after ``max_iter`` update sweeps; ``max_iter`` below 1 or
+    ``rel_tol`` not positive raises ``ValueError``.  The returned
     log-likelihood is always that of the returned parameters, whose
     covariances are the ones actually factored; the returned labels are the
     maximum-posterior components of the final E-step under those parameters.
     """
+    _check_em_limits(max_iter, rel_tol)
     arr = validate_data(data)
-    loglik, (weights, means, covs), history, labels = _em_sweeps(
+    loglik, (weights, means, covs), history, labels, failures = _em_sweeps(
         _em_start(arr, model), max_iter=max_iter, rel_tol=rel_tol
     )
+    if failures:
+        raise failures[0]
     return EmRun(
         model=MixtureModel(weights=weights[0], means=means[0], covariances=covs[0]),
         loglik=float(loglik[0]),
@@ -661,8 +671,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
             stacklevel=2,
         )
     best: EmRun | None = None
-    first_failure: Exception | None = None
-    first_failure_run = -1
+    failures = []  # (restart, error)
     for restart in range(config.restarts):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
@@ -672,20 +681,15 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
             if np.any(counts < 2):
                 g = int(np.argmin(counts))
                 raise DegenerateFitError(
-                    f"restart {restart}: hard cluster {g} retained {counts[g]} points",
-                    run_index=restart,
+                    f"restart {restart}: hard cluster {g} retained {counts[g]} points"
                 )
         except (DegenerateFitError, SingularCovarianceError) as exc:
-            if first_failure is None:
-                first_failure = exc
-                first_failure_run = restart
+            failures.append((restart, exc))
             continue
         if best is None or run.loglik > best.loglik:
             best = run
     if best is None:
-        raise DegenerateFitError(
-            f"all {config.restarts} restarts degenerated; first failure "
-            f"(restart {first_failure_run}): {first_failure}",
-            run_index=first_failure_run,
-        ) from first_failure
+        restart, exc = failures[0]
+        raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
+                                 f"(restart {restart}): {exc}") from exc
     return best.model, best.labels, best.loglik

@@ -31,9 +31,8 @@ fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
 chunk and thread.  Chunks are sized for a core's cache, and each thread
 reuses one workspace for all its chunks (see ``loo_refit_logliks``).  A
-refit is held to the single fit's rules: the same convergence test, and a
-``DegenerateFitError`` naming row j when the refit without row j lowers its
-log-likelihood on a sweep that needed no ridge.
+refit is held to the single fit's convergence test and failures, and the error
+raised is the lowest failing row's at any chunking and thread count.
 """
 
 from __future__ import annotations
@@ -45,11 +44,12 @@ from enum import Enum
 import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
 
-from .errors import InsufficientPointsError
+from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .gmm import (
     LOG_2PI,
     ClusterStats,
     MixtureModel,
+    _check_em_limits,
     _component_labels,
     _em_start,
     _em_sweeps,
@@ -378,9 +378,12 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     holds about 2 MiB and stays in a core's cache.  The rows are split into
     min(n_threads, number of chunks) contiguous groups, one per worker
     thread; each worker makes one workspace and reuses it for every chunk of
-    its group.  The result is independent of chunking and thread count.
-    ``n_threads`` and ``chunk_size`` below 1 raise ``ValueError``.
+    its group.  The result is independent of chunking and thread count, and
+    so is the error when refits fail: that of the lowest failing row j, as
+    "leave-one-out refit for row j: ...".  ``n_threads``, ``chunk_size`` or
+    ``max_iter`` below 1 and ``rel_tol`` not positive raise ``ValueError``.
     """
+    _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     if chunk_size is not None and chunk_size < 1:
@@ -394,17 +397,27 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
 
     def refit(group):
         work = _em_workspace(min(chunk_size, group.shape[0]), n_comp, n)
-        return np.concatenate([
-            _em_sweeps(start, group[i:i + chunk_size], max_iter=max_iter, rel_tol=rel_tol,
-                       work=work)[0]
-            for i in range(0, group.shape[0], chunk_size)
-        ])
+        results = []
+        for rows in np.split(group, range(chunk_size, group.shape[0], chunk_size)):
+            loglik, _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
+                                                 rel_tol=rel_tol, work=work)
+            results.append((rows, loglik, failed))
+        return results
 
     groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk_size)))
     if len(groups) > 1:
         with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            return np.concatenate(list(pool.map(refit, groups)))
-    return refit(groups[0])
+            chunks = [chunk for part in pool.map(refit, groups) for chunk in part]
+    else:
+        chunks = refit(groups[0])
+    failures = {int(rows[i]): exc for rows, _, failed in chunks for i, exc in failed.items()}
+    if failures:
+        j = min(failures)
+        message = f"leave-one-out refit for row {j}: {failures[j]}"
+        if isinstance(failures[j], SingularCovarianceError):
+            raise SingularCovarianceError(message) from failures[j]
+        raise DegenerateFitError(message, subset_index=j) from failures[j]
+    return np.concatenate([loglik for _, loglik, _ in chunks])
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
@@ -421,7 +434,6 @@ def subset_deltas(data, model: MixtureModel, labels, loglik: float,
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
         return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
-    lab = np.asarray(labels, dtype=int)
     if stats is None:
-        stats = cluster_stats(arr, lab, model.n_components)
-    return frozen_subset_deltas(arr, lab, stats)
+        stats = cluster_stats(arr, labels, model.n_components)
+    return frozen_subset_deltas(arr, labels, stats)

@@ -114,6 +114,8 @@ def test_approx_loglik_rejects_bad_labels():
     model = MixtureModel(weights=[1.0], means=[[0.0]], covariances=[[[1.0]]])
     with pytest.raises(ValueError):
         approx_log_likelihood([[0.0], [1.0]], model, [0, 1])
+    with pytest.raises(ValueError, match="label of row 0 is not an integer: 0.5"):
+        approx_log_likelihood([[0.0], [1.0]], model, np.zeros(2) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,18 @@ def test_cluster_stats_matches_numpy(three_blob_data):
         assert np.allclose(stats.means[g], block.mean(axis=0), atol=1e-12)
         assert np.allclose(stats.covariances[g], np.cov(block, rowvar=False, ddof=1), atol=1e-12)
         assert stats.weights[g] == pytest.approx(count / data.shape[0], abs=1e-15)
+
+
+def test_cluster_stats_rejects_non_integral_labels(three_blob_data):
+    # 0.7 and 1.9 must not be truncated to clusters 0 and 1
+    data = three_blob_data[0][:40]
+    labels = np.repeat([0.7, 1.9], 20)
+    with pytest.raises(ValueError, match="label of row 0 is not an integer: 0.7"):
+        cluster_stats(data, labels, 2)
+    labels[0] = 0.0
+    with pytest.raises(ValueError, match="label of row 1 is not an integer: 0.7"):
+        cluster_stats(data, labels, 2)
+    assert np.array_equal(cluster_stats(data, np.floor(labels), 2).counts, [20, 20])
 
 
 def test_cluster_stats_rejects_tiny_cluster():
@@ -266,8 +280,8 @@ def test_em_decrease_on_unridged_sweep_raises(three_blob_data, monkeypatch):
     model, _, _ = em_fit(data, 3, FitConfig(seed=5))
     update = gmm._params_from_moments
 
-    def misplaced_mean(moments, p, row_ids=None):
-        weights, shifts, covs = update(moments, p, row_ids)
+    def misplaced_mean(moments, p):
+        weights, shifts, covs = update(moments, p)
         shifts = shifts.copy()
         shifts[0, 0] += 3.0
         return weights, shifts, covs
@@ -275,6 +289,74 @@ def test_em_decrease_on_unridged_sweep_raises(three_blob_data, monkeypatch):
     monkeypatch.setattr(gmm, "_params_from_moments", misplaced_mean)
     with pytest.raises(DegenerateFitError, match="log-likelihood decreased"):
         em_refine(data, model)
+
+
+def _misplace_mean(params, i):
+    weights, shifts, covs = params
+    shifts = shifts.copy()
+    shifts[i, 0] += 3.0
+    return weights, shifts, covs
+
+
+def _negate_covariance(params, i):
+    weights, shifts, covs = params
+    covs = covs.copy()
+    covs[i, 1] = -np.eye(covs.shape[-1])
+    return weights, shifts, covs
+
+
+def _empty_component(moments, i):
+    moments = moments.copy()
+    moments[i, 2] = 0.0
+    return moments
+
+
+def _force_first_call(monkeypatch, site, force, i):
+    original, calls = getattr(gmm, site), []
+
+    def forced(*args):
+        calls.append(args)
+        return force(original(*args), i) if len(calls) == 1 else original(*args)
+
+    monkeypatch.setattr(gmm, site, forced)
+
+
+@pytest.mark.parametrize("site, force, error, message", [
+    ("_params_from_moments", _misplace_mean, DegenerateFitError,
+     "log-likelihood decreased from"),
+    ("_params_from_moments", _negate_covariance, SingularCovarianceError,
+     "component 1 covariance is not positive definite even after regularization"),
+    ("_moments", _empty_component, DegenerateFitError,
+     "component 2 collapsed to zero responsibility mass"),
+])
+def test_em_sweeps_return_a_failed_problem_and_run_the_others_on(
+        three_blob_data, monkeypatch, site, force, error, message):
+    # the first call of ``site`` after the start is forced wrong for problem
+    # 17 of the batch (every problem is still active then); problem 17 fails
+    # with its own error, and every other problem ends with the same bits.
+    # Forced for the one problem of em_refine (where the first ``_moments``
+    # call is the start's), the same error is raised.
+    data, _ = three_blob_data
+    model = MixtureModel(weights=[0.2, 0.3, 0.5], means=[[2.0, 2.0], [7.0, 1.0], [1.0, 6.0]],
+                         covariances=np.repeat(4.0 * np.eye(2)[None], 3, axis=0))
+    start = gmm._em_start(data, model)
+    rows = np.arange(data.shape[0])
+    kwargs = dict(max_iter=200, rel_tol=1e-12)
+    loglik, params, history, labels, failures = gmm._em_sweeps(start, rows, **kwargs)
+    assert failures == {} and labels is None and history.shape[0] > 3
+    _force_first_call(monkeypatch, site, force, 17)
+    got, got_params, _, _, got_failures = gmm._em_sweeps(start, rows, **kwargs)
+    assert list(got_failures) == [17]
+    assert type(got_failures[17]) is error
+    assert str(got_failures[17]).startswith(message)
+    others = rows != 17
+    assert np.array_equal(got[others], loglik[others])
+    for a, b in zip(got_params, params):
+        assert np.array_equal(a[others], b[others])
+    monkeypatch.undo()
+    _force_first_call(monkeypatch, site, force, 0)
+    with pytest.raises(error, match=f"^{message}"):
+        em_refine(data, model, **kwargs)
 
 
 # ---------------------------------------------------------------------------

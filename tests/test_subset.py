@@ -251,42 +251,74 @@ def test_refit_logliks_match_independent_oracle_property(seed, n_comp, p, per_cl
 def test_degenerate_refit_raises_on_a_decrease():
     # one component sits on 3 points with a near-singular covariance; the
     # refits chase likelihood spikes, and a sweep that lowers the
-    # log-likelihood must be reported whatever the chunking
+    # log-likelihood must be reported, for the lowest failing row (several
+    # fail), with the same text whatever the chunking and thread count
     rng = np.random.default_rng(2)
     data = np.vstack(
         [rng.standard_normal((8, 3)) * rng.uniform(0.5, 2.0) + 9.0 * g for g in range(3)]
     )
     model, _, _ = em_fit(data, 3, FitConfig(seed=2))
-    for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
-        with pytest.raises(DegenerateFitError, match="leave-one-out refit for row") as info:
-            loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500, **kwargs)
-        assert info.value.subset_index is not None
+    texts = set()
+    for chunk_size in [None, 1, 3, 7, 12]:
+        for n_threads in [1, 2]:
+            with pytest.raises(DegenerateFitError) as info:
+                loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500,
+                                  chunk_size=chunk_size, n_threads=n_threads)
+            assert info.value.subset_index == 0
+            texts.add(str(info.value))
+    assert len(texts) == 1
+    assert texts.pop().startswith("leave-one-out refit for row 0: log-likelihood decreased from ")
 
 
 def test_refit_decrease_is_checked_per_problem(fitted_blobs, monkeypatch):
-    # in the same sweep, problem 17's mean is moved off the EM update and
-    # problem 3's covariances come back ridged: only problem 3 is exempt from
-    # the decrease rule, whatever the chunking
+    # on their one sweep, the refits without rows 3 and 17 get their means
+    # moved off the EM update, so both fall and the lower row, 3, is named;
+    # once row 3's covariances also come back ridged, only row 3 is exempt
+    # from the decrease rule and row 17 is named, whatever the chunking.  The
+    # kernel sees no row ids, so a refit is told by its first-sweep moments.
     data, model, _, _ = fitted_blobs
     update, factor = gmm._params_from_moments, gmm._factor_covariances
+    start = gmm._em_start(data, model)
+    first = {j: start.moments - start.resp[:, j, None] * start.feats[:, j] for j in (3, 17)}
+    row_3_covs = update(first[3][None], data.shape[1])[2]
 
-    def misplaced_mean(moments, p, row_ids=None):
-        weights, shifts, covs = update(moments, p, row_ids)
+    def misplaced_means(moments, p):
+        weights, shifts, covs = update(moments, p)
         shifts = shifts.copy()
-        shifts[row_ids == 17, 0] += 3.0
+        for j in (3, 17):
+            shifts[(moments == first[j]).all(axis=(1, 2)), 0] += 3.0
         return weights, shifts, covs
 
-    def ridged_row_3(covs, reg_eps=0.0, row_ids=None):
-        if row_ids is not None:
-            covs = covs + 1e-12 * (row_ids == 3)[:, None, None, None] * np.eye(covs.shape[-1])
-        return factor(covs, reg_eps, row_ids)
+    def ridged_row_3(covs, reg_eps=0.0):
+        if covs.ndim == 4:
+            row_3 = (covs == row_3_covs).all(axis=(1, 2, 3))
+            covs = covs + 1e-12 * row_3[:, None, None, None] * np.eye(covs.shape[-1])
+        return factor(covs, reg_eps)
 
-    monkeypatch.setattr(gmm, "_params_from_moments", misplaced_mean)
-    monkeypatch.setattr(gmm, "_factor_covariances", ridged_row_3)
-    for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
-        with pytest.raises(DegenerateFitError, match="row 17: log-likelihood decreased") as info:
-            loo_refit_logliks(data, model, max_iter=1, **kwargs)
-        assert info.value.subset_index == 17
+    monkeypatch.setattr(gmm, "_params_from_moments", misplaced_means)
+    for row, ridged in [(3, False), (17, True)]:
+        if ridged:
+            monkeypatch.setattr(gmm, "_factor_covariances", ridged_row_3)
+        for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
+            with pytest.raises(DegenerateFitError,
+                               match=f"^leave-one-out refit for row {row}: log-likelihood "
+                                     "decreased") as info:
+                loo_refit_logliks(data, model, max_iter=1, **kwargs)
+            assert info.value.subset_index == row
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_iter=0), "max_iter must be >= 1"),
+    (dict(max_iter=-1), "max_iter must be >= 1"),
+    (dict(rel_tol=0.0), "rel_tol must be positive"),
+    (dict(rel_tol=-1.0), "rel_tol must be positive"),
+    (dict(rel_tol=float("nan")), "rel_tol must be positive"),
+])
+def test_em_limits_are_checked_with_fit_config_texts(fitted_blobs, kwargs, message):
+    data, model, _, _ = fitted_blobs
+    for call in (em_refine, loo_refit_logliks, lambda data, model, **kw: FitConfig(**kw)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(data, model, **kwargs)
 
 
 def test_refit_deltas_are_subset_minus_full(fitted_blobs):
@@ -320,7 +352,7 @@ def test_frozen_deltas_match_two_evaluation_oracle(fitted_blobs):
 
 def test_frozen_deltas_reject_bad_labels(fitted_blobs):
     # a label of -1 must not wrap round to the last cluster
-    data, _, labels, _ = fitted_blobs
+    data, model, labels, loglik = fitted_blobs
     stats = cluster_stats(data, labels, 2)
     wrapped = labels.copy()
     wrapped[0] = -1
@@ -330,6 +362,17 @@ def test_frozen_deltas_reject_bad_labels(fitted_blobs):
         frozen_subset_deltas(data, np.full_like(labels, 2), stats)
     with pytest.raises(ValueError, match="one integer per data row"):
         frozen_subset_deltas(data, labels[:-1], stats)
+    # a non-integral label is not truncated, here or on the way in from subset_deltas
+    shifted = labels + 0.5
+    with pytest.raises(ValueError, match="label of row 0 is not an integer"):
+        frozen_subset_deltas(data, shifted, stats)
+    with pytest.raises(ValueError, match="label of row 0 is not an integer"):
+        subset_deltas(data, model, shifted, loglik, mode=DeltaMode.FROZEN)
+    shifted[0] = labels[0]
+    with pytest.raises(ValueError, match="label of row 1 is not an integer"):
+        frozen_subset_deltas(data, shifted, stats)
+    with pytest.raises(ValueError, match="label of row 0 is not an integer: nan"):
+        frozen_subset_deltas(data, np.where(np.arange(len(labels)) == 0, np.nan, labels), stats)
 
 
 def test_delta_formula_pieces():
