@@ -46,12 +46,10 @@ from .simulate import (
     separation_index_univariate,
 )
 from .subset import (
-    BetaComponent,
     DeltaMode,
     DowndateVariant,
-    GammaComponent,
+    GammaReference,
     ReferenceMixture,
-    beta_component_density,
     beta_mixture_reference,
     delta_formula,
     downdate_stats,

@@ -306,6 +306,8 @@ def _cmd_separation_study(args) -> int:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise InputFormatError(f"dims {args.dims!r} must be a comma list of integers") from exc
+    if any(p_dim < 2 for p_dim in dims):
+        raise InputFormatError(f"dims {args.dims!r}: benchmark clusters need dimension >= 2")
     grid = _parse_grid(args.grid)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -360,13 +362,24 @@ def _cmd_score(args) -> int:
     if not pred_lines or pred_lines[0][1].split(",")[0].strip() != "row":
         raise InputFormatError(f"{pred_path}: expected a header starting with 'row'", line=1)
     pred_flags = []
-    for lineno, line in pred_lines[1:]:
-        fields = line.split(",")
+    for row, (lineno, line) in enumerate(pred_lines[1:]):
+        fields = [field.strip() for field in line.split(",")]
         if len(fields) != 2:
             raise InputFormatError(
                 f"{pred_path}: line {lineno} must be 'row,label'", line=lineno
             )
-        pred_flags.append(fields[1].strip() == "outlier")
+        if fields[0] != str(row):
+            raise InputFormatError(
+                f"{pred_path}: line {lineno} is for row {fields[0]!r}; rows must read 0, 1, 2, ... "
+                f"in order, so expected {row}", line=lineno
+            )
+        label = fields[1]
+        if label != "outlier" and not (label.isascii() and label.isdigit() and int(label) >= 1):
+            raise InputFormatError(
+                f"{pred_path}: line {lineno} has label {label!r}; "
+                "expected a positive cluster number or 'outlier'", line=lineno
+            )
+        pred_flags.append(label == "outlier")
     header, table = _read_numeric_csv(truth_path)
     if "is_outlier" not in header:
         raise InputFormatError(f"{truth_path}: missing 'is_outlier' column")

@@ -29,10 +29,13 @@ class BinningScheme:
         object.__setattr__(self, "edges", np.asarray(self.edges, dtype=float))
         if self.edges.ndim != 1 or self.edges.shape[0] < 2:
             raise BinningError("need at least two bin edges")
-        if not np.all(np.diff(self.edges) > 0):
+        flat = np.flatnonzero(~(np.diff(self.edges) > 0))
+        if flat.size:
+            k = int(flat[0])
             raise BinningError(
-                "bin edges must be strictly increasing; "
-                "reduce num_bins or check the reference"
+                f"bin edges must be strictly increasing; with B = {self.num_bins} bins, "
+                f"edge {k} is {float(self.edges[k])!r} and edge {k + 1} is "
+                f"{float(self.edges[k + 1])!r}"
             )
 
     @property

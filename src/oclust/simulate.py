@@ -55,10 +55,14 @@ _STALL_BUDGET = 1_000_000
 _STALL_RATE = 1e-4
 
 
-def cluster_means(p: int) -> np.ndarray:
-    """Centers of the three benchmark clusters, embedded in dimension p >= 2."""
+def _check_dim(p: int) -> None:
     if p < 2:
         raise ValueError("benchmark clusters need dimension >= 2")
+
+
+def cluster_means(p: int) -> np.ndarray:
+    """Centers of the three benchmark clusters, embedded in dimension p >= 2."""
+    _check_dim(p)
     means = np.zeros((3, p))
     means[0, 1] = 8.0
     means[1, 0] = 8.0
@@ -74,8 +78,7 @@ def model_covariances(model: str, p: int) -> np.ndarray:
     """
     if model not in MODEL_SHAPES:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(MODEL_SHAPES)}")
-    if p < 2:
-        raise ValueError("benchmark clusters need dimension >= 2")
+    _check_dim(p)
     a, b, c, d, e, f = MODEL_SHAPES[model]
     covs = np.tile(np.eye(p), (3, 1, 1))
     covs[0, 1, 1] = a
@@ -379,6 +382,7 @@ def separation_experiment(p: int, target: float, replicates: int, seed: int) -> 
     between the hard-assignment and mixture log-likelihoods.  Replicates
     whose calibration fails are skipped; at least one must succeed.
     """
+    _check_dim(p)
     if not -1.0 < target < 1.0:
         raise ValueError("target separation must lie in (-1, 1)")
     if replicates < 1:

@@ -14,16 +14,20 @@ scaled delta
 
 follows a Beta(p/2, (n_h - p - 1)/2) law when sample statistics are used, and
 (delta - c_h) follows a Gamma(p/2, 1) law when the population parameters are
-used.  Across clusters the deltas therefore follow a mixture of shifted,
-scaled beta densities weighted by the cluster proportions; that mixture is the
-reference distribution the trimming loop compares against.
+used.  Across clusters the deltas therefore follow a mixture of G shifted,
+scaled betas weighted by the cluster proportions: the reference distribution
+the trimming loop compares against.  ``ReferenceMixture`` holds that law as
+five (G,) arrays (shift c_g, scale 2 n_g / (n_g - 1)^2, the two shapes and
+the weight pi_g); its density, CDF and sampler take every component in one
+call, with the component axis first, and the CDF adds the components in
+order.  ``GammaReference`` holds the G shifts and the shape p/2.
 
 ``subset_deltas`` turns a fitted mixture into the empirical deltas, one float
 per row, in one of two ways:
 
 * ``refit``: each leave-one-out subset gets its own EM refinement
   (warm-started from the full-data fit) and the delta is the difference of
-  true mixture log-likelihoods.  All n refits run as one vectorized batch.
+  true mixture log-likelihoods.  The refits run in vectorized batches.
 * ``frozen``: the closed-form delta above, with full-data statistics.
 
 The refits run in the EM loop of ``gmm``, the one that also runs the single
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammaln
+from scipy.special import betainc, betaincinv, betaln, gammaln
 
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .gmm import (
@@ -150,70 +154,78 @@ def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = Downdate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaComponent:
-    """One shifted, scaled beta component of the reference mixture.
-
-    The reference variable y has density
-    ``scale * Beta_pdf(scale * (y - shift); alpha, beta)`` on
-    ``shift < y < shift + 1/scale`` and zero elsewhere.
-    """
-
-    shift: float
-    scale: float
-    alpha: float
-    beta: float
-    weight: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("beta shape parameters must be positive")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError("component weight must lie in (0, 1]")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.shift, self.shift + 1.0 / self.scale
+def _read_only_components(ref, names) -> None:
+    """Store the named fields of a frozen reference as read-only, finite float
+    arrays of one shape (G,), G >= 1."""
+    arrays = {name: np.array(getattr(ref, name), dtype=float) for name in names}
+    shape = arrays[names[0]].shape
+    if len(shape) != 1 or any(arr.shape != shape for arr in arrays.values()):
+        raise ValueError("reference fields must be 1-d and of one length, got shapes "
+                         + ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items()))
+    if shape[0] == 0:
+        raise ValueError("reference mixture needs at least one component")
+    for name, arr in arrays.items():
+        finite = np.isfinite(arr)
+        if not finite.all():
+            g = int(np.argmin(finite))
+            raise ValueError(f"{name} of component {g} is not finite ({float(arr[g])!r})")
+        arr.flags.writeable = False
+        object.__setattr__(ref, name, arr)
 
 
 @dataclass(frozen=True)
 class ReferenceMixture:
-    """Mixture of shifted, scaled beta components, one per cluster."""
+    """Mixture of shifted, scaled beta laws, one component per cluster.
 
-    components: tuple
+    Every field is a read-only (G,) float array.  Component g has weight
+    ``weight[g]`` and density ``scale[g] * Beta_pdf(scale[g] * (y - shift[g]);
+    alpha[g], beta[g])`` on ``shift[g] < y < shift[g] + 1/scale[g]``.
+    """
+
+    shift: np.ndarray
+    scale: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        if len(self.components) == 0:
-            raise ValueError("reference mixture needs at least one component")
-        total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-12:
+        _read_only_components(self, ("shift", "scale", "alpha", "beta", "weight"))
+        if not (self.scale > 0).all():
+            raise ValueError("scale must be positive")
+        if not ((self.alpha > 0).all() and (self.beta > 0).all()):
+            raise ValueError("beta shape parameters must be positive")
+        if not ((self.weight > 0.0) & (self.weight <= 1.0)).all():
+            raise ValueError("component weight must lie in (0, 1]")
+        if abs(float(self.weight.sum()) - 1.0) > 1e-12:
             raise ValueError("component weights must sum to 1 within 1e-12")
 
     @property
     def support_lo(self) -> float:
-        return min(c.shift for c in self.components)
+        return float(self.shift.min())
 
     @property
     def support_hi(self) -> float:
-        return max(c.support[1] for c in self.components)
+        return float((self.shift + 1.0 / self.scale).max())
 
 
 @dataclass(frozen=True)
-class GammaComponent:
-    """Population-parameter reference for one cluster: Gamma(shape, 1) shifted by ``shift``."""
+class GammaReference:
+    """Population-parameter references, one per cluster: Gamma(shape, 1)
+    shifted by ``shift[g]``, a read-only (G,) float array."""
 
-    shift: float
+    shift: np.ndarray
     shape: float
 
     def __post_init__(self):
+        _read_only_components(self, ("shift",))
         if not self.shape > 0:
             raise ValueError("gamma shape must be positive")
 
 
-def _beta_shift(weight: float, logdet: float, p: int) -> float:
-    return float(-np.log(weight) + 0.5 * p * LOG_2PI + 0.5 * logdet)
+def _cluster_shifts(weights, covariances, p: int) -> np.ndarray:
+    """c_g = -log(pi_g) + (p/2) log(2 pi) + (1/2) log det(S_g) for every cluster."""
+    _, logdets, _ = _factor_covariances(covariances)
+    return -np.log(weights) + 0.5 * p * LOG_2PI + 0.5 * logdets
 
 
 def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
@@ -223,85 +235,56 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
     parameter is positive.
     """
     p = stats.dim
-    for g in range(stats.n_clusters):
-        n_g = int(stats.counts[g])
-        if n_g <= p + 1:
-            raise InsufficientPointsError(
-                f"cluster {g} has {n_g} points; the beta reference needs more than {p + 1}",
-                cluster=g,
-            )
-    _, logdets, _ = _factor_covariances(stats.covariances)
-    comps = []
-    for g in range(stats.n_clusters):
-        n_g = int(stats.counts[g])
-        comps.append(
-            BetaComponent(
-                shift=_beta_shift(float(stats.weights[g]), float(logdets[g]), p),
-                scale=2.0 * n_g / (n_g - 1) ** 2,
-                alpha=0.5 * p,
-                beta=0.5 * (n_g - p - 1),
-                weight=float(stats.weights[g]),
-            )
+    small = stats.counts <= p + 1
+    if small.any():
+        g = int(np.argmax(small))
+        raise InsufficientPointsError(
+            f"cluster {g} has {stats.counts[g]} points; the beta reference needs more than {p + 1}",
+            cluster=g,
         )
-    return ReferenceMixture(components=tuple(comps))
-
-
-def gamma_reference(model: MixtureModel) -> tuple:
-    """Per-cluster population-parameter references: Gamma(p/2, 1) shifted by c_g."""
-    p = model.dim
-    _, logdets, _ = _factor_covariances(model.covariances)
-    return tuple(
-        GammaComponent(
-            shift=_beta_shift(float(model.weights[g]), float(logdets[g]), p),
-            shape=0.5 * p,
-        )
-        for g in range(model.n_components)
+    n_g = stats.counts.astype(float)
+    return ReferenceMixture(
+        shift=_cluster_shifts(stats.weights, stats.covariances, p),
+        scale=2.0 * n_g / (n_g - 1.0) ** 2,
+        alpha=np.full(n_g.shape, 0.5 * p),
+        beta=0.5 * (n_g - p - 1.0),
+        weight=stats.weights,
     )
 
 
-def _log_beta_norm(alpha: float, beta: float) -> float:
-    return float(gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
+def gamma_reference(model: MixtureModel) -> GammaReference:
+    """Per-cluster population-parameter references: Gamma(p/2, 1) shifted by c_g."""
+    return GammaReference(shift=_cluster_shifts(model.weights, model.covariances, model.dim),
+                          shape=0.5 * model.dim)
 
 
-def beta_component_density(y, comp: BetaComponent) -> np.ndarray | float:
-    """Density of one shifted, scaled beta component (vectorized over y)."""
+def _by_component(y, ref: ReferenceMixture):
+    """y as floats, then the reference's fields shaped to broadcast against
+    it with the component axis first: (G, 1, ..., 1)."""
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    u = np.atleast_1d(comp.scale * (y_arr - comp.shift))
-    out = np.zeros_like(u)
+    col = (-1,) + (1,) * y_arr.ndim
+    return (y_arr, ref.shift.reshape(col), ref.scale.reshape(col), ref.alpha.reshape(col),
+            ref.beta.reshape(col), ref.weight.reshape(col))
+
+
+def reference_mixture_density(y, ref: ReferenceMixture):
+    """Density of the reference mixture at y: an array shaped like y, a float for scalar y."""
+    y, shift, scale, alpha, beta, weight = _by_component(y, ref)
+    u = scale * (y - shift)
     inside = (u > 0.0) & (u < 1.0)
-    if inside.any():
-        u_in = u[inside]
-        log_pdf = (
-            (comp.alpha - 1.0) * np.log(u_in)
-            + (comp.beta - 1.0) * np.log1p(-u_in)
-            - _log_beta_norm(comp.alpha, comp.beta)
-        )
-        out[inside] = comp.scale * np.exp(log_pdf)
-    return float(out[0]) if scalar else out
+    u = np.where(inside, u, 0.5)
+    log_pdf = (alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - betaln(alpha, beta)
+    return np.where(inside, weight * (scale * np.exp(log_pdf)), 0.0).cumsum(axis=0)[-1]
 
 
-def reference_mixture_density(y, ref: ReferenceMixture) -> np.ndarray | float:
-    """Density of the reference mixture at y (vectorized)."""
-    y_arr = np.asarray(y, dtype=float)
-    total = np.zeros_like(y_arr, dtype=float)
-    for comp in ref.components:
-        total = total + comp.weight * beta_component_density(y_arr, comp)
-    if y_arr.ndim == 0:
-        return float(total)
-    return total
-
-
-def reference_mixture_cdf(y, ref: ReferenceMixture) -> np.ndarray | float:
-    """Distribution function of the reference mixture at y (vectorized)."""
-    y_arr = np.asarray(y, dtype=float)
-    total = np.zeros_like(y_arr, dtype=float)
-    for comp in ref.components:
-        u = np.clip(comp.scale * (y_arr - comp.shift), 0.0, 1.0)
-        total = total + comp.weight * betainc(comp.alpha, comp.beta, u)
-    if y_arr.ndim == 0:
-        return float(total)
-    return total
+def reference_mixture_cdf(y, ref: ReferenceMixture):
+    """Distribution function of the reference mixture at y: an array shaped like y,
+    a float for scalar y."""
+    y, shift, scale, alpha, beta, weight = _by_component(y, ref)
+    u = np.clip(scale * (y - shift), 0.0, 1.0)
+    # cumsum adds the components in order at every shape of y; sum(axis=0)
+    # adds 8 or more of them pairwise when y is 0-d or has one element
+    return (weight * betainc(alpha, beta, u)).cumsum(axis=0)[-1]
 
 
 def reference_mixture_ppf(q, ref: ReferenceMixture):
@@ -339,29 +322,19 @@ def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator)
     The Beta(a, b) quantile at level u is the inverse regularized incomplete
     beta function, ``betaincinv(a, b, u)``.
     """
-    weights = np.array([c.weight for c in ref.components])
-    picks = rng.choice(len(ref.components), size=size, p=weights / weights.sum())
-    uniforms = rng.random(size)
-    out = np.empty(size)
-    for idx, comp in enumerate(ref.components):
-        mask = picks == idx
-        if mask.any():
-            u = betaincinv(comp.alpha, comp.beta, uniforms[mask])
-            out[mask] = comp.shift + u / comp.scale
-    return out
+    picks = rng.choice(ref.weight.size, size=size, p=ref.weight / ref.weight.sum())
+    u = betaincinv(ref.alpha[picks], ref.beta[picks], rng.random(size))
+    return ref.shift[picks] + u / ref.scale[picks]
 
 
-def gamma_reference_density(y, comp: GammaComponent) -> np.ndarray | float:
-    """Density of a shifted Gamma(shape, 1) reference (vectorized over y)."""
+def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
+    """Density of every cluster's shifted Gamma(shape, 1) reference at y,
+    component axis first: shape (G,) + the shape of y."""
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    u = np.atleast_1d(y_arr - comp.shift)
-    out = np.zeros_like(u)
+    u = y_arr - ref.shift.reshape((-1,) + (1,) * y_arr.ndim)
     positive = u > 0.0
-    if positive.any():
-        u_in = u[positive]
-        out[positive] = np.exp((comp.shape - 1.0) * np.log(u_in) - u_in - gammaln(comp.shape))
-    return float(out[0]) if scalar else out
+    u = np.where(positive, u, 1.0)
+    return np.where(positive, np.exp((ref.shape - 1.0) * np.log(u) - u - gammaln(ref.shape)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,8 @@ def test_criterion_03_beta_law():
         labels = np.zeros(n, dtype=int)
         stats = cluster_stats(data, labels, 1)
         values = frozen_subset_deltas(data, labels, stats)
-        comp = beta_mixture_reference(stats).components[0]
-        scaled = comp.scale * (values - comp.shift)
+        ref = beta_mixture_reference(stats)
+        scaled = ref.scale[0] * (values - ref.shift[0])
         if kstest(scaled, "beta", args=(p / 2.0, (n - p - 1) / 2.0)).pvalue > 0.01:
             passes += 1
         pooled.append(scaled)
@@ -188,13 +188,13 @@ def test_criterion_04_gamma_law():
     mean = rng.standard_normal(p)
     model = MixtureModel(weights=[1.0], means=[mean], covariances=[cov])
     data = rng.multivariate_normal(mean, cov, size=n)
-    comp = gamma_reference(model)[0]
+    ref = gamma_reference(model)
     deltas = np.array([delta_formula(x, mean, cov, 1.0) for x in data])
-    centered = deltas - comp.shift
+    centered = deltas - ref.shift[0]
     # Gamma(p/2, 1): mean p/2, variance p/2
     se = np.sqrt(p / 2.0) / np.sqrt(n)
     dev = abs(centered.mean() - p / 2.0)
-    ok = dev <= 3.0 * se and comp.shape == pytest.approx(p / 2.0)
+    ok = dev <= 3.0 * se and ref.shape == pytest.approx(p / 2.0)
     _report(
         4,
         ok,

@@ -181,6 +181,41 @@ def test_score_names_file_line_after_blank_lines(dataset_csv, tmp_path, capsys):
     assert "line 4 must be 'row,label'" in err
 
 
+@pytest.mark.parametrize("lines, message", [
+    # row 1 flagged correctly, but the lines are out of order
+    (["1,outlier", "0,1"], "line 2 is for row '1'; rows must read 0, 1, 2, ... in order, so expected 0"),
+    (["0,1", "0,outlier"], "line 3 is for row '0'; rows must read 0, 1, 2, ... in order, so expected 1"),
+    (["0,1", "1,outlir"], "line 3 has label 'outlir'; expected a positive cluster number or 'outlier'"),
+    (["0,0"], "line 2 has label '0'; expected a positive cluster number or 'outlier'"),
+    (["0,-2"], "line 2 has label '-2'; expected a positive cluster number or 'outlier'"),
+    (["0,"], "line 2 has label ''; expected a positive cluster number or 'outlier'"),
+])
+def test_score_rejects_misordered_rows_and_unknown_labels(tmp_path, capsys, lines, message):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("x1,is_outlier\n0.5,0\n2.5,1\n")
+    pred = tmp_path / "labels.csv"
+    pred.write_text("row,label\n" + "\n".join(lines) + "\n")
+    code, out, err = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 2 and out == ""
+    assert f"{pred}: {message}" in err
+    pred.write_text("row,label\n0,2\n1,outlier\n")
+    code, out, _ = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 0 and json.loads(out)["misclassification_rate"] == 0.0
+
+
+def test_separation_study_rejects_dimension_below_two(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code, _, err = run_cli(
+        ["separation-study", "--dims", "2,1", "--grid", "0.0", "--replicates", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "error: dims '2,1': benchmark clusters need dimension >= 2" in err
+    assert "warning" not in err
+    assert not out.exists()
+
+
 def test_separation_study_small_grid(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(

@@ -46,8 +46,11 @@ def test_equal_probability_bins_have_uniform_reference_mass(reference):
 def test_bins_reject_bad_requests(reference):
     with pytest.raises(BinningError):
         build_bins(reference, 1)
-    with pytest.raises(BinningError):
+    with pytest.raises(BinningError, match=r"^bin edges must be strictly increasing; with B = 2 "
+                                           r"bins, edge 1 is 1\.0 and edge 2 is 1\.0$"):
         BinningScheme(edges=np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(BinningError, match=r"with B = 3 bins, edge 0 is 0\.5 and edge 1 is 0\.25$"):
+        BinningScheme(edges=np.array([0.5, 0.25, 1.0, 2.0]))
 
 
 def test_kl_of_reference_samples_is_small(reference):

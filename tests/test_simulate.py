@@ -7,6 +7,7 @@ from oclust import (
     GenerationStallError,
     SimModelSpec,
     gen_dataset,
+    separation_experiment,
     separation_index_pairwise,
     separation_index_univariate,
 )
@@ -24,8 +25,14 @@ def test_cluster_means_layout():
     assert means5.shape == (3, 5)
     assert np.array_equal(means5[:, :2], means)
     assert np.all(means5[:, 2:] == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^benchmark clusters need dimension >= 2$"):
         cluster_means(1)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_separation_experiment_rejects_dimension_below_two(p):
+    with pytest.raises(ValueError, match=r"^benchmark clusters need dimension >= 2$"):
+        separation_experiment(p, 0.0, 1, 0)
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_SHAPES))

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import betainc, logsumexp
 from scipy.stats import beta as beta_dist
 from scipy.stats import multivariate_normal
 
 from oclust import (
-    BetaComponent,
     DegenerateFitError,
     ReferenceMixture,
     SimModelSpec,
     DeltaMode,
     DowndateVariant,
     FitConfig,
-    beta_component_density,
+    GammaReference,
     InsufficientPointsError,
     MixtureModel,
     approx_log_likelihood,
@@ -455,28 +454,73 @@ def reference_stats(n_per=(120, 80), seed=9):
 def test_beta_reference_component_parameters():
     data, labels, stats = reference_stats()
     ref = beta_mixture_reference(stats)
-    assert len(ref.components) == 2
-    for g, comp in enumerate(ref.components):
+    for field in (ref.shift, ref.scale, ref.alpha, ref.beta, ref.weight):
+        assert field.shape == (2,) and not field.flags.writeable
+    for g in range(2):
         n_g = stats.counts[g]
         p = data.shape[1]
         sign, logdet = np.linalg.slogdet(stats.covariances[g])
         assert sign > 0
-        assert comp.alpha == pytest.approx(p / 2.0)
-        assert comp.beta == pytest.approx((n_g - p - 1) / 2.0)
-        assert comp.scale == pytest.approx(2.0 * n_g / (n_g - 1.0) ** 2)
-        assert comp.shift == pytest.approx(
+        assert ref.alpha[g] == pytest.approx(p / 2.0)
+        assert ref.beta[g] == pytest.approx((n_g - p - 1) / 2.0)
+        assert ref.scale[g] == pytest.approx(2.0 * n_g / (n_g - 1.0) ** 2)
+        assert ref.shift[g] == pytest.approx(
             -np.log(stats.weights[g]) + (p / 2.0) * np.log(2 * np.pi) + 0.5 * logdet
         )
-        assert comp.weight == pytest.approx(stats.weights[g])
+        assert ref.weight[g] == pytest.approx(stats.weights[g])
 
 
 def test_beta_reference_needs_enough_points_per_cluster():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((7, 4))
     labels = np.array([0, 0, 0, 0, 0, 1, 1])
-    with pytest.raises(InsufficientPointsError):
-        # cluster 1 has n_g = 2 <= p + 1 = 5
+    with pytest.raises(InsufficientPointsError,
+                       match=r"^cluster 0 has 5 points; the beta reference needs more than 5$"):
+        # both clusters have n_g <= p + 1 = 5; the first one is named
         beta_mixture_reference(cluster_stats(data, labels, 2))
+
+
+VALID_FIELDS = dict(shift=[0.5, 2.0], scale=[0.1, 1.0], alpha=[1.0, 1.5],
+                    beta=[30.0, 2.0], weight=[0.4, 0.6])
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"shift": [0.5, 2.0, 3.0]}, r"^reference fields must be 1-d and of one length, got shapes "
+                                 r"shift \(3,\), scale \(2,\), alpha \(2,\), beta \(2,\), "
+                                 r"weight \(2,\)$"),
+    ({"alpha": [[1.0, 1.5]]}, r"^reference fields must be 1-d and of one length, .*alpha \(1, 2\)"),
+    ({name: 1.0 for name in ("shift", "scale", "alpha", "beta", "weight")},
+     r"^reference fields must be 1-d and of one length"),
+    ({name: [] for name in ("shift", "scale", "alpha", "beta", "weight")},
+     r"^reference mixture needs at least one component$"),
+    ({"shift": [0.5, np.nan]}, r"^shift of component 1 is not finite \(nan\)$"),
+    ({"shift": [-np.inf, 2.0]}, r"^shift of component 0 is not finite \(-inf\)$"),
+    ({"scale": [np.inf, 1.0]}, r"^scale of component 0 is not finite \(inf\)$"),
+    ({"beta": [30.0, np.nan]}, r"^beta of component 1 is not finite \(nan\)$"),
+    ({"weight": [np.nan, 0.6]}, r"^weight of component 0 is not finite \(nan\)$"),
+    ({"scale": [0.1, 0.0]}, r"^scale must be positive$"),
+    ({"alpha": [-1.0, 1.5]}, r"^beta shape parameters must be positive$"),
+    ({"beta": [30.0, 0.0]}, r"^beta shape parameters must be positive$"),
+    ({"weight": [0.0, 1.0]}, r"^component weight must lie in \(0, 1\]$"),
+    ({"weight": [1.5, -0.5]}, r"^component weight must lie in \(0, 1\]$"),
+    ({"weight": [0.4, 0.5]}, r"^component weights must sum to 1 within 1e-12$"),
+])
+def test_reference_mixture_rejects_bad_fields(changes, message):
+    with pytest.raises(ValueError, match=message):
+        ReferenceMixture(**{**VALID_FIELDS, **changes})
+
+
+def test_reference_fields_are_read_only_copies():
+    fields = {name: np.array(values) for name, values in VALID_FIELDS.items()}
+    ref = ReferenceMixture(**fields)
+    fields["shift"][0] = np.nan
+    assert ref.shift[0] == 0.5 and ref.support_lo == 0.5
+    with pytest.raises(ValueError):
+        ref.shift[0] = 7.0
+    with pytest.raises(ValueError, match=r"^shift of component 0 is not finite \(nan\)$"):
+        GammaReference(shift=[np.nan], shape=1.0)
+    with pytest.raises(ValueError, match=r"^gamma shape must be positive$"):
+        GammaReference(shift=[0.0], shape=0.0)
 
 
 def test_reference_density_integrates_to_one():
@@ -499,6 +543,68 @@ def test_reference_cdf_ppf_roundtrip():
         assert reference_mixture_cdf(y, ref) == pytest.approx(q, abs=1e-9)
     assert reference_mixture_cdf(ref.support_lo - 1.0, ref) == 0.0
     assert reference_mixture_cdf(ref.support_hi + 1.0, ref) == 1.0
+
+
+def random_reference(rng, weights, p):
+    """A reference with the given weights and random shifts, scales and second shapes,
+    drawn component by component."""
+    shift, scale, beta = [], [], []
+    for _ in weights:
+        shift.append(float(rng.uniform(-5.0, 5.0)))
+        scale.append(float(rng.uniform(0.01, 2.0)))
+        beta.append(0.5 * int(rng.integers(2, 400)))
+    return ReferenceMixture(shift=shift, scale=scale, alpha=np.full(len(weights), 0.5 * p),
+                            beta=beta, weight=weights)
+
+
+def sequential_cdf(y, ref):
+    """The reference CDF as a running total over components, one at a time."""
+    y = np.asarray(y, dtype=float)
+    total = np.zeros_like(y)
+    for g in range(ref.weight.size):
+        u = np.clip(ref.scale[g] * (y - ref.shift[g]), 0.0, 1.0)
+        total = total + ref.weight[g] * betainc(ref.alpha[g], ref.beta[g], u)
+    return total
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_comp=st.integers(1, 5),
+    p=st.integers(1, 6),
+    n_levels=st.integers(1, 40),
+)
+def test_cdf_equals_sequential_component_loop(seed, n_comp, p, n_levels):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_comp))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    ref = random_reference(rng, weights, p)
+    # levels inside the support, on either side of it and on its ends
+    width = ref.support_hi - ref.support_lo
+    y = np.concatenate([
+        rng.uniform(ref.support_lo - 0.2 * width, ref.support_hi + 0.2 * width, n_levels),
+        [ref.support_lo, ref.support_hi],
+    ])
+    assert np.array_equal(reference_mixture_cdf(y, ref), sequential_cdf(y, ref))
+    assert np.array_equal(reference_mixture_cdf(y.reshape(-1, 1), ref),
+                          sequential_cdf(y, ref).reshape(-1, 1))
+    for level in y[:3]:
+        one = reference_mixture_cdf(float(level), ref)
+        assert isinstance(one, float) and one == sequential_cdf(level, ref)
+        assert np.array_equal(reference_mixture_cdf([level], ref), [one])
+
+
+def test_cdf_adds_many_components_in_order():
+    # at 8 or more components a pairwise sum would reorder the additions
+    rng = np.random.default_rng(5)
+    for n_comp in (8, 9, 12):
+        weights = rng.dirichlet(np.ones(n_comp))
+        weights[-1] = 1.0 - weights[:-1].sum()
+        ref = random_reference(rng, weights, 2)
+        y = rng.uniform(ref.support_lo, ref.support_hi, 200)
+        assert np.array_equal(reference_mixture_cdf(y, ref), sequential_cdf(y, ref))
+        for level in y:
+            assert reference_mixture_cdf(float(level), ref) == sequential_cdf(level, ref)
+            assert reference_mixture_cdf([level], ref)[0] == sequential_cdf(level, ref)
 
 
 def scalar_bisection_ppf(q, ref):
@@ -529,16 +635,7 @@ def test_array_ppf_equals_scalar_bisection(seed, n_comp, p, num_bins):
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_comp))
     weights[-1] = 1.0 - weights[:-1].sum()
-    ref = ReferenceMixture(components=tuple(
-        BetaComponent(
-            shift=float(rng.uniform(-5.0, 5.0)),
-            scale=float(rng.uniform(0.01, 2.0)),
-            alpha=0.5 * p,
-            beta=0.5 * int(rng.integers(2, 400)),
-            weight=float(w),
-        )
-        for w in weights
-    ))
+    ref = random_reference(rng, weights, p)
     levels = np.concatenate([[0.0], np.arange(1, num_bins) / num_bins, [1.0]])
     expected = np.array([scalar_bisection_ppf(q, ref) for q in levels])
     assert np.array_equal(reference_mixture_ppf(levels, ref), expected)
@@ -560,28 +657,22 @@ def test_reference_samples_stay_in_support():
 def test_sample_reference_matches_scipy_stats_beta_ppf():
     # oracle: the same component picks and uniforms through scipy.stats.beta.ppf
     def stats_path(ref, size, rng):
-        weights = np.array([c.weight for c in ref.components])
-        picks = rng.choice(len(ref.components), size=size, p=weights / weights.sum())
+        picks = rng.choice(ref.weight.size, size=size, p=ref.weight / ref.weight.sum())
         uniforms = rng.random(size)
         out = np.empty(size)
-        for idx, comp in enumerate(ref.components):
+        for idx in range(ref.weight.size):
             mask = picks == idx
             if mask.any():
-                u = beta_dist.ppf(uniforms[mask], comp.alpha, comp.beta)
-                out[mask] = comp.shift + u / comp.scale
+                u = beta_dist.ppf(uniforms[mask], ref.alpha[idx], ref.beta[idx])
+                out[mask] = ref.shift[idx] + u / ref.scale[idx]
         return out
 
     _, _, stats = reference_stats()
     refs = [
         beta_mixture_reference(stats),
-        ReferenceMixture((
-            BetaComponent(shift=-1.0, scale=0.01, alpha=1.0, beta=200.0, weight=1.0),
-        )),
-        ReferenceMixture((
-            BetaComponent(shift=0.5, scale=0.004, alpha=1.5, beta=450.0, weight=0.3),
-            BetaComponent(shift=2.0, scale=0.1, alpha=0.5, beta=30.0, weight=0.5),
-            BetaComponent(shift=3.0, scale=1.0, alpha=1.0, beta=1.0, weight=0.2),
-        )),
+        ReferenceMixture(shift=[-1.0], scale=[0.01], alpha=[1.0], beta=[200.0], weight=[1.0]),
+        ReferenceMixture(shift=[0.5, 2.0, 3.0], scale=[0.004, 0.1, 1.0], alpha=[1.5, 0.5, 1.0],
+                         beta=[450.0, 30.0, 1.0], weight=[0.3, 0.5, 0.2]),
     ]
     for ref in refs:
         for seed in range(5):
@@ -606,23 +697,39 @@ def test_scaled_deltas_have_exact_per_cluster_mean():
     values = frozen_subset_deltas(data, labels, stats)
     ref = beta_mixture_reference(stats)
     p = data.shape[1]
-    for g, comp in enumerate(ref.components):
-        scaled = comp.scale * (values[labels == g] - comp.shift)
+    for g in range(2):
+        scaled = ref.scale[g] * (values[labels == g] - ref.shift[g])
         assert scaled.mean() == pytest.approx(p / (stats.counts[g] - 1.0), rel=1e-12)
 
 
-def test_beta_component_density_scalar_and_vector():
-    comp = BetaComponent(shift=1.0, scale=0.5, alpha=1.0, beta=3.0, weight=1.0)
-    assert comp.support == (1.0, 3.0)
-    scalar = beta_component_density(2.0, comp)
-    assert np.ndim(scalar) == 0
-    vec = beta_component_density(np.array([0.0, 2.0, 4.0]), comp)
-    assert vec.shape == (3,)
-    assert vec[0] == 0.0 and vec[2] == 0.0
+def test_reference_density_matches_scipy_stats_beta_pdf():
+    _, _, stats = reference_stats()
+    refs = [
+        beta_mixture_reference(stats),
+        ReferenceMixture(shift=[1.0], scale=[0.5], alpha=[1.0], beta=[3.0], weight=[1.0]),
+        ReferenceMixture(shift=[0.5, 2.0, 3.0], scale=[0.004, 0.1, 1.0], alpha=[1.5, 0.5, 1.0],
+                         beta=[45.0, 30.0, 1.0], weight=[0.3, 0.5, 0.2]),
+    ]
+    for ref in refs:
+        y = np.linspace(ref.support_lo - 1.0, ref.support_hi + 1.0, 301)
+        expected = 0.0
+        for g in range(ref.weight.size):
+            u = ref.scale[g] * (y - ref.shift[g])
+            # each component's support is the open interval 0 < u < 1
+            pdf = np.where((u > 0.0) & (u < 1.0), beta_dist.pdf(u, ref.alpha[g], ref.beta[g]), 0.0)
+            expected = expected + ref.weight[g] * ref.scale[g] * pdf
+        density = reference_mixture_density(y, ref)
+        assert density.shape == y.shape
+        assert np.allclose(density, expected, rtol=1e-12, atol=0.0)
+        assert density[0] == 0.0 and density[-1] == 0.0
+        for level in y[::30]:
+            one = reference_mixture_density(float(level), ref)
+            assert isinstance(one, float)
+            assert one == pytest.approx(expected[y == level][0], rel=1e-12, abs=0.0)
     # Beta(1, 3) density at u = scale * (y - shift) = 0.5 is 3 (1 - u)^2 = 0.75;
     # the change of variables multiplies by scale, giving 0.375
-    assert vec[1] == pytest.approx(0.375, abs=1e-12)
-    assert scalar == pytest.approx(0.375, abs=1e-12)
+    assert reference_mixture_density(2.0, refs[1]) == pytest.approx(0.375, abs=1e-12)
+    assert (refs[1].support_lo, refs[1].support_hi) == (1.0, 3.0)
 
 
 def test_gamma_reference_matches_population_parameters():
@@ -631,14 +738,19 @@ def test_gamma_reference_matches_population_parameters():
         means=[[0.0, 0.0], [5.0, 5.0]],
         covariances=[np.eye(2), 2.0 * np.eye(2)],
     )
-    comps = gamma_reference(model)
-    assert len(comps) == 2
-    for g, comp in enumerate(comps):
+    ref = gamma_reference(model)
+    assert ref.shift.shape == (2,) and not ref.shift.flags.writeable
+    assert ref.shape == pytest.approx(1.0)  # p / 2 with p = 2
+    for g in range(2):
         sign, logdet = np.linalg.slogdet(model.covariances[g])
         expected_shift = (
             -np.log(model.weights[g]) + np.log(2 * np.pi) + 0.5 * logdet
         )
-        assert comp.shift == pytest.approx(expected_shift, abs=1e-12)
-        assert comp.shape == pytest.approx(1.0)  # p / 2 with p = 2
-        total, _ = quad(lambda y: gamma_reference_density(y, comp), comp.shift, np.inf)
+        assert ref.shift[g] == pytest.approx(expected_shift, abs=1e-12)
+        total, _ = quad(lambda y: gamma_reference_density(y, ref)[g], ref.shift[g], np.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
+    y = np.array([[0.0, 4.0], [9.0, 30.0]])
+    density = gamma_reference_density(y, ref)
+    assert density.shape == (2, 2, 2)
+    assert np.allclose(density[1], np.where(y > ref.shift[1], np.exp(-(y - ref.shift[1])), 0.0),
+                       rtol=1e-12)
