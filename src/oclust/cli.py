@@ -306,9 +306,13 @@ def _cmd_separation_study(args) -> int:
         dims = [int(d) for d in args.dims.split(",") if d.strip()]
     except ValueError as exc:
         raise InputFormatError(f"dims {args.dims!r} must be a comma list of integers") from exc
+    if not dims:
+        raise InputFormatError(f"dims {args.dims!r} is an empty list")
     if any(p_dim < 2 for p_dim in dims):
         raise InputFormatError(f"dims {args.dims!r}: benchmark clusters need dimension >= 2")
     grid = _parse_grid(args.grid)
+    if not grid:
+        raise InputFormatError(f"grid {args.grid!r} holds no values")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     warnings = 0

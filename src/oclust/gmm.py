@@ -18,23 +18,30 @@ statistics.  Every row x gets, per component g, the features
 F_g(x) = [1, y, upper(y y')] with y = x - c_g, where the centre c_g is a fixed
 mean (the starting mean of a fit); centring per component keeps the second
 moments well conditioned even for data far from the origin.  The features are
-built once per call.  An E-step folds log w_g, the log-determinant and the
-quadratic form into one coefficient vector a_g, so that
-log w_g + log N(x; mu_g, Sigma_g) = a_g . F_g(x) and the log-densities of a
-problem come from one matrix product; an M-step turns the moments
-resp @ F_g into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
-Arrays carry a leading problem axis m (m = 1 for a single fit).  One helper,
-``_factor_covariances``, turns every covariance stack into Cholesky factors
-and log-determinants, and one, ``_evaluate``, puts a model on the data (its
-features, its log-densities and its covariances as factored) for the start of
-EM, the mixture and hard-assignment log-likelihoods and the hard labels; the
-frozen subset deltas take each row's own component only
-(``_own_log_densities``).  One EM loop, ``_em_sweeps``, runs the single fit (one
+built once per call, feature-major: a C-contiguous (G, d, n) array, so that
+each feature of a component is one contiguous row over the data.  An E-step
+folds log w_g, the log-determinant and the quadratic form into one
+coefficient vector a_g, so that log w_g + log N(x; mu_g, Sigma_g) =
+a_g . F_g(x), and each problem and component gets its log-densities from one
+(1, d) x (d, n) product (a gemv over those rows).  The posterior takes one
+exp per entry: e = exp(logp - top) with top the row maximum, then
+row log-likelihood top + log sum_g e and responsibilities e / sum_g e.  An
+M-step turns the moments F_g @ resp (again one gemv per problem and
+component) into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
+No product spans several problems, so a problem's values never depend on the
+batch it runs in.  Arrays carry a leading problem axis m (m = 1 for a single
+fit).  One helper, ``_factor_covariances``, turns every covariance stack into
+Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
+on the data (its features, its log-densities and its covariances as
+factored) for the start of EM, the mixture and hard-assignment
+log-likelihoods and the hard labels; the frozen subset deltas take each
+row's own component only (``_own_log_densities``).  One EM loop, ``_em_sweeps``, runs the single fit (one
 problem) and the leave-one-out refits (one problem per left-out row) under
 one convergence rule and one set of failures, returned per problem while the
 others run on; the caller decides what a failure means.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
-returned parameters, so ``em_fit`` takes no extra pass over the data for them.
+returned parameters, so ``em_fit`` takes no extra pass over the data for them;
+it numbers the winning fit's components by the first row each one owns.
 Its E-steps write into a workspace (``_em_workspace``) that a caller can
 reuse across batches, on the leading rows for the problems still active, so
 a sweep allocates nothing of size n; the values are the same bits as without.
@@ -267,15 +274,17 @@ def _upper_scale(p: int) -> np.ndarray:
     return scale
 
 
-def _features(y: np.ndarray) -> np.ndarray:
-    """Sufficient-statistic features [1, y, upper(y y')] of deviations y (..., p).
+def _features(y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sufficient-statistic features [1, y, upper(y y')] of deviations y, whose
+    p coordinates lie along ``axis``.
 
-    Returns shape (..., d) with d = 1 + p + p(p+1)/2; F_g(x) is the value at
-    y = x - c_g.
+    Returns y's shape with p replaced by d = 1 + p + p(p+1)/2 along ``axis``;
+    F_g(x) is the value at y = x - c_g.
     """
-    iu = _upper(y.shape[-1])
-    ones = np.ones(y.shape[:-1] + (1,))
-    return np.concatenate([ones, y, y[..., iu[0]] * y[..., iu[1]]], axis=-1)
+    iu = _upper(y.shape[axis])
+    ones = np.ones_like(np.take(y, [0], axis=axis))
+    upper = np.take(y, iu[0], axis=axis) * np.take(y, iu[1], axis=axis)
+    return np.concatenate([ones, y, upper], axis=axis)
 
 
 def _log_density_coefs(weights, shifts, covs, reg_eps):
@@ -298,15 +307,17 @@ def _log_density_coefs(weights, shifts, covs, reg_eps):
 
 
 def _log_densities(feats, coefs, out=None):
-    """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients, shape (m, G, n).
+    """Weighted log-densities a_g . F_g(x) for (m, G, d) coefficients and
+    (G, d, n) features, shape (m, G, n).
 
-    Each problem and component gets its own (1, d) x (d, n) product, so a
-    value never depends on which other problems share the batch.  Given
-    ``out`` (m, G, n), the values are written there.
+    Each problem and component gets its own (1, d) x (d, n) product, a gemv
+    over the contiguous feature rows, so a value never depends on which other
+    problems share the batch.  Given ``out`` (m, G, n), the values are
+    written there.
     """
     if out is None:
-        out = np.empty(coefs.shape[:2] + feats.shape[1:2])
-    np.matmul(coefs[:, :, None, :], feats.transpose(0, 2, 1), out=out[:, :, None, :])
+        out = np.empty(coefs.shape[:2] + feats.shape[2:])
+    np.matmul(coefs[:, :, None, :], feats, out=out[:, :, None, :])
     return out
 
 
@@ -314,23 +325,25 @@ def _posterior(logp, resp=None, top=None, row_ll=None):
     """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities.
 
     ``resp`` (m, G, n), ``top`` and ``row_ll`` (m, n) are optional buffers;
-    ``logp`` is left as it is.  The steps, in order, are those of
-    top + log(sum exp(logp - top)) and exp(logp - row_ll), buffers or not.
+    ``logp`` is left as it is.  One exp per entry: with e = exp(logp - top)
+    and s = sum_g e, the responsibilities are e / s and the row
+    log-likelihood is top + log s; the steps are the same, buffers or not.
     """
     top = np.max(logp, axis=1, out=top)
     resp = np.subtract(logp, top[:, None, :], out=resp)
     np.exp(resp, out=resp)
     row_ll = np.sum(resp, axis=1, out=row_ll)
+    resp /= row_ll[:, None, :]
     np.log(row_ll, out=row_ll)
     row_ll += top
-    np.subtract(logp, row_ll[:, None, :], out=resp)
-    np.exp(resp, out=resp)
     return row_ll, resp
 
 
 def _moments(feats, resp):
-    """Responsibility-weighted feature sums resp @ F_g, shape (m, G, d)."""
-    return (resp[:, :, None, :] @ feats)[:, :, 0, :]
+    """Responsibility-weighted feature sums F_g @ resp for (G, d, n) features
+    and (m, G, n) responsibilities, shape (m, G, d): one gemv over the
+    contiguous feature rows per problem and component."""
+    return (feats @ resp[..., None])[..., 0]
 
 
 def _params_from_moments(moments, p):
@@ -356,15 +369,15 @@ def _model_coefs(model: MixtureModel, reg_eps: float = 0.0):
 
 
 def _evaluate(data: np.ndarray, model: MixtureModel, reg_eps: float = 0.0):
-    """A model on every row: its features centred on its means (G, n, d), its
-    log-densities log w_g + log N(x; mu_g, Sigma_g) as (1, G, n) and its
-    covariances as factored (G, p, p)."""
+    """A model on every row: its features centred on its means, feature-major
+    (G, d, n) and C-contiguous, its log-densities log w_g + log N(x; mu_g,
+    Sigma_g) as (1, G, n) and its covariances as factored (G, p, p)."""
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
     coefs, covs = _model_coefs(model, reg_eps)
-    feats = _features(data[None] - model.means[:, None])
+    feats = _features(data.T[None] - model.means[:, :, None], axis=1)
     return feats, _log_densities(feats, coefs), covs[0]
 
 
@@ -454,7 +467,7 @@ class _EmStart:
 
     model: MixtureModel
     covs: np.ndarray  # (G, p, p), as factored
-    feats: np.ndarray  # (G, n, d)
+    feats: np.ndarray  # (G, d, n): feature-major, C-contiguous
     row_ll: np.ndarray  # (n,)
     resp: np.ndarray  # (G, n)
     moments: np.ndarray  # (G, d)
@@ -500,11 +513,11 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         moments = start.moments[None]
     else:
         loglik = start.row_ll.sum() - start.row_ll[rows]
-        removed = start.resp[:, rows].T[..., None] * feats[:, rows].transpose(1, 0, 2)
+        removed = start.resp[:, rows].T[..., None] * feats[:, :, rows].transpose(2, 0, 1)
         moments = start.moments - removed
     m = loglik.shape[0]
     if work is None:
-        work = _em_workspace(m, start.model.n_components, feats.shape[1])
+        work = _em_workspace(m, start.model.n_components, feats.shape[2])
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.covs[None], m, axis=0)
@@ -653,9 +666,12 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
 
     Returns ``(model, labels, loglik)`` for the restart with the highest
     log-likelihood (ties keep the lowest restart index).  Labels are hard
-    maximum-posterior assignments with ties to the lower component.  A restart
-    whose solution leaves any hard cluster with fewer than two points is
-    discarded as degenerate; if every restart degenerates a
+    maximum-posterior assignments with ties to the lower component of the
+    fit.  The components are then numbered in the order of the first row
+    each one owns (row 0's cluster is 0), so restarts that reach the same
+    partition with their components in another order return the same
+    labels.  A restart whose solution leaves any hard cluster with fewer than
+    two points is discarded as degenerate; if every restart degenerates a
     ``DegenerateFitError`` is raised.
     """
     arr = validate_data(data)
@@ -692,4 +708,8 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         restart, exc = failures[0]
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
                                  f"(restart {restart}): {exc}") from exc
-    return best.model, best.labels, best.loglik
+    # every kept component owns at least two rows; number them by their first
+    order = np.argsort(np.unique(best.labels, return_index=True)[1])
+    model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],
+                         covariances=best.model.covariances[order])
+    return model, np.argsort(order)[best.labels], best.loglik

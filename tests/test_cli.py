@@ -216,6 +216,32 @@ def test_separation_study_rejects_dimension_below_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims", ["", ",", " , ,"])
+def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims):
+    out = tmp_path / "study.csv"
+    code, _, err = run_cli(
+        ["separation-study", "--dims", dims, "--grid", "0.0", "--replicates", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert f"error: dims {dims!r} is an empty list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["", ",", "1:0:0.5"])
+def test_separation_study_rejects_empty_grid(tmp_path, capsys, grid):
+    out = tmp_path / "study.csv"
+    code, _, err = run_cli(
+        ["separation-study", "--dims", "2", "--grid", grid, "--replicates", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert f"error: grid {grid!r} holds no values" in err
+    assert not out.exists()
+
+
 def test_separation_study_small_grid(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(

@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -447,7 +447,7 @@ def test_one_em_sweep_matches_two_pass_update(seed, n_comp, p):
     spread=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 40.0, 1e3]),
     ties=st.booleans(),
 )
-def test_posterior_in_buffers_matches_two_exp_formula(seed, m, n_comp, n, spread, ties):
+def test_posterior_in_buffers_matches_one_exp_formula(seed, m, n_comp, n, spread, ties):
     rng = np.random.default_rng(seed)
     logp = rng.uniform(-spread, spread, (m, n_comp, n)) + rng.uniform(-1e3, 10.0, (m, 1, n))
     if ties:
@@ -455,8 +455,10 @@ def test_posterior_in_buffers_matches_two_exp_formula(seed, m, n_comp, n, spread
         logp[:, rng.integers(n_comp)] = logp[:, rng.integers(n_comp)]
     given_logp = logp.copy()
     top = logp.max(axis=1)
-    row_ll = top + np.log(np.exp(logp - top[:, None, :]).sum(axis=1))
-    resp = np.exp(logp - row_ll[:, None, :])
+    shifted = np.exp(logp - top[:, None, :])
+    total = shifted.sum(axis=1)
+    row_ll = top + np.log(total)
+    resp = shifted / total[:, None, :]
     # buffers are the leading rows of a larger workspace, filled with junk
     work = gmm._em_workspace(m + 3, n_comp, n)
     for buffer in work:
@@ -465,6 +467,36 @@ def test_posterior_in_buffers_matches_two_exp_formula(seed, m, n_comp, n, spread
         assert np.array_equal(got[0], row_ll)
         assert np.array_equal(got[1], resp)
     assert np.array_equal(logp, given_logp)
+    # and both within rounding of log-sum-exp and exp(logp - log-sum-exp)
+    expected = logsumexp(logp, axis=1)
+    assert np.all(np.abs(row_ll - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+    assert np.allclose(resp, np.exp(logp - expected[:, None, :]), rtol=1e-11, atol=1e-300)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6), n_comp=st.integers(1, 4),
+       m=st.integers(1, 6), n=st.integers(1, 40))
+def test_kernel_products_of_a_batch_match_single_problem_calls(seed, p, n_comp, m, n):
+    # a faster product across problems (one GEMM) could change a problem's
+    # values with the batch it runs in; each problem must get the bits of a
+    # batch of one, also on the leading rows of a larger workspace
+    rng = np.random.default_rng(seed)
+    data = 1e3 * rng.standard_normal(p) + rng.standard_normal((n, p))
+    model = MixtureModel(weights=rng.dirichlet(np.ones(n_comp)),
+                         means=data[rng.integers(n, size=n_comp)],
+                         covariances=np.repeat(np.eye(p)[None], n_comp, axis=0))
+    feats = gmm._evaluate(data, model)[0]
+    coefs = rng.standard_normal((m, n_comp, feats.shape[1]))
+    work = gmm._em_workspace(m + 3, n_comp, n)
+    for buffer in work:
+        buffer.fill(np.nan)
+    logp = gmm._log_densities(feats, coefs, out=work[0][:m])
+    resp = work[1][:m]
+    resp[...] = rng.dirichlet(np.ones(n_comp), (m, n)).transpose(0, 2, 1)
+    moments = gmm._moments(feats, resp)
+    for i in range(m):
+        assert np.array_equal(logp[i], gmm._log_densities(feats, coefs[i:i + 1])[0])
+        assert np.array_equal(moments[i], gmm._moments(feats, resp[i:i + 1].copy())[0])
 
 
 def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_data):
@@ -576,9 +608,24 @@ def test_content_uniforms_pinned_values():
 # ---------------------------------------------------------------------------
 
 
+def cholesky_log_densities(data, weights, means, covs):
+    """log w_g + log N(x; mu_g, Sigma_g) by a triangular solve per component,
+    shape (n, G).  Unlike scipy's, it takes every covariance that a Cholesky
+    factorization accepts, as those of every model ``em_refine`` returns (a
+    ridged 6-d component can have a condition number near 1e16)."""
+    logp = np.empty((data.shape[0], len(weights)))
+    for g, (weight, mean, cov) in enumerate(zip(weights, means, covs)):
+        chol = np.linalg.cholesky(cov)
+        z = np.linalg.solve(chol, (data - mean).T)
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        logp[:, g] = np.log(weight) - 0.5 * (data.shape[1] * np.log(2 * np.pi) + logdet
+                                             + (z * z).sum(axis=0))
+    return logp
+
+
 def clear_rows(data, model, margin=1e-9):
     """Rows whose two best weighted log-densities differ by more than ``margin``."""
-    logp = scipy_log_densities(data, model.weights, model.means, model.covariances)
+    logp = cholesky_log_densities(data, model.weights, model.means, model.covariances)
     if logp.shape[1] == 1:
         return np.ones(data.shape[0], dtype=bool)
     ordered = np.sort(logp, axis=1)
@@ -604,6 +651,8 @@ def overlapping_start(seed, n_comp, p):
 @settings(max_examples=100)
 @given(seed=st.integers(0, 10_000), n_comp=st.integers(1, 3), p=st.integers(1, 6),
        max_iter=st.sampled_from([1, 2, 5, 1000]))
+# five rows on a 6-d component: its ridged covariance has condition number 1.4e16
+@example(seed=547, n_comp=3, p=6, max_iter=5)
 def test_em_refine_labels_match_hard_labels(seed, n_comp, p, max_iter):
     data, model = overlapping_start(seed, n_comp, p)
     try:
@@ -647,3 +696,32 @@ def test_em_fit_labels_are_its_final_e_step(three_blob_data, monkeypatch):
     monkeypatch.setattr(gmm, "hard_labels", None)  # em_fit must not recompute them
     model, labels, loglik = em_fit(data, 3, FitConfig(seed=5))
     assert np.array_equal(labels, expected[1]) and loglik == expected[2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_em_fit_numbers_components_by_their_first_row(three_blob_data, seed):
+    # the blobs are stacked in order, so the planted labels are already
+    # numbered by each cluster's first row
+    data, planted = three_blob_data
+    model, labels, _ = em_fit(data, 3, FitConfig(seed=seed))
+    assert np.array_equal(labels, planted)
+    assert np.array_equal(hard_labels(data, model), planted)
+
+
+def test_em_fit_labels_do_not_depend_on_the_component_order_of_its_starts(
+        three_blob_data, monkeypatch):
+    data, _ = three_blob_data
+    model, labels, loglik = em_fit(data, 3, FitConfig(seed=5))
+    initial = gmm._initial_model
+
+    def reversed_start(*args):
+        start = initial(*args)
+        return MixtureModel(weights=start.weights[::-1], means=start.means[::-1],
+                            covariances=start.covariances[::-1])
+
+    monkeypatch.setattr(gmm, "_initial_model", reversed_start)
+    flipped, flipped_labels, flipped_loglik = em_fit(data, 3, FitConfig(seed=5))
+    assert np.array_equal(flipped_labels, labels)
+    assert flipped_loglik == pytest.approx(loglik, rel=1e-12)
+    assert np.allclose(flipped.means, model.means, rtol=0.0, atol=1e-9)
+    assert np.allclose(flipped.weights, model.weights, rtol=0.0, atol=1e-12)

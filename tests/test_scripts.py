@@ -27,3 +27,19 @@ def test_loo_pass_prints_one_line_with_the_in_process_values():
     model, _, _ = em_fit(data, 3, FitConfig(seed=0))
     values = loo_refit_logliks(data, model, n_threads=1)
     assert record["sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
+    root = SCRIPTS.parent
+    out = tmp_path / "compare.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_runs.py"), str(root), str(root),
+         "--workload", "smoke-refit", "--seeds", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "seed 1: removal order equal, chosen 2 -> 2, KL trace equal, loglik drift 0, "
+        "final partition equal")
+    record = json.loads(out.read_text())
+    assert record["pass"] and record["per_seed"][0]["labels_equal"]

@@ -178,13 +178,14 @@ def test_refit_rejects_bad_threads_and_chunk_size(fitted_blobs, kwargs, message)
 
 def test_refit_logliks_pinned_on_acceptance_scenario():
     # model I, 450 + 50 points, data seed 1000, fit seed 0: the values are
-    # rounding-exact (recorded with OpenBLAS 0.3.31 on x86-64), so this fails
-    # if anything in the shared EM loop changes a refit's arithmetic
+    # rounding-exact (recorded with OpenBLAS 0.3.31 on x86-64, feature-major
+    # kernel, one-exp posterior, components in first-row order), so this
+    # fails if anything in the shared EM loop changes a refit's arithmetic
     data = gen_dataset(SimModelSpec(model="I", n_good=450, n_outliers=50, p=2, seed=1000)).data
     model, _, _ = em_fit(data, 3, FitConfig(seed=0))
     values = loo_refit_logliks(data, model)
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
-        "5ef49af8d40c7f274e5cb2803137f2138dff905e9c01324388b4060dbc97cb68"
+        "a18beb116b23e3eb4c3ead786adb435fbfed5680454949499068f9acc5405aa2"
     )
 
 
@@ -278,7 +279,7 @@ def test_refit_decrease_is_checked_per_problem(fitted_blobs, monkeypatch):
     data, model, _, _ = fitted_blobs
     update, factor = gmm._params_from_moments, gmm._factor_covariances
     start = gmm._em_start(data, model)
-    first = {j: start.moments - start.resp[:, j, None] * start.feats[:, j] for j in (3, 17)}
+    first = {j: start.moments - start.resp[:, j, None] * start.feats[:, :, j] for j in (3, 17)}
     row_3_covs = update(first[3][None], data.shape[1])[2]
 
     def misplaced_means(moments, p):
