@@ -9,7 +9,8 @@ settings).  Every subprocess pins BLAS to one thread before NumPy loads, as
 count and the KL trace are equal, the largest relative drift of the
 per-iteration log-likelihood, and whether the final labels give the same
 partition (and whether they are numbered the same).  The exit code is 1 when
-any seed differs in one of those or drifts by more than ``--tol``, else 0.
+any seed differs in one of those or drifts by more than ``LOGLIK_DRIFT_BOUND``,
+else 0.
 
 Example:
     python3 scripts/compare_runs.py ../parent . --workload trim-refit-n500 \\
@@ -24,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+LOGLIK_DRIFT_BOUND = 1e-12  # largest relative log-likelihood drift that passes
+
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -31,8 +34,6 @@ def parse_args(argv=None):
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="largest relative log-likelihood drift that still passes")
     parser.add_argument("--out", type=Path, help="JSON file for the per-seed comparisons")
     return parser.parse_args(argv)
 
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
                                        run(args.change, args.workload, seed))}
         drift = row["loglik_drift"]
         passed = (row["removed_equal"] and row["chosen_equal"] and row["kl_equal"]
-                  and row["partition_equal"] and drift is not None and drift <= args.tol)
+                  and row["partition_equal"] and drift is not None and drift <= LOGLIK_DRIFT_BOUND)
         ok &= passed
         rows.append(row)
         print(f"seed {seed}: removal order {'equal' if row['removed_equal'] else 'DIFFERS'}, "
@@ -114,10 +115,10 @@ def main(argv=None) -> int:
               f"{'' if row['labels_equal'] else ' (renumbered)'}"
               f"{'' if passed else '  FAIL'}", flush=True)
     print(f"{args.workload}: {'all seeds pass' if ok else 'some seeds FAIL'} "
-          f"(drift tolerance {args.tol:g})")
+          f"(drift bound {LOGLIK_DRIFT_BOUND:g})")
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        record = {"workload": args.workload, "seeds": args.seeds, "tol": args.tol,
+        record = {"workload": args.workload, "seeds": args.seeds,
                   "pass": ok, "per_seed": rows}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1

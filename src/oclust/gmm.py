@@ -35,11 +35,11 @@ Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
 on the data (its features, its log-densities and its covariances as
 factored) for the start of EM, the mixture and hard-assignment
 log-likelihoods and the hard labels; the frozen subset deltas take each
-row's own component only (``_own_log_densities``).  One EM loop, ``_em_sweeps``, runs the single fit (one
-problem) and the leave-one-out refits (one problem per left-out row) under
-one convergence rule and one set of failures, returned per problem while the
-others run on; the caller decides what a failure means.  A single
-fit's hard labels are the argmax of its final E-step, which belongs to the
+row's own component only (``_own_log_densities``).  One EM loop,
+``_em_sweeps``, runs the single fit (one problem) and the leave-one-out
+refits (one problem per left-out row) under one convergence rule and one set
+of failures, returned per problem while the others run on; the caller
+decides what a failure means.  A single fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for them;
 it numbers the winning fit's components by the first row each one owns.
 Its E-steps write into a workspace (``_em_workspace``) that a caller can
@@ -278,13 +278,22 @@ def _features(y: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sufficient-statistic features [1, y, upper(y y')] of deviations y, whose
     p coordinates lie along ``axis``.
 
-    Returns y's shape with p replaced by d = 1 + p + p(p+1)/2 along ``axis``;
-    F_g(x) is the value at y = x - c_g.
+    Returns a C-contiguous array of y's shape with p replaced by
+    d = 1 + p + p(p+1)/2 along ``axis``; F_g(x) is the value at y = x - c_g.
+    Each feature is written straight into the result, so nothing of the
+    result's size is allocated besides it.
     """
-    iu = _upper(y.shape[axis])
-    ones = np.ones_like(np.take(y, [0], axis=axis))
-    upper = np.take(y, iu[0], axis=axis) * np.take(y, iu[1], axis=axis)
-    return np.concatenate([ones, y, upper], axis=axis)
+    p = y.shape[axis]
+    iu = _upper(p)
+    shape = list(y.shape)
+    shape[axis] = 1 + p + iu[0].size
+    out = np.empty(shape)
+    y, f = np.moveaxis(y, axis, 0), np.moveaxis(out, axis, 0)
+    f[0] = 1.0
+    f[1:1 + p] = y
+    for k, (i, j) in enumerate(zip(*iu), start=1 + p):
+        np.multiply(y[i], y[j], out=f[k])
+    return out
 
 
 def _log_density_coefs(weights, shifts, covs, reg_eps):
