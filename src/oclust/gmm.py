@@ -39,9 +39,10 @@ row's own component only (``_own_log_densities``).  One EM loop,
 ``_em_sweeps``, runs the single fit (one problem) and the leave-one-out
 refits (one problem per left-out row) under one convergence rule and one set
 of failures, returned per problem while the others run on; the caller
-decides what a failure means.  A single fit's hard labels are the argmax of its final E-step, which belongs to the
-returned parameters, so ``em_fit`` takes no extra pass over the data for them;
-it numbers the winning fit's components by the first row each one owns.
+decides what a failure means.  A single fit's hard labels are the argmax of
+its final E-step, which belongs to the returned parameters, so ``em_fit``
+takes no extra pass over the data for them; it numbers the winning fit's
+components by the first row each one owns.
 Its E-steps write into a workspace (``_em_workspace``) that a caller can
 reuse across batches, on the leading rows for the problems still active, so
 a sweep allocates nothing of size n; the values are the same bits as without.
@@ -718,7 +719,9 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
                                  f"(restart {restart}): {exc}") from exc
     # every kept component owns at least two rows; number them by their first
-    order = np.argsort(np.unique(best.labels, return_index=True)[1])
+    order = list(dict.fromkeys(best.labels.tolist()))
     model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],
                          covariances=best.model.covariances[order])
-    return model, np.argsort(order)[best.labels], best.loglik
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.arange(len(order))
+    return model, number[best.labels], best.loglik
