@@ -6,9 +6,12 @@ data and with the configuration that the checkout's ``perfbench/workloads.py``
 gives the workload (the CLI workload runs the library with the CLI's
 settings).  Every subprocess pins BLAS to one thread before NumPy loads, as
 ``perfbench`` does.  Per seed it prints whether the removal order, the chosen
-count and the KL trace are equal, the largest relative drift of the
+count, the KL trace and the per-iteration clamped counts (the CLI's
+``trace.csv`` ``clamped`` column) are equal, the largest relative drift of the
 per-iteration log-likelihood, and whether the final labels give the same
-partition (and whether they are numbered the same).  The exit code is 1 when
+partition (and whether they are numbered the same).  A delta that crosses a
+support edge changes the clamped count but can leave the KL value as it was,
+so equal KL traces alone do not make equal CLI outputs.  The exit code is 1 when
 any seed differs in one of those or drifts by more than ``LOGLIK_DRIFT_BOUND``,
 else 0.
 
@@ -57,6 +60,7 @@ def emit(checkout: Path, workload: str, seed: int) -> None:
         "removed": [r.removed_point for r in result.trace[1:]],
         "chosen": result.chosen_num_outliers,
         "kl": [r.kl.value for r in result.trace],
+        "clamped": [r.kl.clamped_count for r in result.trace],
         "loglik": [r.loglik for r in result.trace],
         "labels": result.final_labels.tolist(),
     }))
@@ -86,6 +90,7 @@ def compare(parent: dict, change: dict) -> dict:
         "chosen": [parent["chosen"], change["chosen"]],
         "chosen_equal": parent["chosen"] == change["chosen"],
         "kl_equal": parent["kl"] == change["kl"],
+        "clamped_equal": parent["clamped"] == change["clamped"],
         "loglik_drift": drift if len(parent["loglik"]) == len(change["loglik"]) else None,
         "partition_equal": same_partition(parent["labels"], change["labels"]),
         "labels_equal": parent["labels"] == change["labels"],
@@ -104,12 +109,13 @@ def main(argv=None) -> int:
                                        run(args.change, args.workload, seed))}
         drift = row["loglik_drift"]
         passed = (row["removed_equal"] and row["chosen_equal"] and row["kl_equal"]
-                  and row["partition_equal"] and drift is not None and drift <= LOGLIK_DRIFT_BOUND)
+                  and row["clamped_equal"] and row["partition_equal"] and drift is not None and drift <= LOGLIK_DRIFT_BOUND)
         ok &= passed
         rows.append(row)
         print(f"seed {seed}: removal order {'equal' if row['removed_equal'] else 'DIFFERS'}, "
               f"chosen {row['chosen'][0]} -> {row['chosen'][1]}, "
               f"KL trace {'equal' if row['kl_equal'] else 'DIFFERS'}, "
+              f"clamped counts {'equal' if row['clamped_equal'] else 'DIFFER'}, "
               f"loglik drift {'trace lengths differ' if drift is None else f'{drift:.3g}'}, "
               f"final partition {'equal' if row['partition_equal'] else 'DIFFERS'}"
               f"{'' if row['labels_equal'] else ' (renumbered)'}"

@@ -83,6 +83,17 @@ def _write_trace(path: Path, records, n: int) -> None:
             )
 
 
+def _numbered_lines(path: Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, each with its number in the file
+    (from 1).  A file that cannot be read raises ``InputFormatError``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]
+
+
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a comma-separated numeric table with a header row.
 
@@ -90,12 +101,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     offending line (numbered by its position in the file) and column when a
     field does not parse or is not finite (``nan``, ``inf``).
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-             if line.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise InputFormatError(f"{path}: empty file", line=1)
     header = [h.strip() for h in lines[0][1].split(",")]
@@ -313,6 +319,13 @@ def _cmd_separation_study(args) -> int:
     grid = _parse_grid(args.grid)
     if not grid:
         raise InputFormatError(f"grid {args.grid!r} holds no values")
+    outside = [target for target in grid if not -1.0 < target < 1.0]
+    if outside:
+        raise InputFormatError(
+            f"grid {args.grid!r}: separation target {outside[0]} lies outside (-1, 1)"
+        )
+    if args.replicates < 1:
+        raise InputFormatError(f"replicates {args.replicates}: need at least 1")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     warnings = 0
@@ -356,13 +369,7 @@ def _cmd_separation_study(args) -> int:
 def _cmd_score(args) -> int:
     pred_path = Path(args.pred)
     truth_path = Path(args.truth)
-    try:
-        text = pred_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {pred_path}: {exc}") from exc
-    # blank lines are skipped but keep their place in the line numbers
-    pred_lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-                  if line.strip()]
+    pred_lines = _numbered_lines(pred_path)
     if not pred_lines or pred_lines[0][1].split(",")[0].strip() != "row":
         raise InputFormatError(f"{pred_path}: expected a header starting with 'row'", line=1)
     pred_flags = []

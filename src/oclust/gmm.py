@@ -33,9 +33,10 @@ batch it runs in.  Arrays carry a leading problem axis m (m = 1 for a single
 fit).  One helper, ``_factor_covariances``, turns every covariance stack into
 Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
 on the data (its features, its log-densities and its covariances as
-factored) for the start of EM, the mixture and hard-assignment
-log-likelihoods and the hard labels; the frozen subset deltas take each
-row's own component only (``_own_log_densities``).  One EM loop,
+factored) for the start of EM, the mixture log-likelihood and the hard
+labels.  The hard-assignment log-likelihood and the frozen subset deltas
+read each row's assigned component from those same log-densities
+(``_assigned_log_densities``).  One EM loop,
 ``_em_sweeps``, runs the single fit (one problem) and the leave-one-out
 refits (one problem per left-out row) under one convergence rule and one set
 of failures, returned per problem while the others run on; the caller
@@ -178,10 +179,6 @@ class ClusterStats:
     covariances: np.ndarray
 
     @property
-    def n_clusters(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 
@@ -275,25 +272,21 @@ def _upper_scale(p: int) -> np.ndarray:
     return scale
 
 
-def _features(y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sufficient-statistic features [1, y, upper(y y')] of deviations y, whose
-    p coordinates lie along ``axis``.
+def _features(y: np.ndarray) -> np.ndarray:
+    """Sufficient-statistic features [1, y, upper(y y')] of (G, p, n) deviations y.
 
-    Returns a C-contiguous array of y's shape with p replaced by
-    d = 1 + p + p(p+1)/2 along ``axis``; F_g(x) is the value at y = x - c_g.
+    Returns them feature-major: a C-contiguous (G, d, n) array with
+    d = 1 + p + p(p+1)/2, whose column (g, :, i) is F_g(x_i) at y = x_i - c_g.
     Each feature is written straight into the result, so nothing of the
     result's size is allocated besides it.
     """
-    p = y.shape[axis]
+    n_comp, p, n = y.shape
     iu = _upper(p)
-    shape = list(y.shape)
-    shape[axis] = 1 + p + iu[0].size
-    out = np.empty(shape)
-    y, f = np.moveaxis(y, axis, 0), np.moveaxis(out, axis, 0)
-    f[0] = 1.0
-    f[1:1 + p] = y
+    out = np.empty((n_comp, 1 + p + iu[0].size, n))
+    out[:, 0] = 1.0
+    out[:, 1:1 + p] = y
     for k, (i, j) in enumerate(zip(*iu), start=1 + p):
-        np.multiply(y[i], y[j], out=f[k])
+        np.multiply(y[:, i], y[:, j], out=out[:, k])
     return out
 
 
@@ -370,14 +363,6 @@ def _params_from_moments(moments, p):
     return weights, shifts, covs
 
 
-def _model_coefs(model: MixtureModel, reg_eps: float = 0.0):
-    """Coefficients (1, G, d) of a model's log-densities about its own means,
-    and its covariances as factored (1, G, p, p); a ridge only if ``reg_eps > 0``."""
-    return _log_density_coefs(
-        model.weights[None], np.zeros((1,) + model.means.shape), model.covariances[None], reg_eps
-    )
-
-
 def _evaluate(data: np.ndarray, model: MixtureModel, reg_eps: float = 0.0):
     """A model on every row: its features centred on its means, feature-major
     (G, d, n) and C-contiguous, its log-densities log w_g + log N(x; mu_g,
@@ -386,16 +371,10 @@ def _evaluate(data: np.ndarray, model: MixtureModel, reg_eps: float = 0.0):
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
-    coefs, covs = _model_coefs(model, reg_eps)
-    feats = _features(data.T[None] - model.means[:, :, None], axis=1)
+    coefs, covs = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
+                                     model.covariances[None], reg_eps)
+    feats = _features(data.T[None] - model.means[:, :, None])
     return feats, _log_densities(feats, coefs), covs[0]
-
-
-def _own_log_densities(data: np.ndarray, model: MixtureModel, labels: np.ndarray) -> np.ndarray:
-    """log w_g + log N(x; mu_g, Sigma_g) of each row under its own component
-    g = labels[row] only, shape (n,); no ridge."""
-    coefs, _ = _model_coefs(model)
-    return (coefs[0, labels] * _features(data - model.means[labels])).sum(axis=-1)
 
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
@@ -420,6 +399,13 @@ def _component_labels(labels, n: int, n_components: int) -> np.ndarray:
     return lab
 
 
+def _assigned_log_densities(data: np.ndarray, model: MixtureModel, labels) -> np.ndarray:
+    """log w_g + log N(x; mu_g, Sigma_g) of each row under its assigned
+    component g = labels[row], shape (n,), read from ``_evaluate``; no ridge."""
+    lab = _component_labels(labels, data.shape[0], model.n_components)
+    return _evaluate(data, model)[1][0, lab, np.arange(data.shape[0])]
+
+
 def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
     """Hard-assignment log-likelihood.
 
@@ -427,10 +413,7 @@ def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
     which approximates the mixture log-likelihood increasingly well as the
     clusters separate.
     """
-    arr = validate_data(data)
-    lab = _component_labels(labels, arr.shape[0], model.n_components)
-    logp = _evaluate(arr, model)[1]
-    return float(logp[0, lab, np.arange(arr.shape[0])].sum())
+    return float(_assigned_log_densities(validate_data(data), model, labels).sum())
 
 
 def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:

@@ -305,14 +305,19 @@ class SeparationReport:
     replicates: int
 
 
+def _random_rotation(p: int, rng: np.random.Generator) -> np.ndarray:
+    """Random orthogonal (p, p) matrix: the Q of a QR of a Gaussian draw, its
+    column signs fixed by diag(R)."""
+    q, r = np.linalg.qr(rng.standard_normal((p, p)))
+    return q * np.sign(np.diag(r))
+
+
 def _random_covariances(p: int, rng: np.random.Generator, n_clusters: int = 3) -> np.ndarray:
     """Random covariances: eigenvalues uniform on [0.1, 10], random orthogonal axes."""
     covs = np.empty((n_clusters, p, p))
     for g in range(n_clusters):
         eigvals = rng.uniform(0.1, 10.0, size=p)
-        gauss = rng.standard_normal((p, p))
-        q, r = np.linalg.qr(gauss)
-        q = q * np.sign(np.diag(r))
+        q = _random_rotation(p, rng)
         covs[g] = (q * eigvals) @ q.T
     return covs
 
@@ -323,10 +328,7 @@ def _mean_directions(p: int, rng: np.random.Generator) -> np.ndarray:
     base[0, :2] = (1.0, 0.0)
     base[1, :2] = (-0.5, np.sqrt(3.0) / 2.0)
     base[2, :2] = (-0.5, -np.sqrt(3.0) / 2.0)
-    gauss = rng.standard_normal((p, p))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))
-    return base @ q.T
+    return base @ _random_rotation(p, rng).T
 
 
 def _calibrate_scale(deviates, directions, labels, target: float):

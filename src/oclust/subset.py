@@ -53,13 +53,12 @@ from .gmm import (
     LOG_2PI,
     ClusterStats,
     MixtureModel,
+    _assigned_log_densities,
     _check_em_limits,
-    _component_labels,
     _em_start,
     _em_sweeps,
     _em_workspace,
     _factor_covariances,
-    _own_log_densities,
     cluster_stats,
     validate_data,
 )
@@ -119,8 +118,7 @@ def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
     """
     arr = validate_data(data)
     frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
-    lab = _component_labels(labels, arr.shape[0], frozen.n_components)
-    return -_own_log_densities(arr, frozen, lab)
+    return -_assigned_log_densities(arr, frozen, labels)
 
 
 def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = DowndateVariant.EXACT):

@@ -229,16 +229,24 @@ def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["", ",", "1:0:0.5"])
-def test_separation_study_rejects_empty_grid(tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid, replicates, message", [
+    ("", "1", "grid '' holds no values"),
+    (",", "1", "grid ',' holds no values"),
+    ("1:0:0.5", "1", "grid '1:0:0.5' holds no values"),
+    # each cell of these would fail, so the whole study is refused up front
+    ("1.5,-2", "1", "grid '1.5,-2': separation target 1.5 lies outside (-1, 1)"),
+    ("0.5", "0", "replicates 0: need at least 1"),
+], ids=["", ",", "1:0:0.5", "1.5,-2", "replicates 0"])
+def test_separation_study_rejects_empty_grid(tmp_path, capsys, grid, replicates, message):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(
-        ["separation-study", "--dims", "2", "--grid", grid, "--replicates", "1",
+        ["separation-study", "--dims", "2", "--grid", grid, "--replicates", replicates,
          "--out", str(out)],
         capsys,
     )
     assert code == 2
-    assert f"error: grid {grid!r} holds no values" in err
+    assert f"error: {message}" in err
+    assert "warning" not in err
     assert not out.exists()
 
 

@@ -31,15 +31,16 @@ def test_loo_pass_prints_one_line_with_the_in_process_values():
 
 def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
     root = SCRIPTS.parent
-    out = tmp_path / "compare.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "compare_runs.py"), str(root), str(root),
-         "--workload", "smoke-refit", "--seeds", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == (
-        "seed 1: removal order equal, chosen 2 -> 2, KL trace equal, loglik drift 0, "
-        "final partition equal")
-    record = json.loads(out.read_text())
-    assert record["pass"] and record["per_seed"][0]["labels_equal"]
+    for workload, chosen in (("smoke-refit", 2), ("smoke-frozen", 3)):
+        out = tmp_path / f"compare-{workload}.json"
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "compare_runs.py"), str(root), str(root),
+             "--workload", workload, "--seeds", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == (
+            f"seed 1: removal order equal, chosen {chosen} -> {chosen}, KL trace equal, "
+            "clamped counts equal, loglik drift 0, final partition equal")
+        record = json.loads(out.read_text())
+        assert record["pass"] and record["per_seed"][0]["labels_equal"]

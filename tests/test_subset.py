@@ -350,6 +350,20 @@ def test_frozen_deltas_match_two_evaluation_oracle(fitted_blobs):
         assert values[j] == pytest.approx(q_minus - q_full, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [2, 6])
+def test_frozen_deltas_are_the_kernels_assigned_log_densities(p):
+    # frozen deltas and the mixture kernel put a model on the data one way,
+    # so they agree to the bit, also at p = 6
+    rng = np.random.default_rng(p)
+    labels = np.repeat([0, 1, 2], 100)
+    data = 6.0 * (labels[:, None] - 1.0) + rng.standard_normal((300, p))
+    stats = cluster_stats(data, labels, 3)
+    frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
+    logp = gmm._evaluate(data, frozen)[1][0]
+    assert np.array_equal(-frozen_subset_deltas(data, labels, stats),
+                          logp[labels, np.arange(labels.size)])
+
+
 def test_frozen_deltas_reject_bad_labels(fitted_blobs):
     # a label of -1 must not wrap round to the last cluster
     data, model, labels, loglik = fitted_blobs
