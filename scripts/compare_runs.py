@@ -8,11 +8,13 @@ settings).  Every subprocess pins BLAS to one thread before NumPy loads, as
 ``perfbench`` does.  Per seed it prints whether the removal order, the chosen
 count, the KL trace and the per-iteration clamped counts (the CLI's
 ``trace.csv`` ``clamped`` column) are equal, the largest relative drift of the
-per-iteration log-likelihood, and whether the final labels give the same
-partition (and whether they are numbered the same).  A delta that crosses a
+per-iteration log-likelihood and of the final model's weights, means and
+covariances (written to ``summary.json`` at full precision), and whether the
+final labels give the same partition (and whether they are numbered the
+same).  A delta that crosses a
 support edge changes the clamped count but can leave the KL value as it was,
 so equal KL traces alone do not make equal CLI outputs.  The exit code is 1 when
-any seed differs in one of those or drifts by more than ``LOGLIK_DRIFT_BOUND``,
+any seed differs in one of those or either drift exceeds ``LOGLIK_DRIFT_BOUND``,
 else 0.
 
 Example:
@@ -28,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-LOGLIK_DRIFT_BOUND = 1e-12  # largest relative log-likelihood drift that passes
+LOGLIK_DRIFT_BOUND = 1e-12  # largest relative log-likelihood or final-model drift that passes
 
 
 def parse_args(argv=None):
@@ -63,6 +65,10 @@ def emit(checkout: Path, workload: str, seed: int) -> None:
         "clamped": [r.kl.clamped_count for r in result.trace],
         "loglik": [r.loglik for r in result.trace],
         "labels": result.final_labels.tolist(),
+        "final_model": [float(v) for field in (result.final_model.weights,
+                                               result.final_model.means,
+                                               result.final_model.covariances)
+                        for v in field.ravel()],
     }))
 
 
@@ -82,16 +88,26 @@ def same_partition(a: list, b: list) -> bool:
     return len(a) == len(b) and len(set(zip(a, b))) == len(set(a)) == len(set(b))
 
 
+def drift(parent: list, change: list) -> float | None:
+    """Largest relative difference of two number lists; None when their lengths differ."""
+    if len(parent) != len(change):
+        return None
+    return max((abs(c - p) / max(abs(p), 1e-300) for p, c in zip(parent, change)), default=0.0)
+
+
+def show(value: float | None, missing: str) -> str:
+    return missing if value is None else f"{value:.3g}"
+
+
 def compare(parent: dict, change: dict) -> dict:
-    drift = max((abs(c - p) / max(abs(p), 1e-300)
-                 for p, c in zip(parent["loglik"], change["loglik"])), default=0.0)
     return {
         "removed_equal": parent["removed"] == change["removed"],
         "chosen": [parent["chosen"], change["chosen"]],
         "chosen_equal": parent["chosen"] == change["chosen"],
         "kl_equal": parent["kl"] == change["kl"],
         "clamped_equal": parent["clamped"] == change["clamped"],
-        "loglik_drift": drift if len(parent["loglik"]) == len(change["loglik"]) else None,
+        "loglik_drift": drift(parent["loglik"], change["loglik"]),
+        "final_model_drift": drift(parent["final_model"], change["final_model"]),
         "partition_equal": same_partition(parent["labels"], change["labels"]),
         "labels_equal": parent["labels"] == change["labels"],
     }
@@ -107,16 +123,19 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         row = {"seed": seed, **compare(run(args.parent, args.workload, seed),
                                        run(args.change, args.workload, seed))}
-        drift = row["loglik_drift"]
+        loglik_drift, model_drift = row["loglik_drift"], row["final_model_drift"]
         passed = (row["removed_equal"] and row["chosen_equal"] and row["kl_equal"]
-                  and row["clamped_equal"] and row["partition_equal"] and drift is not None and drift <= LOGLIK_DRIFT_BOUND)
+                  and row["clamped_equal"] and row["partition_equal"]
+                  and all(d is not None and d <= LOGLIK_DRIFT_BOUND
+                          for d in (loglik_drift, model_drift)))
         ok &= passed
         rows.append(row)
         print(f"seed {seed}: removal order {'equal' if row['removed_equal'] else 'DIFFERS'}, "
               f"chosen {row['chosen'][0]} -> {row['chosen'][1]}, "
               f"KL trace {'equal' if row['kl_equal'] else 'DIFFERS'}, "
               f"clamped counts {'equal' if row['clamped_equal'] else 'DIFFER'}, "
-              f"loglik drift {'trace lengths differ' if drift is None else f'{drift:.3g}'}, "
+              f"loglik drift {show(loglik_drift, 'trace lengths differ')}, "
+              f"final model drift {show(model_drift, 'shapes differ')}, "
               f"final partition {'equal' if row['partition_equal'] else 'DIFFERS'}"
               f"{'' if row['labels_equal'] else ' (renumbered)'}"
               f"{'' if passed else '  FAIL'}", flush=True)

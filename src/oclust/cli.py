@@ -97,22 +97,20 @@ def _numbered_lines(path: Path) -> list[tuple[int, str]]:
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a comma-separated numeric table with a header row.
 
-    Blank lines are skipped.  Raises ``InputFormatError`` carrying the
+    Blank lines are skipped.  Raises ``InputFormatError`` naming the
     offending line (numbered by its position in the file) and column when a
     field does not parse or is not finite (``nan``, ``inf``).
     """
     lines = _numbered_lines(path)
     if not lines:
-        raise InputFormatError(f"{path}: empty file", line=1)
+        raise InputFormatError(f"{path}: empty file")
     header = [h.strip() for h in lines[0][1].split(",")]
     rows = []
     for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != len(header):
             raise InputFormatError(
-                f"{path}: line {lineno} has {len(fields)} fields, expected {len(header)}",
-                line=lineno,
-            )
+                f"{path}: line {lineno} has {len(fields)} fields, expected {len(header)}")
         row = []
         for colno, field in enumerate(fields, start=1):
             try:
@@ -120,13 +118,10 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
             except ValueError as exc:
                 raise InputFormatError(
                     f"{path}: line {lineno}, column {colno} ({header[colno - 1]!r}): "
-                    f"cannot parse {field.strip()!r} as a number",
-                    line=lineno,
-                    column=header[colno - 1],
-                ) from exc
+                    f"cannot parse {field.strip()!r} as a number") from exc
         rows.append(row)
     if not rows:
-        raise InputFormatError(f"{path}: no data rows", line=1)
+        raise InputFormatError(f"{path}: no data rows")
     table = np.asarray(rows)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
@@ -135,10 +130,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
         field = line.split(",")[col_idx]
         raise InputFormatError(
             f"{path}: line {lineno}, column {col_idx + 1} ({header[col_idx]!r}): "
-            f"{field.strip()!r} is not a finite number",
-            line=lineno,
-            column=header[col_idx],
-        )
+            f"{field.strip()!r} is not a finite number")
     return header, table
 
 
@@ -175,9 +167,7 @@ def _cmd_oclust(args) -> int:
         raise InputFormatError(
             f"{in_path}: column {feature_idx[flat] + 1} ({name!r}) is constant "
             f"(every value is {float(table[0, flat])!r}); "
-            "it makes every cluster covariance singular",
-            column=name,
-        )
+            "it makes every cluster covariance singular")
     threads = _default_threads(args.threads)
     config = OclustConfig(
         n_clusters=args.clusters,
@@ -371,25 +361,21 @@ def _cmd_score(args) -> int:
     truth_path = Path(args.truth)
     pred_lines = _numbered_lines(pred_path)
     if not pred_lines or pred_lines[0][1].split(",")[0].strip() != "row":
-        raise InputFormatError(f"{pred_path}: expected a header starting with 'row'", line=1)
+        raise InputFormatError(f"{pred_path}: expected a header starting with 'row'")
     pred_flags = []
     for row, (lineno, line) in enumerate(pred_lines[1:]):
         fields = [field.strip() for field in line.split(",")]
         if len(fields) != 2:
-            raise InputFormatError(
-                f"{pred_path}: line {lineno} must be 'row,label'", line=lineno
-            )
+            raise InputFormatError(f"{pred_path}: line {lineno} must be 'row,label'")
         if fields[0] != str(row):
             raise InputFormatError(
                 f"{pred_path}: line {lineno} is for row {fields[0]!r}; rows must read 0, 1, 2, ... "
-                f"in order, so expected {row}", line=lineno
-            )
+                f"in order, so expected {row}")
         label = fields[1]
         if label != "outlier" and not (label.isascii() and label.isdigit() and int(label) >= 1):
             raise InputFormatError(
                 f"{pred_path}: line {lineno} has label {label!r}; "
-                "expected a positive cluster number or 'outlier'", line=lineno
-            )
+                "expected a positive cluster number or 'outlier'")
         pred_flags.append(label == "outlier")
     header, table = _read_numeric_csv(truth_path)
     if "is_outlier" not in header:

@@ -52,14 +52,4 @@ class GenerationStallError(OclustError):
 
 
 class InputFormatError(OclustError):
-    """An input file could not be parsed.
-
-    Attributes:
-        line: 1-based line number of the offending record, when known.
-        column: column name or 1-based position, when known.
-    """
-
-    def __init__(self, message: str, line: int | None = None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """An input file could not be parsed; the message names the place."""

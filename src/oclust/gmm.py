@@ -32,18 +32,20 @@ No product spans several problems, so a problem's values never depend on the
 batch it runs in.  Arrays carry a leading problem axis m (m = 1 for a single
 fit).  One helper, ``_factor_covariances``, turns every covariance stack into
 Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
-on the data (its features, its log-densities and its covariances as
-factored) for the start of EM, the mixture log-likelihood and the hard
-labels.  The hard-assignment log-likelihood and the frozen subset deltas
-read each row's assigned component from those same log-densities
-(``_assigned_log_densities``).  One EM loop,
-``_em_sweeps``, runs the single fit (one problem) and the leave-one-out
-refits (one problem per left-out row) under one convergence rule and one set
-of failures, returned per problem while the others run on; the caller
-decides what a failure means.  A single fit's hard labels are the argmax of
-its final E-step, which belongs to the returned parameters, so ``em_fit``
-takes no extra pass over the data for them; it numbers the winning fit's
-components by the first row each one owns.
+on the data (its features and its log-densities) for the start of EM, the
+mixture log-likelihood and the hard labels.  Only EM ridges a covariance (the
+pooled start and a covariance after an M-step); a model put on the data must
+factor as it is.  The single-point formulas share ``_point_terms``, kept
+apart from the kernel as the oracle it is tested against.  The
+hard-assignment log-likelihood and the frozen subset deltas read each row's
+assigned component from those same log-densities
+(``_assigned_log_densities``).  One EM loop, ``_em_sweeps``, runs the single
+fit (one problem) and the leave-one-out refits (one problem per left-out row)
+under one convergence rule and one set of failures, returned per problem
+while the others run on; the caller decides what a failure means.  A single
+fit's hard labels are the argmax of its final E-step, which belongs to the
+returned parameters, so ``em_fit`` takes no extra pass over the data for
+them; it numbers the winning fit's components by the first row each one owns.
 Its E-steps write into a workspace (``_em_workspace``) that a caller can
 reuse across batches, on the leading rows for the problems still active, so
 a sweep allocates nothing of size n; the values are the same bits as without.
@@ -66,7 +68,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Soft cluster mass below which an EM component is considered collapsed.
 _MIN_SOFT_COUNT = 1e-9
 
-# Ridge factor: a covariance that is not positive definite at the start of EM
+# Ridge factor: a covariance that is not positive definite at the pooled start
 # or after an M-step is retried once with _RIDGE * trace/p added to its diagonal.
 _RIDGE = 1e-8
 
@@ -91,7 +93,12 @@ def validate_data(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Parameters of a Gaussian mixture: weights (G,), means (G, p), covariances (G, p, p)."""
+    """Parameters of a Gaussian mixture: weights (G,), means (G, p), covariances (G, p, p).
+
+    Checked when built: shapes agree, every field is finite, the weights are
+    positive and sum to 1, and the covariances are symmetric.  Positive
+    definiteness is checked where the model is used.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -110,10 +117,14 @@ class MixtureModel:
         p = self.means.shape[1]
         if self.covariances.shape[1:] != (p, p):
             raise ValueError("covariance blocks must be (p, p)")
+        for name in ("weights", "means", "covariances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("mixing weights must be strictly positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError("mixing weights must sum to 1 within 1e-12")
+        _check_symmetric(self.covariances)
 
     @property
     def n_components(self) -> int:
@@ -122,14 +133,6 @@ class MixtureModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def validate(self) -> None:
-        """Check symmetry and positive definiteness of every covariance block."""
-        for g in range(self.n_components):
-            cov = self.covariances[g]
-            if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
-                raise ValueError(f"covariance of component {g} is not symmetric")
-        _factor_covariances(self.covariances)
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,18 @@ class EmRun:
     labels: np.ndarray
 
 
+def _check_symmetric(covs: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every block of a (..., p, p) stack equals its
+    transpose to rtol 1e-10, atol 1e-12, naming the first bad component."""
+    swapped = covs.swapaxes(-1, -2)
+    if (covs == swapped).all():
+        return
+    close = np.isclose(covs, swapped, rtol=1e-10, atol=1e-12).all(axis=(-1, -2))
+    if not close.all():
+        where = f" of component {np.flatnonzero(~close)[0]}" if close.ndim else ""
+        raise ValueError(f"covariance{where} is not symmetric")
+
+
 def _positive_definite(block: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(block)
@@ -234,6 +249,21 @@ def _factor_covariances(covs, reg_eps: float = 0.0):
     return chol, logdet, covs
 
 
+def _point_terms(x, mean, cov):
+    """``(p, log det cov, (x - mean)' cov^-1 (x - mean))`` for one point, from
+    one checked Cholesky factor and one triangular solve."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    p = x.shape[0]
+    if mean.shape[0] != p or cov.shape != (p, p):
+        raise ValueError("dimension mismatch between point, mean and covariance")
+    _check_symmetric(cov)
+    chol, logdet, _ = _factor_covariances(cov)
+    z = np.linalg.solve(chol, x - mean)
+    return p, float(logdet), float(z @ z)
+
+
 def log_gaussian_density(x, mean, cov) -> float:
     """Log density of a multivariate Gaussian at a single point.
 
@@ -241,17 +271,8 @@ def log_gaussian_density(x, mean, cov) -> float:
         >>> log_gaussian_density([0.0], [0.0], [[1.0]])  # doctest: +ELLIPSIS
         -0.918938...
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    p = x.shape[0]
-    if mean.shape[0] != p or cov.shape != (p, p):
-        raise ValueError("dimension mismatch between point, mean and covariance")
-    if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    chol, logdet, _ = _factor_covariances(cov)
-    z = np.linalg.solve(chol, x - mean)
-    return -0.5 * (p * LOG_2PI + float(logdet) + float(z @ z))
+    p, logdet, maha = _point_terms(x, mean, cov)
+    return -0.5 * (p * LOG_2PI + logdet + maha)
 
 
 @functools.cache
@@ -290,7 +311,7 @@ def _features(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_density_coefs(weights, shifts, covs, reg_eps):
+def _log_density_coefs(weights, shifts, covs, reg_eps=0.0):
     """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
 
     Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
@@ -363,18 +384,19 @@ def _params_from_moments(moments, p):
     return weights, shifts, covs
 
 
-def _evaluate(data: np.ndarray, model: MixtureModel, reg_eps: float = 0.0):
+def _evaluate(data: np.ndarray, model: MixtureModel):
     """A model on every row: its features centred on its means, feature-major
-    (G, d, n) and C-contiguous, its log-densities log w_g + log N(x; mu_g,
-    Sigma_g) as (1, G, n) and its covariances as factored (G, p, p)."""
+    (G, d, n) and C-contiguous, and its log-densities log w_g + log N(x; mu_g,
+    Sigma_g) as (1, G, n).  A covariance that is not positive definite raises
+    ``SingularCovarianceError`` naming its component; nothing is ridged."""
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
-    coefs, covs = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
-                                     model.covariances[None], reg_eps)
+    coefs, _ = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
+                                  model.covariances[None])
     feats = _features(data.T[None] - model.means[:, :, None])
-    return feats, _log_densities(feats, coefs), covs[0]
+    return feats, _log_densities(feats, coefs)
 
 
 def mixture_log_likelihood(data, model: MixtureModel) -> float:
@@ -401,7 +423,7 @@ def _component_labels(labels, n: int, n_components: int) -> np.ndarray:
 
 def _assigned_log_densities(data: np.ndarray, model: MixtureModel, labels) -> np.ndarray:
     """log w_g + log N(x; mu_g, Sigma_g) of each row under its assigned
-    component g = labels[row], shape (n,), read from ``_evaluate``; no ridge."""
+    component g = labels[row], shape (n,), read from ``_evaluate``."""
     lab = _component_labels(labels, data.shape[0], model.n_components)
     return _evaluate(data, model)[1][0, lab, np.arange(data.shape[0])]
 
@@ -459,7 +481,6 @@ class _EmStart:
     features centred on its means, and its E-step on every row."""
 
     model: MixtureModel
-    covs: np.ndarray  # (G, p, p), as factored
     feats: np.ndarray  # (G, d, n): feature-major, C-contiguous
     row_ll: np.ndarray  # (n,)
     resp: np.ndarray  # (G, n)
@@ -467,9 +488,9 @@ class _EmStart:
 
 
 def _em_start(data: np.ndarray, model: MixtureModel) -> _EmStart:
-    feats, logp, covs = _evaluate(data, model, _RIDGE)
+    feats, logp = _evaluate(data, model)
     row_ll, resp = _posterior(logp)
-    return _EmStart(model, covs, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
+    return _EmStart(model, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
 def _em_workspace(m: int, n_components: int, n: int):
@@ -513,7 +534,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         work = _em_workspace(m, start.model.n_components, feats.shape[2])
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
-    covs = np.repeat(start.covs[None], m, axis=0)
+    covs = np.repeat(start.model.covariances[None], m, axis=0)
     history = [loglik.copy()]
     active = np.arange(m)
     failures = {}
@@ -571,12 +592,14 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
               rel_tol: float = 1e-8) -> EmRun:
     """Run EM updates from explicit starting parameters (one problem of ``_em_sweeps``).
 
-    The log-likelihood history is monotone nondecreasing up to float rounding
-    on every sweep whose covariances factor without a ridge; a sweep that had
-    to ridge a covariance is exempt, since the ridge moves the parameters off
-    the EM update.  Iteration stops once the relative change drops below
-    ``rel_tol`` or after ``max_iter`` update sweeps; ``max_iter`` below 1 or
-    ``rel_tol`` not positive raises ``ValueError``.  The returned
+    The start's covariances must factor without a ridge; one that is not
+    positive definite raises ``SingularCovarianceError`` naming its
+    component.  The log-likelihood history is monotone nondecreasing up to
+    float rounding on every sweep whose covariances factor without a ridge; a
+    sweep that had to ridge a covariance is exempt, since the ridge moves the
+    parameters off the EM update.  Iteration stops once the relative change
+    drops below ``rel_tol`` or after ``max_iter`` update sweeps; ``max_iter``
+    below 1 or ``rel_tol`` not positive raises ``ValueError``.  The returned
     log-likelihood is always that of the returned parameters, whose
     covariances are the ones actually factored; the returned labels are the
     maximum-posterior components of the final E-step under those parameters.

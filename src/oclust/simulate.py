@@ -17,12 +17,12 @@ Separation between two clusters is summarized by the gap/spread ratio
     J = (L2 - U1) / (U2 - L1)
 
 of the clusters' projected samples (cluster 1 has the lower projected mean;
-L and U are the lower and upper alpha/2 sample quantiles).  J approaches 1
-for widely separated clusters, is near 0 when they just touch, and is
-negative when they overlap.  For multivariate data the index of a pair is the
-larger of its values along two projection directions, the mean difference
-and the linear discriminant, and the index of a clustering is the minimum over
-cluster pairs.
+L and U are the alpha/2 and 1 - alpha/2 sample quantiles, alpha = 0.05).  J
+approaches 1 for widely separated clusters, is near 0 when they just touch,
+and is negative when they overlap.  For multivariate data the index of a
+pair is the larger of its values along two projection directions, the mean
+difference and the linear discriminant, and the index of a clustering is the
+minimum over cluster pairs.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ PROPORTION_SCHEMES = {
     "equal": (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
     "unequal": (0.2, 0.4, 0.4),
 }
+
+_ALPHA = 0.05  # the separation index reads the alpha/2 and 1 - alpha/2 quantiles
 
 _STALL_BUDGET = 1_000_000
 _STALL_RATE = 1e-4
@@ -218,7 +220,7 @@ def gen_dataset(spec: SimModelSpec) -> SimDataset:
 # ---------------------------------------------------------------------------
 
 
-def separation_index_univariate(sample_a, sample_b, alpha: float = 0.05) -> float:
+def separation_index_univariate(sample_a, sample_b) -> float:
     """Gap/spread separation of two univariate samples.
 
     The lower-mean sample plays the role of cluster 1.  Raises ``ValueError``
@@ -228,12 +230,10 @@ def separation_index_univariate(sample_a, sample_b, alpha: float = 0.05) -> floa
     b = np.asarray(sample_b, dtype=float).reshape(-1)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least two points per sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     if a.mean() > b.mean():
         a, b = b, a
-    lo_a, hi_a = np.quantile(a, [alpha / 2.0, 1.0 - alpha / 2.0])
-    lo_b, hi_b = np.quantile(b, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo_a, hi_a = np.quantile(a, [_ALPHA / 2.0, 1.0 - _ALPHA / 2.0])
+    lo_b, hi_b = np.quantile(b, [_ALPHA / 2.0, 1.0 - _ALPHA / 2.0])
     spread = hi_b - lo_a
     if spread <= 0.0:
         raise ValueError("degenerate samples: outer quantile spread is not positive")
@@ -262,7 +262,7 @@ def _pair_directions(block_a: np.ndarray, block_b: np.ndarray) -> list[np.ndarra
     return directions
 
 
-def separation_index_pairwise(data, labels, alpha: float = 0.05) -> float:
+def separation_index_pairwise(data, labels) -> float:
     """Separation of a labeled multivariate clustering.
 
     Each cluster pair takes the best (largest) univariate index over its
@@ -281,9 +281,7 @@ def separation_index_pairwise(data, labels, alpha: float = 0.05) -> float:
             block_b = arr[lab == uniq[j]]
             best = -np.inf
             for direction in _pair_directions(block_a, block_b):
-                value = separation_index_univariate(
-                    block_a @ direction, block_b @ direction, alpha
-                )
+                value = separation_index_univariate(block_a @ direction, block_b @ direction)
                 best = max(best, value)
             worst = min(worst, best)
     return float(worst)

@@ -59,6 +59,7 @@ from .gmm import (
     _em_sweeps,
     _em_workspace,
     _factor_covariances,
+    _point_terms,
     cluster_stats,
     validate_data,
 )
@@ -80,14 +81,7 @@ class DowndateVariant(str, Enum):
 
 def mahalanobis_sq(x, mean, cov) -> float:
     """Squared Mahalanobis distance of a point from a center."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if mean.shape[0] != x.shape[0] or cov.shape != (x.shape[0], x.shape[0]):
-        raise ValueError("dimension mismatch between point, mean and covariance")
-    chol, _, _ = _factor_covariances(cov)
-    z = np.linalg.solve(chol, x - mean)
-    return float(z @ z)
+    return _point_terms(x, mean, cov)[2]
 
 
 def delta_formula(x, mean, cov, weight) -> float:
@@ -102,12 +96,8 @@ def delta_formula(x, mean, cov, weight) -> float:
     """
     if not 0.0 < weight <= 1.0:
         raise ValueError("cluster weight must lie in (0, 1]")
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    p = cov.shape[0]
-    _, logdet, _ = _factor_covariances(cov)
-    return float(
-        -np.log(weight) + 0.5 * p * LOG_2PI + 0.5 * logdet + 0.5 * mahalanobis_sq(x, mean, cov)
-    )
+    p, logdet, maha = _point_terms(x, mean, cov)
+    return float(-np.log(weight) + 0.5 * p * LOG_2PI + 0.5 * logdet + 0.5 * maha)
 
 
 def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
@@ -353,6 +343,8 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     so is the error when refits fail: that of the lowest failing row j, as
     "leave-one-out refit for row j: ...".  ``n_threads``, ``chunk_size`` or
     ``max_iter`` below 1 and ``rel_tol`` not positive raise ``ValueError``.
+    The warm start ``model`` must factor without a ridge, or
+    ``SingularCovarianceError`` names its first singular component.
     """
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:

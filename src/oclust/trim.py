@@ -123,10 +123,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     """Trim likely outliers one at a time and pick the count that best matches
     the beta-mixture reference.
 
-    Raises ``DegenerateFitError`` (with the partial trace attached) if a
-    mid-run fit collapses, and ``ValueError`` if a feature column is constant
-    or the trimming budget leaves too few points to keep the mixture
-    identifiable.
+    Raises ``DegenerateFitError`` (with the trace so far attached) if a
+    mid-run fit or the final fit collapses, and ``ValueError`` if a feature
+    column is constant or the trimming budget leaves too few points to keep
+    the mixture identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -184,7 +184,11 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     outliers = tuple(removed[:chosen])
     retained = np.setdiff1d(np.arange(n), np.asarray(outliers, dtype=int))
     final_cfg = replace(config.fit, seed=derive_seed(config.fit.seed, 202))
-    final_model, final_labels, _ = em_fit(arr[retained], config.n_clusters, final_cfg)
+    try:
+        final_model, final_labels, _ = em_fit(arr[retained], config.n_clusters, final_cfg)
+    except DegenerateFitError as exc:
+        raise DegenerateFitError(f"final fit on the {retained.size} retained rows failed: {exc}",
+                                 partial_trace=records) from exc
     return OclustResult(
         trace=tuple(records),
         chosen_num_outliers=chosen,

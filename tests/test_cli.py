@@ -392,6 +392,40 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
     assert not (out_dir / "labels.csv").exists()
 
 
+def test_failed_final_fit_keeps_the_whole_trace(dataset_csv, tmp_path, capsys, monkeypatch):
+    from oclust import DegenerateFitError, trim
+    from oclust.rng import derive_seed
+
+    fit = trim.em_fit
+    final_seed = derive_seed(0, 202)
+
+    def failing_final_fit(data, n_clusters, config):
+        if config.seed == final_seed:
+            raise DegenerateFitError("all 3 restarts degenerated")
+        return fit(data, n_clusters, config)
+
+    monkeypatch.setattr(trim, "em_fit", failing_final_fit)
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(
+        ["oclust", str(dataset_csv), "--clusters", "3", "--max-outliers", "4", "--mode", "frozen",
+         "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 3
+    trace = (out_dir / "trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + 5
+    chosen = int(np.argmin([float(line.split(",")[2]) for line in trace[1:]]))
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary == {
+        "aborted": True,
+        "completed_iterations": 5,
+        "error": f"final fit on the {160 - chosen} retained rows failed: "
+                 "all 3 restarts degenerated",
+    }
+    assert err == f"error: numerical degeneracy: {summary['error']}\n"
+    assert not (out_dir / "labels.csv").exists()
+
+
 def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = "\n".join(

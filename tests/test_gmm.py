@@ -138,7 +138,30 @@ def test_mixture_model_validation():
         MixtureModel(weights=[-0.5, 1.5], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]])
     bad_cov = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[-np.eye(2)])
     with pytest.raises(SingularCovarianceError):
-        bad_cov.validate()
+        mixture_log_likelihood(np.zeros((1, 2)), bad_cov)
+
+
+def test_mixture_model_rejects_non_symmetric_covariance():
+    # Cholesky reads only the lower triangle, so this would pass as the identity
+    lopsided = np.array([[1.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^covariance of component 1 is not symmetric$"):
+        MixtureModel(weights=[0.5, 0.5], means=np.zeros((2, 2)),
+                     covariances=[np.eye(2), lopsided])
+    with pytest.raises(ValueError, match="^covariance is not symmetric$"):
+        log_gaussian_density([1.0, 1.0], [0.0, 0.0], lopsided)
+    # within the tolerance the model is kept as given
+    nearly = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    model = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[nearly])
+    assert (model.covariances[0] == nearly).all()
+
+
+@pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+def test_mixture_model_rejects_non_finite_parameters(field):
+    params = dict(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+                  covariances=np.array([np.eye(2), np.eye(2)]))
+    params[field][(0,) * params[field].ndim] = np.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        MixtureModel(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +294,8 @@ def test_em_ill_posed_fit_returns_positive_definite_covariances():
     data = np.random.default_rng(0).standard_normal((5, 2))
     with pytest.warns(UserWarning, match="ill-posed"):
         model, _, _ = em_fit(data, 2, FitConfig(seed=0))
-    model.validate()
-    em_refine(data, model).model.validate()
+    np.linalg.cholesky(model.covariances)
+    np.linalg.cholesky(em_refine(data, model).model.covariances)
 
 
 def test_em_decrease_on_unridged_sweep_raises(three_blob_data, monkeypatch):

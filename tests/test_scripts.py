@@ -41,6 +41,6 @@ def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == (
             f"seed 1: removal order equal, chosen {chosen} -> {chosen}, KL trace equal, "
-            "clamped counts equal, loglik drift 0, final partition equal")
+            "clamped counts equal, loglik drift 0, final model drift 0, final partition equal")
         record = json.loads(out.read_text())
         assert record["pass"] and record["per_seed"][0]["labels_equal"]

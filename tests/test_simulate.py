@@ -168,8 +168,6 @@ def test_univariate_separation_validation():
         separation_index_univariate([1.0], [2.0, 3.0])
     with pytest.raises(ValueError):
         separation_index_univariate([1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        separation_index_univariate([0.0, 1.0], [2.0, 3.0], alpha=1.5)
 
 
 def test_pairwise_separation_orders_datasets():

@@ -13,6 +13,7 @@ from oclust import (
     DegenerateFitError,
     ReferenceMixture,
     SimModelSpec,
+    SingularCovarianceError,
     DeltaMode,
     DowndateVariant,
     FitConfig,
@@ -402,6 +403,25 @@ def test_delta_formula_pieces():
         + 0.5 * t
     )
     assert delta_formula(x, mean, cov, 0.4) == pytest.approx(expected, abs=1e-12)
+
+
+def test_point_formulas_reject_non_symmetric_covariance():
+    # Cholesky reads only the lower triangle, so this would pass as the identity
+    lopsided = [[1.0, 5.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="^covariance is not symmetric$"):
+        mahalanobis_sq([1.0, 1.0], [0.0, 0.0], lopsided)
+    with pytest.raises(ValueError, match="^covariance is not symmetric$"):
+        delta_formula([1.0, 1.0], [0.0, 0.0], lopsided, 1.0)
+
+
+def test_singular_start_is_not_ridged():
+    data = np.random.default_rng(0).standard_normal((20, 2))
+    start = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[[[1.0, 1.0], [1.0, 1.0]]])
+    message = "^component 0 covariance is not positive definite$"
+    with pytest.raises(SingularCovarianceError, match=message):
+        em_refine(data, start)
+    with pytest.raises(SingularCovarianceError, match=message):
+        loo_refit_logliks(data, start)
 
 
 def test_frozen_and_refit_deltas_agree_on_one_fit(three_blob_data):
