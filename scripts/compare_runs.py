@@ -11,11 +11,10 @@ count, the KL trace and the per-iteration clamped counts (the CLI's
 per-iteration log-likelihood and of the final model's weights, means and
 covariances (written to ``summary.json`` at full precision), and whether the
 final labels give the same partition (and whether they are numbered the
-same).  A delta that crosses a
-support edge changes the clamped count but can leave the KL value as it was,
-so equal KL traces alone do not make equal CLI outputs.  The exit code is 1 when
-any seed differs in one of those or either drift exceeds ``LOGLIK_DRIFT_BOUND``,
-else 0.
+same).  A delta that crosses a support edge changes the clamped count but can
+leave the KL value as it was, so equal KL traces alone do not make equal CLI
+outputs.  The exit code is 1 when any seed differs in one of those or either
+drift exceeds ``LOGLIK_DRIFT_BOUND``, else 0.
 
 Example:
     python3 scripts/compare_runs.py ../parent . --workload trim-refit-n500 \\
