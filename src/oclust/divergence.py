@@ -1,46 +1,60 @@
 """Binned Kullback-Leibler divergence of samples against a reference mixture.
 
 The divergence is estimated from relative frequencies: partition the
-reference's support into B equal-probability bins, whose inner edges are the
-reference's b/B quantiles, count the samples per bin, and accumulate
-``sum_b p_hat_b * log(p_hat_b / q_b)`` with ``q_b = 1/B`` and
+reference's support into B equal-probability bins, count the samples per bin,
+and accumulate ``sum_b p_hat_b * log(p_hat_b / q_b)`` with ``q_b = 1/B`` and
 ``0 * log 0 := 0``.  The estimate is therefore ``log B`` minus the empirical
 entropy of the bin counts.
+
+Bins come from the reference CDF F (the probability integral transform): a
+sample y goes in bin min(floor(B F(y)), B - 1), so binning takes one CDF pass
+over the samples and no quantile search.  The bins' edges, the support ends
+and the reference's b/B quantiles in between, are bisected only when
+``BinningScheme.edges`` is read; they are the slow oracle the CDF bins are
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BinningError
-from .subset import ReferenceMixture, reference_mixture_ppf
+from .subset import ReferenceMixture, reference_mixture_cdf, reference_mixture_ppf
 
 
 @dataclass(frozen=True)
 class BinningScheme:
-    """Bin edges (length B + 1, strictly increasing)."""
+    """``num_bins`` (B >= 2) bins of reference mass 1/B each."""
 
-    edges: np.ndarray
+    reference: ReferenceMixture
+    num_bins: int
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=float))
-        if self.edges.ndim != 1 or self.edges.shape[0] < 2:
-            raise BinningError("need at least two bin edges")
-        flat = np.flatnonzero(~(np.diff(self.edges) > 0))
+        if self.num_bins < 2:
+            raise BinningError("num_bins must be >= 2")
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """Bin edges (length B + 1, strictly increasing, read-only), bisected on
+        first read: the support ends and the reference's b/B quantiles."""
+        ref, num_bins = self.reference, self.num_bins
+        edges = np.empty(num_bins + 1)
+        edges[0] = ref.support_lo
+        edges[num_bins] = ref.support_hi
+        edges[1:num_bins] = reference_mixture_ppf(np.arange(1, num_bins) / num_bins, ref)
+        flat = np.flatnonzero(~(np.diff(edges) > 0))
         if flat.size:
             k = int(flat[0])
             raise BinningError(
-                f"bin edges must be strictly increasing; with B = {self.num_bins} bins, "
-                f"edge {k} is {float(self.edges[k])!r} and edge {k + 1} is "
-                f"{float(self.edges[k + 1])!r}"
+                f"bin edges must be strictly increasing; with B = {num_bins} bins, "
+                f"edge {k} is {float(edges[k])!r} and edge {k + 1} is {float(edges[k + 1])!r}"
             )
-
-    @property
-    def num_bins(self) -> int:
-        return self.edges.shape[0] - 1
+        edges.flags.writeable = False
+        return edges
 
 
 @dataclass(frozen=True)
@@ -60,19 +74,21 @@ def default_num_bins(n: int) -> int:
 
 def build_bins(ref: ReferenceMixture, num_bins: int) -> BinningScheme:
     """Partition the reference support into ``num_bins`` bins of reference
-    mass 1/B each: the inner edges are reference quantiles."""
-    if num_bins < 2:
-        raise BinningError("num_bins must be >= 2")
-    edges = np.empty(num_bins + 1)
-    edges[0] = ref.support_lo
-    edges[num_bins] = ref.support_hi
-    edges[1:num_bins] = reference_mixture_ppf(np.arange(1, num_bins) / num_bins, ref)
-    return BinningScheme(edges=edges)
+    mass 1/B each.  Nothing is bisected here; see ``BinningScheme.edges``."""
+    return BinningScheme(reference=ref, num_bins=num_bins)
+
+
+def _bin_index(values: np.ndarray, bins: BinningScheme) -> np.ndarray:
+    """Bin of each value, min(floor(B F(y)), B - 1) with F the reference CDF;
+    a value below the support goes in bin 0, one above it in bin B - 1."""
+    num_bins = bins.num_bins
+    scaled = num_bins * reference_mixture_cdf(values, bins.reference)
+    return np.minimum(scaled.astype(np.intp), num_bins - 1)
 
 
 def kl_divergence(samples, bins: BinningScheme) -> KlEstimate:
     """Relative-frequency KL divergence of samples against the reference
-    whose equal-probability bins are ``bins``.
+    whose equal-probability bins are ``bins``, binned by the reference CDF.
 
     Samples outside the reference support are clamped into the nearest end
     bin and reported via ``clamped_count``.  A non-finite sample raises
@@ -84,11 +100,9 @@ def kl_divergence(samples, bins: BinningScheme) -> KlEstimate:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"sample {int(bad[0])} is not finite ({float(values[bad[0]])!r})")
-    edges = bins.edges
-    num_bins = bins.num_bins
-    clamped = int((values < edges[0]).sum() + (values > edges[-1]).sum())
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, num_bins - 1)
-    counts = np.bincount(idx, minlength=num_bins)
+    ref, num_bins = bins.reference, bins.num_bins
+    clamped = int((values < ref.support_lo).sum() + (values > ref.support_hi).sum())
+    counts = np.bincount(_bin_index(values, bins), minlength=num_bins)
     p_hat = counts / values.size
     occupied = p_hat > 0.0
     value = float((p_hat[occupied] * np.log(p_hat[occupied] / (1.0 / num_bins))).sum())

@@ -9,8 +9,10 @@ The fitting path is deliberately plain maximum-likelihood EM:
 
 Seeding draws are keyed by row *content* (a keyed hash of the row bytes feeds
 an exponential race), so a fit is reproducible for a given seed and
-equivariant under row reordering.  Each draw keys one BLAKE2b state and copies
-it for every row, and the digests are read as one uint64 array.
+equivariant under row reordering.  A fit splits the data into row bytes once
+and computes the pooled start covariance once, for all of its restarts; each
+draw keys one BLAKE2b state and copies it for every row, and the digests are
+read as one uint64 array.
 
 Every mixture density and EM sweep in the package, the single fit here and
 the leave-one-out refits in ``subset``, runs on one kernel over sufficient
@@ -258,6 +260,9 @@ def _point_terms(x, mean, cov):
     p = x.shape[0]
     if mean.shape[0] != p or cov.shape != (p, p):
         raise ValueError("dimension mismatch between point, mean and covariance")
+    for name, value in (("point", x), ("mean", mean), ("covariance", cov)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     _check_symmetric(cov)
     chol, logdet, _ = _factor_covariances(cov)
     z = np.linalg.solve(chol, x - mean)
@@ -284,6 +289,17 @@ def _upper(p: int):
 
 
 @functools.cache
+def _second_moment_index(p: int) -> np.ndarray:
+    """(p, p) positions of y_i y_j in the features without their constant,
+    [y, upper(y y')] (read-only)."""
+    iu = _upper(p)
+    index = np.empty((p, p), dtype=np.intp)
+    index[iu[0], iu[1]] = index[iu[1], iu[0]] = p + np.arange(iu[0].size)
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
 def _upper_scale(p: int) -> np.ndarray:
     """Factor of each upper-triangle precision entry in the quadratic
     coefficients: -1/2 on the diagonal, -1 off it (read-only)."""
@@ -293,19 +309,20 @@ def _upper_scale(p: int) -> np.ndarray:
     return scale
 
 
-def _features(y: np.ndarray) -> np.ndarray:
-    """Sufficient-statistic features [1, y, upper(y y')] of (G, p, n) deviations y.
+def _features(data: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Sufficient-statistic features [1, y, upper(y y')] of (n, p) data about
+    (G, p) centres, y = x - c_g.
 
     Returns them feature-major: a C-contiguous (G, d, n) array with
-    d = 1 + p + p(p+1)/2, whose column (g, :, i) is F_g(x_i) at y = x_i - c_g.
-    Each feature is written straight into the result, so nothing of the
+    d = 1 + p + p(p+1)/2, whose column (g, :, i) is F_g(x_i).  Each feature,
+    y included, is written straight into the result, so nothing of the
     result's size is allocated besides it.
     """
-    n_comp, p, n = y.shape
+    n, p = data.shape
     iu = _upper(p)
-    out = np.empty((n_comp, 1 + p + iu[0].size, n))
+    out = np.empty((centres.shape[0], 1 + p + iu[0].size, n))
     out[:, 0] = 1.0
-    out[:, 1:1 + p] = y
+    y = np.subtract(data.T[None], centres[:, :, None], out=out[:, 1:1 + p])
     for k, (i, j) in enumerate(zip(*iu), start=1 + p):
         np.multiply(y[:, i], y[:, j], out=out[:, k])
     return out
@@ -315,19 +332,22 @@ def _log_density_coefs(weights, shifts, covs, reg_eps=0.0):
     """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
 
     Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
-    (m, G, d) coefficients and the covariances actually factored (see
-    ``_factor_covariances``).
+    (m, G, d) coefficients, written into one array, and the covariances
+    actually factored (see ``_factor_covariances``).
     """
     p = shifts.shape[-1]
     chol, logdet, factored = _factor_covariances(covs, reg_eps)
     chol_inv = np.linalg.inv(chol)
     prec = chol_inv.swapaxes(-1, -2) @ chol_inv
     whitened = (chol_inv @ shifts[..., None])[..., 0]
-    linear = (prec @ shifts[..., None])[..., 0]
     iu = _upper(p)
-    quadratic = _upper_scale(p) * prec[..., iu[0], iu[1]]
-    const = np.log(weights) - 0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1))
-    return np.concatenate([const[..., None], linear, quadratic], axis=-1), factored
+    coefs = np.empty(shifts.shape[:-1] + (1 + p + iu[0].size,))
+    np.subtract(np.log(weights),
+                0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1)),
+                out=coefs[..., 0])
+    coefs[..., 1:p + 1] = (prec @ shifts[..., None])[..., 0]
+    np.multiply(_upper_scale(p), prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
+    return coefs, factored
 
 
 def _log_densities(feats, coefs, out=None):
@@ -353,10 +373,10 @@ def _posterior(logp, resp=None, top=None, row_ll=None):
     and s = sum_g e, the responsibilities are e / s and the row
     log-likelihood is top + log s; the steps are the same, buffers or not.
     """
-    top = np.max(logp, axis=1, out=top)
+    top = np.maximum.reduce(logp, axis=1, out=top)
     resp = np.subtract(logp, top[:, None, :], out=resp)
     np.exp(resp, out=resp)
-    row_ll = np.sum(resp, axis=1, out=row_ll)
+    row_ll = np.add.reduce(resp, axis=1, out=row_ll)
     resp /= row_ll[:, None, :]
     np.log(row_ll, out=row_ll)
     row_ll += top
@@ -374,12 +394,9 @@ def _params_from_moments(moments, p):
     """Weights, mean shifts and covariances from (m, G, d) moments of positive mass."""
     soft = moments[..., 0]  # (m, G)
     weights = soft / soft.sum(axis=-1, keepdims=True)
-    shifts = moments[..., 1:p + 1] / soft[..., None]
-    second = moments[..., p + 1:] / soft[..., None]
-    iu = _upper(p)
-    covs = np.empty(shifts.shape + (p,))
-    covs[..., iu[0], iu[1]] = second
-    covs[..., iu[1], iu[0]] = second
+    scaled = moments[..., 1:] / soft[..., None]  # [S1, upper(S2)] / S0
+    shifts = scaled[..., :p]
+    covs = scaled[..., _second_moment_index(p)]
     covs -= shifts[..., :, None] * shifts[..., None, :]
     return weights, shifts, covs
 
@@ -395,7 +412,7 @@ def _evaluate(data: np.ndarray, model: MixtureModel):
         )
     coefs, _ = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
                                   model.covariances[None])
-    feats = _features(data.T[None] - model.means[:, :, None])
+    feats = _features(data, model.means)
     return feats, _log_densities(feats, coefs)
 
 
@@ -513,12 +530,16 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     or when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep
     that needed no ridge; the others run on, to the same bits.  The E-steps
     write into ``work`` (from ``_em_workspace``, for at least m problems; made
-    here when None), on its leading rows for the active ones.  Returns per
-    problem the final log-likelihood (m,), the parameters it belongs to as
-    ``(weights, means, covs)``, the log-likelihood before the first and after
-    every sweep, (sweeps + 1, m), held once it stops, the hard labels (n,) of
-    the last E-step (ties to the lower component; None unless ``leave_out`` is
-    None and nothing failed), and a dict of failed problems to their errors.
+    here when None), on its leading rows for the active ones.  While every
+    problem is active the per-problem state is replaced whole each sweep;
+    once one has stopped, the active rows are written into a copy of the
+    log-likelihoods, so no history row is written after it is recorded.
+    Returns per problem the final log-likelihood (m,), the parameters it
+    belongs to as ``(weights, means, covs)``, the log-likelihood before the
+    first and after every sweep, (sweeps + 1, m), held once it stops, the hard
+    labels (n,) of the last E-step (ties to the lower component; None unless
+    ``leave_out`` is None and nothing failed), and a dict of failed problems
+    to their errors.
     """
     feats, p = start.feats, start.model.dim
     rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
@@ -535,12 +556,12 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.model.covariances[None], m, axis=0)
-    history = [loglik.copy()]
+    history = [loglik]
     active = np.arange(m)
     failures = {}
     for _ in range(max_iter):
-        collapsed = (moments[..., 0] < _MIN_SOFT_COUNT).any(axis=1)
-        if collapsed.any():
+        if np.fmin.reduce(moments[..., 0], axis=None) < _MIN_SOFT_COUNT:  # fmin skips NaN
+            collapsed = (moments[..., 0] < _MIN_SOFT_COUNT).any(axis=1)
             for i in np.flatnonzero(collapsed):
                 g = int(np.argmin(moments[i, :, 0]))
                 failures[int(active[i])] = DegenerateFitError(
@@ -565,25 +586,31 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
             batch, excluded = np.arange(k), rows[active]
             row_ll[batch, excluded] = 0.0
             resp[batch, :, excluded] = 0.0
-        old, new = loglik[active], row_ll.sum(axis=1)
+        new = row_ll.sum(axis=1)
+        if k == m:
+            old, loglik = loglik, new
+            weights, shifts, covs = w, s, factored
+        else:
+            old, loglik = loglik[active], loglik.copy()  # history holds the old array
+            loglik[active], weights[active], shifts[active], covs[active] = new, w, s, factored
+        history.append(loglik)
         scale = np.maximum(1.0, np.abs(old))
         fell = new < old - 1e-7 * scale
         if factored is not c:  # a problem whose covariances were ridged is exempt
             fell &= (factored == c).all(axis=(1, 2, 3))
-        loglik[active], weights[active], shifts[active], covs[active] = new, w, s, factored
-        history.append(loglik.copy())
-        keep = ~(np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol)
-        if fell.any():
+        stop = np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol
+        if np.count_nonzero(fell):
             for i in np.flatnonzero(fell):
                 failures[int(active[i])] = DegenerateFitError(
                     f"log-likelihood decreased from {float(old[i])} to {float(new[i])}; "
                     "EM update is inconsistent")
-            keep &= ~fell
-        if not keep.any():
+            stop |= fell
+        stopped = np.count_nonzero(stop)
+        if stopped == k:
             break
         moments = _moments(feats, resp)
-        if not keep.all():
-            active, moments = active[keep], moments[keep]
+        if stopped:
+            active, moments = active[~stop], moments[~stop]
     labels = logp[0].argmax(axis=0) if rows is None and not failures else None
     return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels, failures
 
@@ -619,31 +646,39 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     )
 
 
-def _content_uniforms(data: np.ndarray, key_seed: int, draw: int) -> np.ndarray:
-    """One uniform in (0, 1] per row, derived from a keyed hash of the row bytes.
+def _row_bytes(data: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a matrix, in C order: what ``_content_uniforms`` hashes."""
+    rows = np.ascontiguousarray(data)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _content_uniforms(rows: list[bytes], key_seed: int, draw: int) -> np.ndarray:
+    """One uniform in (0, 1] per row, derived from a keyed hash of the row
+    bytes (``_row_bytes``).
 
     Keying by content rather than position keeps seeding decisions stable
     under row permutation.
     """
     key = int(key_seed).to_bytes(8, "little") + int(draw).to_bytes(8, "little")
-    keyed = hashlib.blake2b(key=key, digest_size=8)
-    raw = data.tobytes()
-    width = len(raw) // data.shape[0]
+    copy = hashlib.blake2b(key=key, digest_size=8).copy
     digests = []
-    for start in range(0, len(raw), width):
-        h = keyed.copy()
-        h.update(raw[start:start + width])
-        digests.append(h.digest())
+    append = digests.append
+    for row in rows:
+        h = copy()
+        h.update(row)
+        append(h.digest())
     # (digest + 1) / 2**64, rounded once: the +1 is exact in uint64, where
     # only the largest digest wraps to 0 and stands for 2**64
     counts = np.frombuffer(b"".join(digests), dtype="<u8") + np.uint64(1)
     return np.where(counts == 0, 2.0 ** 64, counts.astype(float)) / 18446744073709551616.0
 
 
-def _seed_mean_indices(data: np.ndarray, n_clusters: int, key_seed: int) -> list[int]:
-    """k-means++ style center selection via deterministic exponential races."""
+def _seed_mean_indices(data: np.ndarray, rows: list[bytes], n_clusters: int,
+                       key_seed: int) -> list[int]:
+    """k-means++ style center selection via deterministic exponential races;
+    ``rows`` is ``_row_bytes(data)``."""
     n = data.shape[0]
-    uniforms = _content_uniforms(data, key_seed, 0)
+    uniforms = _content_uniforms(rows, key_seed, 0)
     chosen = [int(np.argmin(-np.log(uniforms)))]
     dist_sq = ((data - data[chosen[0]]) ** 2).sum(axis=1)
     for draw in range(1, n_clusters):
@@ -655,7 +690,7 @@ def _seed_mean_indices(data: np.ndarray, n_clusters: int, key_seed: int) -> list
             mask[chosen] = False
             chosen.append(int(np.flatnonzero(mask)[0]) if mask.any() else chosen[-1])
             continue
-        uniforms = _content_uniforms(data, key_seed, draw)
+        uniforms = _content_uniforms(rows, key_seed, draw)
         with np.errstate(divide="ignore"):
             race = -np.log(uniforms) / weights
         pick = int(np.argmin(race))
@@ -664,14 +699,19 @@ def _seed_mean_indices(data: np.ndarray, n_clusters: int, key_seed: int) -> list
     return chosen
 
 
-def _initial_model(data: np.ndarray, n_clusters: int, key_seed: int) -> MixtureModel:
+def _pooled_covariance(data: np.ndarray) -> np.ndarray:
+    """The sample covariance of every row (the identity for one row), ridged
+    once if it is not positive definite: every restart's start covariance."""
     n, p = data.shape
-    centers = data[_seed_mean_indices(data, n_clusters, key_seed)].copy()
-    if n >= 2:
-        pooled = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
-    else:
-        pooled = np.eye(p)
-    pooled = _factor_covariances(pooled, _RIDGE)[2]
+    pooled = np.atleast_2d(np.cov(data, rowvar=False, ddof=1)) if n >= 2 else np.eye(p)
+    return _factor_covariances(pooled, _RIDGE)[2]
+
+
+def _initial_model(data: np.ndarray, rows: list[bytes], pooled: np.ndarray, n_clusters: int,
+                   key_seed: int) -> MixtureModel:
+    """A restart's start: seeded means, ``pooled`` covariances, uniform weights."""
+    p = data.shape[1]
+    centers = data[_seed_mean_indices(data, rows, n_clusters, key_seed)]
     covs = np.broadcast_to(pooled, (n_clusters, p, p)).copy()
     weights = np.full(n_clusters, 1.0 / n_clusters)
     return MixtureModel(weights=weights, means=centers, covariances=covs)
@@ -704,10 +744,13 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         )
     best: EmRun | None = None
     failures = []  # (restart, error)
+    rows, pooled = _row_bytes(arr), None
     for restart in range(config.restarts):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
-            start = _initial_model(arr, n_clusters, key_seed)
+            if pooled is None:  # a failure here is this restart's, and the next one retries
+                pooled = _pooled_covariance(arr)
+            start = _initial_model(arr, rows, pooled, n_clusters, key_seed)
             run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)
             if np.any(counts < 2):

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from oclust import (
     BinningError,
-    BinningScheme,
+    ReferenceMixture,
     beta_mixture_reference,
     build_bins,
     cluster_stats,
@@ -13,6 +13,7 @@ from oclust import (
     reference_mixture_cdf,
     sample_reference,
 )
+from oclust import divergence
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +45,35 @@ def test_equal_probability_bins_have_uniform_reference_mass(reference):
 
 
 def test_bins_reject_bad_requests(reference):
-    with pytest.raises(BinningError):
+    with pytest.raises(BinningError, match="^num_bins must be >= 2$"):
         build_bins(reference, 1)
-    with pytest.raises(BinningError, match=r"^bin edges must be strictly increasing; with B = 2 "
-                                           r"bins, edge 1 is 1\.0 and edge 2 is 1\.0$"):
-        BinningScheme(edges=np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(BinningError, match=r"with B = 3 bins, edge 0 is 0\.5 and edge 1 is 0\.25$"):
-        BinningScheme(edges=np.array([0.5, 0.25, 1.0, 2.0]))
+    # a support 1e-8 wide at 1e6 is narrower than the bisection tolerance
+    # (1e-13 relative), so two inner edges coincide: the CDF still bins, and
+    # the edges fail when they are read
+    narrow = ReferenceMixture(shift=[1e6], scale=[1e8], alpha=[1.0], beta=[1.0], weight=[1.0])
+    bins = build_bins(narrow, 4)
+    est = kl_divergence(1e6 + np.array([0.1, 0.4, 0.6, 0.9]) * 1e-8, bins)
+    assert est.value == 0.0 and est.clamped_count == 0
+    with pytest.raises(BinningError, match=r"^bin edges must be strictly increasing; with B = 4 "
+                                           r"bins, edge 1 is 1000000\.0000000026 and edge 2 is "
+                                           r"1000000\.0000000026$"):
+        bins.edges
+
+
+def test_binning_reads_no_quantile_until_the_edges_are_read(reference, monkeypatch):
+    calls = []
+    ppf = divergence.reference_mixture_ppf
+
+    def counting(*args):
+        calls.append(args)
+        return ppf(*args)
+
+    monkeypatch.setattr(divergence, "reference_mixture_ppf", counting)
+    bins = build_bins(reference, 16)
+    kl_divergence(sample_reference(reference, 500, np.random.default_rng(1)), bins)
+    assert calls == []
+    edges = bins.edges
+    assert len(calls) == 1 and bins.edges is edges and not edges.flags.writeable
 
 
 def test_kl_of_reference_samples_is_small(reference):

@@ -548,6 +548,32 @@ def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_d
             assert len(set(sweeps.tolist())) > 1
 
 
+def test_em_sweeps_history_of_a_batch_is_each_problems_own(three_blob_data):
+    # problems stop after different numbers of sweeps, so the batch runs with
+    # every problem active and then with some stopped; each column of the
+    # batch's history must be the history of that problem run alone, held at
+    # its last value once it stops
+    data, _ = three_blob_data
+    model = MixtureModel(weights=[0.2, 0.3, 0.5], means=[[2.0, 2.0], [7.0, 1.0], [1.0, 6.0]],
+                         covariances=np.repeat(4.0 * np.eye(2)[None], 3, axis=0))
+    start = gmm._em_start(data, model)
+    rows = np.arange(0, data.shape[0], 3)
+    kwargs = dict(max_iter=200, rel_tol=1e-12)
+    loglik, params, history, _, failures = gmm._em_sweeps(start, rows, **kwargs)
+    assert failures == {}
+    lengths = set()
+    for i, row in enumerate(rows):
+        one, one_params, one_history, _, _ = gmm._em_sweeps(start, [row], **kwargs)
+        length = one_history.shape[0]
+        lengths.add(length)
+        assert np.array_equal(history[:length, i], one_history[:, 0])
+        assert (history[length:, i] == one_history[-1, 0]).all()
+        assert loglik[i] == one[0] == one_history[-1, 0]
+        for a, b in zip(params, one_params):
+            assert np.array_equal(a[i], b[0])
+    assert len(lengths) > 1 and max(lengths) == history.shape[0]
+
+
 # ---------------------------------------------------------------------------
 # k-means++ seeding uniforms (keyed row hashes)
 # ---------------------------------------------------------------------------
@@ -577,7 +603,7 @@ def test_content_uniforms_match_per_row_hash(n, p, key_seed, draw, data_seed):
     data = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 300, (n, 1))
     data[rng.random(n) < 0.2] = 0.0
     expected = reference_uniforms(data, key_seed, draw)
-    assert np.array_equal(gmm._content_uniforms(data, key_seed, draw), expected)
+    assert np.array_equal(gmm._content_uniforms(gmm._row_bytes(data), key_seed, draw), expected)
 
 
 class EchoHash:
@@ -604,7 +630,7 @@ def test_content_uniforms_round_digest_plus_one_once(monkeypatch):
                2**64 - 1025, 2**64 - 2, 2**64 - 1]
     data = np.array(digests, dtype=np.uint64).view(np.float64).reshape(-1, 1)
     monkeypatch.setattr(gmm, "hashlib", types.SimpleNamespace(blake2b=EchoHash))
-    uniforms = gmm._content_uniforms(data, 5, 1)
+    uniforms = gmm._content_uniforms(gmm._row_bytes(data), 5, 1)
     assert np.array_equal(uniforms, [(d + 1) / 18446744073709551616.0 for d in digests])
     assert uniforms[-1] == 1.0
 
@@ -621,9 +647,10 @@ def test_content_uniforms_pinned_values():
         (123456789, 1): ["0x1.027a8126d214bp-3", "0x1.31a0e0e8795f9p-2",
                          "0x1.d1703024af24ep-2", "0x1.5dca042083cf3p-1"],
     }
+    rows = gmm._row_bytes(data)
     for (key_seed, draw), values in pinned.items():
         expected = [float.fromhex(v) for v in values]
-        assert np.array_equal(gmm._content_uniforms(data, key_seed, draw), expected)
+        assert np.array_equal(gmm._content_uniforms(rows, key_seed, draw), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +715,7 @@ def test_em_refine_labels_match_hard_labels(seed, n_comp, p, max_iter):
 
 def test_em_refine_labels_when_stopped_by_max_iter(three_blob_data):
     data, _ = three_blob_data
-    start = gmm._initial_model(data, 3, 17)
+    start = gmm._initial_model(data, gmm._row_bytes(data), gmm._pooled_covariance(data), 3, 17)
     run = em_refine(data, start, max_iter=3, rel_tol=1e-14)
     assert len(run.history) == 4  # three sweeps, none of them converged
     assert abs(run.history[-1] - run.history[-2]) > 1e-14 * abs(run.history[-1])

@@ -10,6 +10,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import multivariate_normal
 
 from oclust import (
+    BinningError,
     DegenerateFitError,
     ReferenceMixture,
     SimModelSpec,
@@ -32,6 +33,7 @@ from oclust import (
     gamma_reference,
     gen_dataset,
     gamma_reference_density,
+    kl_divergence,
     loo_refit_logliks,
     mahalanobis_sq,
     mixture_log_likelihood,
@@ -41,7 +43,7 @@ from oclust import (
     sample_reference,
     subset_deltas,
 )
-from oclust import gmm, subset
+from oclust import divergence, gmm, subset
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,23 @@ def test_point_formulas_reject_non_symmetric_covariance():
         delta_formula([1.0, 1.0], [0.0, 0.0], lopsided, 1.0)
 
 
+@pytest.mark.parametrize("formula", [
+    gmm.log_gaussian_density,
+    mahalanobis_sq,
+    lambda x, mean, cov: delta_formula(x, mean, cov, 0.5),
+], ids=["log_gaussian_density", "mahalanobis_sq", "delta_formula"])
+@pytest.mark.parametrize("x, mean, cov, name", [
+    ([np.nan], [0.0], [[1.0]], "point"),
+    ([1.0, -np.inf], [0.0, 0.0], np.eye(2), "point"),
+    ([1.0], [np.inf], [[1.0]], "mean"),
+    ([1.0], [0.0], [[np.nan]], "covariance"),
+    ([1.0, 0.0], [0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "covariance"),
+], ids=["nan-point", "inf-point", "inf-mean", "nan-covariance", "inf-covariance"])
+def test_point_formulas_name_a_non_finite_input(formula, x, mean, cov, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        formula(x, mean, cov)
+
+
 def test_singular_start_is_not_ridged():
     data = np.random.default_rng(0).standard_normal((20, 2))
     start = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[[[1.0, 1.0], [1.0, 1.0]]])
@@ -678,6 +697,43 @@ def test_array_ppf_equals_scalar_bisection(seed, n_comp, p, num_bins):
         assert np.array_equal(build_bins(ref, num_bins).edges, expected)
     scalar = reference_mixture_ppf(float(levels[1]), ref)
     assert isinstance(scalar, float) and scalar == expected[1]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_comp=st.integers(1, 3),
+    p=st.integers(1, 6),
+    num_bins=st.integers(2, 40),
+)
+def test_cdf_bins_equal_bins_of_the_bisected_edges(seed, n_comp, p, num_bins):
+    # oracle: searchsorted on the bisected edges, out-of-support values
+    # clamped into the end bins; a value within the bisection tolerance of an
+    # inner edge may land on either side of it and is exempt
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_comp))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    ref = random_reference(rng, weights, p)
+    bins = build_bins(ref, num_bins)
+    try:
+        edges = bins.edges
+    except BinningError:
+        assume(False)
+    inner = edges[1:-1]
+    tol = 1e-13 * np.maximum(1.0, np.abs(inner))
+    values = np.concatenate([
+        sample_reference(ref, 200, rng),
+        rng.uniform(edges[0] - 1.0, edges[-1] + 1.0, size=50),
+        edges, inner - 1e4 * tol, inner + 1e4 * tol,
+    ])
+    exempt = (np.abs(values[:, None] - inner) <= tol).any(axis=1)
+    kept = values[~exempt]
+    expected = np.clip(np.searchsorted(edges, kept, side="right") - 1, 0, num_bins - 1)
+    assert np.array_equal(divergence._bin_index(kept, bins), expected)
+    p_hat = np.bincount(expected, minlength=num_bins) / kept.size
+    occupied = p_hat > 0.0
+    est = kl_divergence(kept, bins)
+    assert est.value == float((p_hat[occupied] * np.log(p_hat[occupied] / (1.0 / num_bins))).sum())
+    assert est.clamped_count == int(((kept < edges[0]) | (kept > edges[-1])).sum())
 
 
 def test_reference_samples_stay_in_support():
