@@ -3,17 +3,20 @@
 
 Generates a seeded dataset of the three-cluster benchmark family, fits it with
 ``em_fit`` (untimed; this also loads every library the pass needs) and then
-runs ``loo_refit_logliks`` on the fit ``--repeats`` times.  Each pass prints
-one JSON line with its wall time, its CPU time (user + system, all threads of
-the process) and its minor page faults, all from ``getrusage`` and
+runs ``loo_refit_logliks`` on the fit ``--repeats`` times, all through one
+worker state (thread pool and workspaces) as a trimming run holds it.  Each
+pass prints one JSON line with its wall time, its CPU time (user + system, all
+threads of the process) and its minor page faults, all from ``getrusage`` and
 ``perf_counter`` around the call, plus a SHA-256 of the returned values so
 that two runs can be checked for equal outputs.
 
 The chunk size is the library default unless ``--chunk-size`` gives one, or
 ``--elements E`` gives clip(E // (G n), 8, 4096), the default rule with E in
 place of its constant.  Like ``perfbench``, the script pins BLAS to one
-thread before NumPy loads.  The first pass in a fresh process is the one a
-trimming iteration pays; run one process per setting to compare settings.
+thread before NumPy loads.  The first pass also starts the threads and
+touches the workspaces for the first time, which a trimming run pays once;
+the later passes time what each trimming iteration pays.  Run one process per
+setting to compare settings.
 
 Example:
     python3 scripts/loo_pass.py --n-good 1995 --n-out 5 --threads 2 --elements 262144
@@ -36,6 +39,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
+from oclust.subset import _RefitWorkers  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -66,20 +70,23 @@ def main(argv=None) -> int:
     chunk = args.chunk_size
     if args.elements is not None:
         chunk = int(np.clip(args.elements // (args.clusters * n), 8, 4096))
-    for repeat in range(args.repeats):
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        t0 = time.perf_counter()
-        values = loo_refit_logliks(data, model, n_threads=args.threads, chunk_size=chunk)
-        wall = time.perf_counter() - t0
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        print(json.dumps({
-            "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
-            "threads": args.threads, "chunk_size": chunk, "elements": args.elements,
-            "wall_s": round(wall, 6),
-            "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 6),
-            "minflt": after.ru_minflt - before.ru_minflt,
-            "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
-        }), flush=True)
+    with _RefitWorkers(args.clusters, [n], args.threads, chunk) as workers:
+        for repeat in range(args.repeats):
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            t0 = time.perf_counter()
+            values = loo_refit_logliks(data, model, n_threads=args.threads, chunk_size=chunk,
+                                       _workers=workers)
+            wall = time.perf_counter() - t0
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            print(json.dumps({
+                "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
+                "threads": args.threads, "chunk_size": chunk, "elements": args.elements,
+                "wall_s": round(wall, 6),
+                "cpu_s": round(after.ru_utime + after.ru_stime
+                               - before.ru_utime - before.ru_stime, 6),
+                "minflt": after.ru_minflt - before.ru_minflt,
+                "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
+            }), flush=True)
     return 0
 
 

@@ -48,9 +48,12 @@ while the others run on; the caller decides what a failure means.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for
 them; it numbers the winning fit's components by the first row each one owns.
-Its E-steps write into a workspace (``_em_workspace``) that a caller can
-reuse across batches, on the leading rows for the problems still active, so
-a sweep allocates nothing of size n; the values are the same bits as without.
+Its E-steps write into a workspace (``_em_workspace``): C-contiguous views of
+one flat buffer that a caller can own and reuse for batches of any size and
+row count, on the leading rows for the problems still active, so a sweep
+allocates nothing of size n.  A leave-one-out batch runs its E-step in place,
+the responsibilities overwriting the log-densities, which it does not read
+again; the values are the same bits either way.
 """
 
 from __future__ import annotations
@@ -368,10 +371,12 @@ def _log_densities(feats, coefs, out=None):
 def _posterior(logp, resp=None, top=None, row_ll=None):
     """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities.
 
-    ``resp`` (m, G, n), ``top`` and ``row_ll`` (m, n) are optional buffers;
-    ``logp`` is left as it is.  One exp per entry: with e = exp(logp - top)
-    and s = sum_g e, the responsibilities are e / s and the row
-    log-likelihood is top + log s; the steps are the same, buffers or not.
+    ``resp`` (m, G, n), ``top`` and ``row_ll`` (m, n) are optional buffers.
+    ``logp`` is left as it is unless ``resp`` is ``logp``, an in-place
+    E-step that overwrites the log-densities with the responsibilities.  One
+    exp per entry: with e = exp(logp - top) and s = sum_g e, the
+    responsibilities are e / s and the row log-likelihood is top + log s; the
+    steps are the same, buffers or not, in place or not.
     """
     top = np.maximum.reduce(logp, axis=1, out=top)
     resp = np.subtract(logp, top[:, None, :], out=resp)
@@ -510,12 +515,31 @@ def _em_start(data: np.ndarray, model: MixtureModel) -> _EmStart:
     return _EmStart(model, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
-def _em_workspace(m: int, n_components: int, n: int):
+def _em_workspace_size(m: int, n_components: int, n: int, in_place: bool = False) -> int:
+    """Elements of the flat buffer behind ``_em_workspace(m, n_components, n, in_place=)``."""
+    return m * n * ((1 if in_place else 2) * n_components + 2)
+
+
+def _em_workspace(m: int, n_components: int, n: int, flat=None, *, in_place: bool = False):
     """Work buffers for ``_em_sweeps`` batches of up to m problems on n rows:
     the log-densities and responsibilities (m, G, n), and the per-row maxima
-    and log-likelihoods (m, n)."""
-    return (np.empty((m, n_components, n)), np.empty((m, n_components, n)),
-            np.empty((m, n)), np.empty((m, n)))
+    and log-likelihoods (m, n).
+
+    Each is a C-contiguous view of the leading elements of the 1-d float
+    buffer ``flat``, which must hold ``_em_workspace_size`` elements (made
+    here when None), so one buffer sized for the largest batch serves every
+    smaller one.  With ``in_place`` the responsibilities are the
+    log-densities' buffer: the E-step overwrites the log-densities, which a
+    leave-one-out batch does not read afterwards.
+    """
+    if flat is None:
+        flat = np.empty(_em_workspace_size(m, n_components, n, in_place))
+    block = m * n_components * n
+    logp = flat[:block].reshape(m, n_components, n)
+    resp = logp if in_place else flat[block:2 * block].reshape(m, n_components, n)
+    rows = block if in_place else 2 * block
+    return (logp, resp, flat[rows:rows + m * n].reshape(m, n),
+            flat[rows + m * n:rows + 2 * m * n].reshape(m, n))
 
 
 def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float, work=None):
@@ -530,7 +554,10 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     or when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep
     that needed no ridge; the others run on, to the same bits.  The E-steps
     write into ``work`` (from ``_em_workspace``, for at least m problems; made
-    here when None), on its leading rows for the active ones.  While every
+    here when None), on its leading rows for the active ones.  A batch with
+    ``leave_out`` reads no log-density after its E-step, so its ``work`` may
+    be in place (the default here); one without reads its labels from them
+    and needs a separate responsibility buffer.  While every
     problem is active the per-problem state is replaced whole each sweep;
     once one has stopped, the active rows are written into a copy of the
     log-likelihoods, so no history row is written after it is recorded.
@@ -552,7 +579,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         moments = start.moments - removed
     m = loglik.shape[0]
     if work is None:
-        work = _em_workspace(m, start.model.n_components, feats.shape[2])
+        work = _em_workspace(m, start.model.n_components, feats.shape[2],
+                             in_place=rows is not None)
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.model.covariances[None], m, axis=0)

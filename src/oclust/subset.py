@@ -33,8 +33,10 @@ per row, in one of two ways:
 The refits run in the EM loop of ``gmm``, the one that also runs the single
 fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
-chunk and thread.  Chunks are sized for a core's cache, and each thread
-reuses one workspace for all its chunks (see ``loo_refit_logliks``).  A
+chunk and thread.  Chunks are sized for a core's cache.  A trimming run keeps
+one thread pool and one workspace per thread for the whole run
+(``_RefitWorkers``), sized once for its largest pass, and each thread runs
+the E-steps of all its chunks there, in place (see ``loo_refit_logliks``).  A
 refit is held to the single fit's convergence test and failures, and the error
 raised is the lowest failing row's at any chunking and thread count.
 """
@@ -58,6 +60,7 @@ from .gmm import (
     _em_start,
     _em_sweeps,
     _em_workspace,
+    _em_workspace_size,
     _factor_covariances,
     _point_terms,
     cluster_stats,
@@ -330,21 +333,81 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _chunk_rows(n_components: int, n: int, chunk_size: int | None) -> int:
+    """Refits per batch on n rows: ``chunk_size``, by default
+    clip(2**18 // (G n), 8, 4096), so that each (chunk, G, n) work array holds
+    about 2 MiB and stays in a core's cache."""
+    if chunk_size is not None:
+        return chunk_size
+    return int(np.clip(2**18 // (n_components * n), 8, 4096))
+
+
+def _group_count(n: int, chunk: int, n_threads: int) -> int:
+    """Contiguous row groups, one per worker, of a pass of n refits in batches of ``chunk``."""
+    return min(n_threads, -(-n // chunk))
+
+
+class _RefitWorkers:
+    """Worker threads and E-step workspaces for leave-one-out passes, kept
+    until ``close``: for a whole trimming run, or for one call.
+
+    Sized once, when made, for a pass on each row count in ``sizes`` at
+    ``n_threads`` threads and ``chunk_size`` (None for the default rule): one
+    flat buffer per worker, each holding the in-place workspace of the largest
+    batch that any of those passes gives a worker.  A pass takes
+    C-contiguous views of its leading elements (``workspace``), so it
+    allocates nothing of size n, and runs its groups on ``pool`` when it has
+    more than one.  ``close`` stops the threads and drops the buffers; used in
+    a ``with`` statement, the state closes on exit.
+    """
+
+    def __init__(self, n_components: int, sizes, n_threads: int, chunk_size: int | None = None):
+        self.n_components = n_components
+        workers, capacity = 1, 0
+        for n in sizes:
+            chunk = _chunk_rows(n_components, n, chunk_size)
+            groups = _group_count(n, chunk, n_threads)
+            workers = max(workers, groups)
+            capacity = max(capacity, _em_workspace_size(min(chunk, -(-n // groups)),
+                                                        n_components, n, in_place=True))
+        self.buffers = [np.empty(capacity) for _ in range(workers)]
+        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def workspace(self, worker: int, m: int, n: int):
+        """The in-place ``_em_workspace`` of one worker, for batches of up to m
+        refits on n rows."""
+        return _em_workspace(m, self.n_components, n, self.buffers[worker], in_place=True)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+        self.pool, self.buffers = None, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
 def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
-                      n_threads: int = 1, chunk_size: int | None = None) -> np.ndarray:
+                      n_threads: int = 1, chunk_size: int | None = None,
+                      _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
     The refits run as vectorized batches of ``chunk_size`` subsets, by default
     clip(2**18 // (G n), 8, 4096), so that each (chunk, G, n) work array
     holds about 2 MiB and stays in a core's cache.  The rows are split into
     min(n_threads, number of chunks) contiguous groups, one per worker
-    thread; each worker makes one workspace and reuses it for every chunk of
-    its group.  The result is independent of chunking and thread count, and
-    so is the error when refits fail: that of the lowest failing row j, as
-    "leave-one-out refit for row j: ...".  ``n_threads``, ``chunk_size`` or
-    ``max_iter`` below 1 and ``rel_tol`` not positive raise ``ValueError``.
-    The warm start ``model`` must factor without a ridge, or
-    ``SingularCovarianceError`` names its first singular component.
+    thread; each worker reuses one workspace for every chunk of its group,
+    and runs the E-step there in place.  The result is independent of
+    chunking and thread count, and so is the error when refits fail: that of
+    the lowest failing row j, as "leave-one-out refit for row j: ...".
+    ``n_threads``, ``chunk_size`` or ``max_iter`` below 1 and ``rel_tol`` not
+    positive raise ``ValueError``.  The warm start ``model`` must factor
+    without a ridge, or ``SingularCovarianceError`` names its first singular
+    component.  The threads and workspaces last for the call; a trimming run
+    passes its own, sized for all of its passes, as the private ``_workers``.
     """
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
@@ -353,26 +416,31 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     arr = validate_data(data)
     n = arr.shape[0]
-    n_comp = model.n_components
-    if chunk_size is None:
-        chunk_size = int(np.clip(2**18 // (n_comp * n), 8, 4096))
+    chunk = _chunk_rows(model.n_components, n, chunk_size)
     start = _em_start(arr, model)
+    groups = np.array_split(np.arange(n), _group_count(n, chunk, n_threads))
+    workers = _workers
+    if workers is None:
+        workers = _RefitWorkers(model.n_components, [n], n_threads, chunk_size)
 
-    def refit(group):
-        work = _em_workspace(min(chunk_size, group.shape[0]), n_comp, n)
+    def refit(worker, group):
+        work = workers.workspace(worker, min(chunk, group.shape[0]), n)
         results = []
-        for rows in np.split(group, range(chunk_size, group.shape[0], chunk_size)):
+        for rows in np.split(group, range(chunk, group.shape[0], chunk)):
             loglik, _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
                                                  rel_tol=rel_tol, work=work)
             results.append((rows, loglik, failed))
         return results
 
-    groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk_size)))
-    if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            chunks = [chunk for part in pool.map(refit, groups) for chunk in part]
-    else:
-        chunks = refit(groups[0])
+    try:
+        if len(groups) > 1:
+            parts = workers.pool.map(refit, range(len(groups)), groups)
+            chunks = [item for part in parts for item in part]
+        else:
+            chunks = refit(0, groups[0])
+    finally:
+        if _workers is None:
+            workers.close()
     failures = {int(rows[i]): exc for rows, _, failed in chunks for i, exc in failed.items()}
     if failures:
         j = min(failures)
@@ -386,17 +454,19 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
-                  rel_tol: float = 1e-8, n_threads: int = 1) -> np.ndarray:
+                  rel_tol: float = 1e-8, n_threads: int = 1,
+                  _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood
     when row j is removed.  ``loglik`` must be the full-data mixture
     log-likelihood of ``model``; ``labels`` are its hard clusters, read in
-    frozen mode.
+    frozen mode.  ``_workers`` goes to ``loo_refit_logliks`` in refit mode.
     """
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
-        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
+        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads,
+                                 _workers=_workers) - loglik
     if stats is None:
         stats = cluster_stats(arr, labels, model.n_components)
     return frozen_subset_deltas(arr, labels, stats)

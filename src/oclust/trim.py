@@ -20,7 +20,7 @@ from .divergence import KlEstimate, build_bins, default_num_bins, kl_divergence
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
 from .gmm import FitConfig, MixtureModel, cluster_stats, em_fit, validate_data
 from .rng import derive_seed
-from .subset import DeltaMode, beta_mixture_reference, subset_deltas
+from .subset import DeltaMode, _RefitWorkers, beta_mixture_reference, subset_deltas
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     original_rows = np.arange(n)
     removed: list[int] = []
     records: list[IterationRecord] = []
+    # refit mode: one thread pool and one workspace per thread for every
+    # leave-one-out pass of the run, on n, n - 1, ..., n - budget rows
+    workers = (_RefitWorkers(config.n_clusters, range(n, n - budget - 1, -1), config.n_threads)
+               if DeltaMode(config.delta_mode) is DeltaMode.REFIT else None)
     try:
         for m in range(budget + 1):
             fit_cfg = replace(config.fit, seed=derive_seed(config.fit.seed, 101, m))
@@ -155,7 +159,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             stats = cluster_stats(current, labels, config.n_clusters)
             deltas = subset_deltas(
                 current, model, labels, loglik, stats, config.delta_mode,
-                rel_tol=config.fit.rel_tol, n_threads=config.n_threads,
+                rel_tol=config.fit.rel_tol, n_threads=config.n_threads, _workers=workers,
             )
             reference = beta_mixture_reference(stats)
             bins = build_bins(reference, default_num_bins(current.shape[0]))
@@ -179,6 +183,9 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             f"trimming aborted after {len(records)} of {budget + 1} iterations: {exc}",
             partial_trace=records,
         ) from exc
+    finally:
+        if workers is not None:
+            workers.close()
     kl_values = [record.kl.value for record in records]
     chosen = int(np.argmin(kl_values))  # first minimum: ties favor fewer outliers
     outliers = tuple(removed[:chosen])

@@ -137,6 +137,26 @@ def test_oclust_rerun_is_byte_identical(dataset_csv, tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_oclust_outputs_do_not_depend_on_threads(tmp_path, capsys):
+    # 312 rows: each leave-one-out pass makes two chunks, which two threads share
+    data = tmp_path / "big.csv"
+    assert main(["simulate", "--model", "I", "--n-good", "300", "--n-out", "12",
+                 "--seed", "4", "--out", str(data)]) == 0
+    dirs = {threads: tmp_path / f"threads-{threads}" for threads in ("1", "2")}
+    for threads, out_dir in dirs.items():
+        code, _, _ = run_cli(
+            ["oclust", str(data), "--clusters", "3", "--max-outliers", "3", "--seed", "2",
+             "--threads", threads, "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+    for name in ["trace.csv", "labels.csv", "summary.json"]:
+        assert (dirs["1"] / name).read_bytes() == (dirs["2"] / name).read_bytes()
+    manifests = [json.loads((out_dir / "manifest.json").read_text()) for out_dir in dirs.values()]
+    assert [manifest["config"].pop("threads") for manifest in manifests] == [1, 2]
+    assert manifests[0] == manifests[1]
+
+
 def test_oclust_frozen_mode_runs(dataset_csv, tmp_path, capsys):
     # no --max-outliers: the default budget ceil(0.125 n) is run and recorded
     code, _, _ = run_cli(

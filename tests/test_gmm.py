@@ -490,6 +490,20 @@ def test_posterior_in_buffers_matches_one_exp_formula(seed, m, n_comp, n, spread
         assert np.array_equal(got[0], row_ll)
         assert np.array_equal(got[1], resp)
     assert np.array_equal(logp, given_logp)
+    # in place: the responsibilities overwrite the log-densities, in the
+    # leading rows of a flat in-place workspace or in the caller's array
+    flat = np.full(gmm._em_workspace_size(m + 3, n_comp, n, in_place=True), np.nan)
+    aliased = gmm._em_workspace(m + 3, n_comp, n, flat, in_place=True)
+    assert aliased[1] is aliased[0]
+    aliased[0][:m] = logp
+    own = logp.copy()
+    for buffer, got in ((aliased[0][:m], gmm._posterior(aliased[0][:m], aliased[1][:m],
+                                                        aliased[2][:m], aliased[3][:m])),
+                        (own, gmm._posterior(own, own, work[2][:m], work[3][:m]))):
+        assert np.shares_memory(got[1], buffer)
+        assert np.array_equal(got[0], row_ll)
+        assert np.array_equal(got[1], resp)
+        assert np.array_equal(buffer, resp)
     # and both within rounding of log-sum-exp and exp(logp - log-sum-exp)
     expected = logsumexp(logp, axis=1)
     assert np.all(np.abs(row_ll - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))

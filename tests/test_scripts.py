@@ -11,22 +11,24 @@ from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logli
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_loo_pass_prints_one_line_with_the_in_process_values():
-    # two threads over chunks of 7 rows must hash like one thread in-process
+def test_loo_pass_prints_one_line_per_pass_with_the_in_process_values():
+    # two threads over chunks of 7 rows, in passes that reuse one worker
+    # state, must hash like one thread in-process, pass after pass
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "loo_pass.py"), "--n-good", "60", "--n-out", "3",
-         "--threads", "2", "--chunk-size", "7"],
+         "--threads", "2", "--chunk-size", "7", "--repeats", "2"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert (record["n"], record["threads"], record["chunk_size"]) == (63, 2, 7)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [record["repeat"] for record in records] == [0, 1]
     data = gen_dataset(SimModelSpec(model="I", n_good=60, n_outliers=3, p=2, seed=1000)).data
     model, _, _ = em_fit(data, 3, FitConfig(seed=0))
     values = loo_refit_logliks(data, model, n_threads=1)
-    assert record["sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
+    for record in records:
+        assert (record["n"], record["threads"], record["chunk_size"]) == (63, 2, 7)
+        assert isinstance(record["minflt"], int) and record["minflt"] >= 0
+        assert record["sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):

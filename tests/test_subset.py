@@ -159,9 +159,11 @@ def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monke
         return sweeps(*args, **kwargs)
 
     monkeypatch.setattr(subset, "_em_sweeps", recording)
+    before = threading.active_count()
     pooled = loo_refit_logliks(data, model, n_threads=2)
     assert len(seen) == 2
     assert np.array_equal(serial, pooled)
+    assert threading.active_count() == before  # the call's own pool is shut down
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -190,6 +192,47 @@ def test_refit_logliks_pinned_on_acceptance_scenario():
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
         "a18beb116b23e3eb4c3ead786adb435fbfed5680454949499068f9acc5405aa2"
     )
+
+
+def _spread_model(n_comp, n, seed):
+    """1-d data on n rows and a start of n_comp evenly spaced unit-variance
+    components that all overlap it."""
+    data = np.random.default_rng(seed).uniform(0.0, 10.0, (n, 1))
+    model = MixtureModel(weights=np.full(n_comp, 1.0 / n_comp),
+                         means=np.linspace(0.0, 10.0, n_comp)[:, None],
+                         covariances=np.ones((n_comp, 1, 1)))
+    return data, model
+
+
+@pytest.mark.parametrize("case, n_threads, steps, kwargs", [
+    ("rule", 3, 4, {}),  # 312 rows: two chunks, more threads than chunks
+    ("clip-4096", 2, 4, {}),  # G n = 60: one chunk of 4096 rows
+    ("clip-8", 2, 3, dict(max_iter=2)),  # G n > 2**15: chunks of 8
+])
+def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, case, n_threads,
+                                                             steps, kwargs):
+    # one state for the passes of a trimming run, n, n - 1, ... rows, each
+    # removing the row with the highest subset log-likelihood, must give
+    # the values of fresh calls, which make and drop their own state
+    data, model = {"rule": fitted_blobs_300, "clip-4096": _spread_model(2, 30, 1),
+                   "clip-8": _spread_model(128, 260, 2)}[case]
+    n, n_comp = data.shape[0], model.n_components
+    expected_chunk = {"rule": 280, "clip-4096": 4096, "clip-8": 8}[case]
+    assert subset._chunk_rows(n_comp, n, None) == expected_chunk
+
+    def passes(workers):
+        values, current = [], data
+        for _ in range(steps):
+            values.append(loo_refit_logliks(current, model, n_threads=n_threads,
+                                            _workers=workers, **kwargs))
+            current = np.delete(current, int(np.argmax(values[-1])), axis=0)
+        return values
+
+    with subset._RefitWorkers(n_comp, range(n, n - steps, -1), n_threads) as workers:
+        reused = passes(workers)
+    assert workers.pool is None and workers.buffers == []
+    for got, fresh in zip(reused, passes(None), strict=True):
+        assert np.array_equal(got, fresh)
 
 
 def test_refit_logliks_invariant_to_translation(fitted_blobs_300):

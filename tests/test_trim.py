@@ -1,3 +1,7 @@
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from oclust import (
     oclust_run,
     outlier_mask,
 )
+from oclust import subset, trim
 from oclust.trim import default_max_outliers
 
 
@@ -148,15 +153,20 @@ def test_run_is_translation_invariant(mode):
         assert set(result.outlier_indices) == expected, offset
 
 
-def test_degenerate_run_reports_partial_trace():
-    # two real clusters but three requested: after enough removals a
-    # component collapses; the error should carry the completed iterations
+def _two_clusters_and_a_speck():
+    """Two real clusters of 12 points and a tight cluster of 4, 28 rows."""
     rng = np.random.default_rng(0)
-    data = np.vstack([
+    return np.vstack([
         rng.standard_normal((12, 2)),
         rng.standard_normal((12, 2)) + 30.0,
         np.array([[60.0, 60.0], [60.2, 60.0], [60.0, 60.2], [60.1, 60.1]]),
     ])
+
+
+def test_degenerate_run_reports_partial_trace():
+    # two real clusters but three requested: after enough removals a
+    # component collapses; the error should carry the completed iterations
+    data = _two_clusters_and_a_speck()
     config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=3),
                           delta_mode=DeltaMode.FROZEN)
     try:
@@ -167,6 +177,57 @@ def test_degenerate_run_reports_partial_trace():
     else:
         # acceptable: the tiny cluster survived the budget
         assert len(result.trace) == 5
+
+
+@pytest.mark.parametrize("case", ["completed", "aborted"])
+def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
+    # a refit run keeps one pool and its workspaces for all of its passes
+    # and releases them when it returns or raises
+    if case == "completed":
+        rng = np.random.default_rng(34)
+        data = np.vstack(
+            [rng.standard_normal((100, 2)) * scale + center
+             for scale, center in [(1.0, [0.0, 0.0]), (0.7, [7.0, 1.0]), (1.3, [2.0, 8.0])]]
+            + [rng.uniform(-8.0, 15.0, (12, 2))]
+        )  # 312 rows: two chunks per pass by the default rule
+        config = OclustConfig(n_clusters=3, max_outliers=2, n_threads=2)
+    else:
+        data = _two_clusters_and_a_speck()  # a refit fails in the first pass
+        config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=3), n_threads=2)
+        # 28 rows make one chunk by the default rule; chunks of 7 give two groups
+        monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n, chunk_size: 7)
+    opened, names = [], set()
+
+    class Recording(subset._RefitWorkers):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append([weakref.ref(self)] + [weakref.ref(b) for b in self.buffers])
+
+    sweeps = subset._em_sweeps
+
+    def recording(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(trim, "_RefitWorkers", Recording)
+    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    before = threading.active_count()
+    if case == "completed":
+        assert len(oclust_run(data, config).trace) == 3
+    else:
+        with pytest.raises(DegenerateFitError, match="leave-one-out refit for row") as error:
+            oclust_run(data, config)
+    assert threading.active_count() == before
+    # every refit ran on the two threads of one pool, made once for the run
+    assert len(names) == 2 and len({name.rsplit("_", 1)[0] for name in names}) == 1
+    # the buffers go when the run ends, even while its error and the frames
+    # in its traceback are held; the state itself once nothing holds it
+    (refs,) = opened
+    assert len(refs) == 3 and all(ref() is None for ref in refs[1:])
+    if case == "aborted":
+        del error
+    gc.collect()
+    assert refs[0]() is None
 
 
 def test_clean_data_reports_few_outliers():
