@@ -745,7 +745,7 @@ def _initial_model(data: np.ndarray, rows: list[bytes], pooled: np.ndarray, n_cl
     return MixtureModel(weights=weights, means=centers, covariances=covs)
 
 
-def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
+def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_points: int = 2):
     """Fit a Gaussian mixture by restarted EM.
 
     Returns ``(model, labels, loglik)`` for the restart with the highest
@@ -755,8 +755,9 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
     each one owns (row 0's cluster is 0), so restarts that reach the same
     partition with their components in another order return the same
     labels.  A restart whose solution leaves any hard cluster with fewer than
-    two points is discarded as degenerate; if every restart degenerates a
-    ``DegenerateFitError`` is raised.
+    two points (``_min_points``; a trimming run asks for p + 2, what its beta
+    reference needs) is discarded as degenerate; if every restart degenerates
+    a ``DegenerateFitError`` is raised.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -781,10 +782,11 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
             start = _initial_model(arr, rows, pooled, n_clusters, key_seed)
             run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)
-            if np.any(counts < 2):
+            if np.any(counts < _min_points):
                 g = int(np.argmin(counts))
                 raise DegenerateFitError(
-                    f"restart {restart}: hard cluster {g} retained {counts[g]} points"
+                    f"restart {restart}: hard cluster {g} retained {counts[g]} points; "
+                    f"at least {_min_points} are needed"
                 )
         except (DegenerateFitError, SingularCovarianceError) as exc:
             failures.append((restart, exc))
@@ -795,7 +797,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         restart, exc = failures[0]
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
                                  f"(restart {restart}): {exc}") from exc
-    # every kept component owns at least two rows; number them by their first
+    # every kept component owns at least _min_points >= 2 rows; number them by their first
     order = list(dict.fromkeys(best.labels.tolist()))
     model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],
                          covariances=best.model.covariances[order])

@@ -32,10 +32,11 @@ class OclustConfig:
         max_outliers: most points the loop may remove (the trace then has
             ``max_outliers + 1`` entries).  ``None`` selects ceil(0.125 * n).
         fit: EM settings.  ``restarts`` and ``max_iter`` apply to each
-            iteration's fit (``em_fit``) and to the final fit, whose seeds
-            derive from ``seed``; the leave-one-out refits in refit mode take
-            only ``rel_tol`` and keep their own cap of 100 sweeps
-            (``loo_refit_logliks(max_iter=100)``).
+            iteration's fit (``em_fit``), seeded from ``seed`` and the
+            iteration; a restart that leaves a hard cluster with p + 1 points
+            or fewer, too few for the beta reference, is discarded.  The
+            leave-one-out refits in refit mode take only ``rel_tol`` and keep
+            their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
         n_threads: worker threads for the batched leave-one-out refits (at
             least 1).
@@ -123,10 +124,13 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     """Trim likely outliers one at a time and pick the count that best matches
     the beta-mixture reference.
 
-    Raises ``DegenerateFitError`` (with the trace so far attached) if a
-    mid-run fit or the final fit collapses, and ``ValueError`` if a feature
-    column is constant or the trimming budget leaves too few points to keep
-    the mixture identifiable.
+    The chosen count is the first iteration with the lowest KL divergence;
+    the result's model, labels and (ascending) retained rows are its own fit.
+
+    Raises ``DegenerateFitError`` (with the trace so far attached) if an
+    iteration's fit collapses, and ``ValueError`` if a feature column is
+    constant or the trimming budget leaves too few points to keep the mixture
+    identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -148,6 +152,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     original_rows = np.arange(n)
     removed: list[int] = []
     records: list[IterationRecord] = []
+    best = None  # (kl, iteration, labels, rows) of the first lowest KL so far
     # refit mode: one thread pool and one workspace per thread for every
     # leave-one-out pass of the run, on n, n - 1, ..., n - budget rows
     workers = (_RefitWorkers(config.n_clusters, range(n, n - budget - 1, -1), config.n_threads)
@@ -155,7 +160,8 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     try:
         for m in range(budget + 1):
             fit_cfg = replace(config.fit, seed=derive_seed(config.fit.seed, 101, m))
-            model, labels, loglik = em_fit(current, config.n_clusters, fit_cfg)
+            model, labels, loglik = em_fit(current, config.n_clusters, fit_cfg,
+                                           _min_points=p + 2)
             stats = cluster_stats(current, labels, config.n_clusters)
             deltas = subset_deltas(
                 current, model, labels, loglik, stats, config.delta_mode,
@@ -173,6 +179,8 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
                     model=model,
                 )
             )
+            if best is None or kl.value < best[0]:
+                best = (kl.value, m, labels, original_rows)
             if m < budget:
                 local = most_likely_outlier(deltas)
                 removed.append(int(original_rows[local]))
@@ -186,23 +194,14 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     finally:
         if workers is not None:
             workers.close()
-    kl_values = [record.kl.value for record in records]
-    chosen = int(np.argmin(kl_values))  # first minimum: ties favor fewer outliers
-    outliers = tuple(removed[:chosen])
-    retained = np.setdiff1d(np.arange(n), np.asarray(outliers, dtype=int))
-    final_cfg = replace(config.fit, seed=derive_seed(config.fit.seed, 202))
-    try:
-        final_model, final_labels, _ = em_fit(arr[retained], config.n_clusters, final_cfg)
-    except DegenerateFitError as exc:
-        raise DegenerateFitError(f"final fit on the {retained.size} retained rows failed: {exc}",
-                                 partial_trace=records) from exc
+    _, chosen, final_labels, retained = best
     return OclustResult(
         trace=tuple(records),
         chosen_num_outliers=chosen,
-        outlier_indices=outliers,
+        outlier_indices=tuple(removed[:chosen]),
         retained_indices=retained,
         final_labels=final_labels,
-        final_model=final_model,
+        final_model=records[chosen].model,
         alpha_hat=chosen / n,
     )
 

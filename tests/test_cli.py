@@ -384,7 +384,8 @@ def test_degenerate_input_exits_3(tmp_path, capsys):
 
 def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
     # a 4-point cluster: trimming one of its points leaves 3 = p + 1, too few
-    # for the beta reference, so the second iteration aborts
+    # for the beta reference, so every restart of the second iteration's fit
+    # is discarded and the run aborts
     rng = np.random.default_rng(0)
     data = np.vstack([rng.standard_normal((60, 2)), 20.0 + 0.5 * rng.standard_normal((4, 2))])
     path = tmp_path / "tiny_cluster.csv"
@@ -396,7 +397,8 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "trimming aborted after 1 of 6 iterations: cluster 1 has 3 points" in err
+    assert ("trimming aborted after 1 of 6 iterations: all 3 restarts degenerated; first failure "
+            "(restart 0): restart 0: hard cluster 1 retained 3 points; at least 4 are needed") in err
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,removed_row,kl,loglik,n_remaining,clamped"
     assert len(trace) == 2
@@ -409,40 +411,6 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
         "completed_iterations": 1,
         "error": err.removeprefix("error: numerical degeneracy: ").rstrip("\n"),
     }
-    assert not (out_dir / "labels.csv").exists()
-
-
-def test_failed_final_fit_keeps_the_whole_trace(dataset_csv, tmp_path, capsys, monkeypatch):
-    from oclust import DegenerateFitError, trim
-    from oclust.rng import derive_seed
-
-    fit = trim.em_fit
-    final_seed = derive_seed(0, 202)
-
-    def failing_final_fit(data, n_clusters, config):
-        if config.seed == final_seed:
-            raise DegenerateFitError("all 3 restarts degenerated")
-        return fit(data, n_clusters, config)
-
-    monkeypatch.setattr(trim, "em_fit", failing_final_fit)
-    out_dir = tmp_path / "o"
-    code, _, err = run_cli(
-        ["oclust", str(dataset_csv), "--clusters", "3", "--max-outliers", "4", "--mode", "frozen",
-         "--out", str(out_dir)],
-        capsys,
-    )
-    assert code == 3
-    trace = (out_dir / "trace.csv").read_text().splitlines()
-    assert len(trace) == 1 + 5
-    chosen = int(np.argmin([float(line.split(",")[2]) for line in trace[1:]]))
-    summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary == {
-        "aborted": True,
-        "completed_iterations": 5,
-        "error": f"final fit on the {160 - chosen} retained rows failed: "
-                 "all 3 restarts degenerated",
-    }
-    assert err == f"error: numerical degeneracy: {summary['error']}\n"
     assert not (out_dir / "labels.csv").exists()
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -46,3 +48,23 @@ def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
             "clamped counts equal, loglik drift 0, final model drift 0, final partition equal")
         record = json.loads(out.read_text())
         assert record["pass"] and record["per_seed"][0]["labels_equal"]
+
+
+@pytest.mark.parametrize("workload", ["smoke-refit", "smoke-frozen", "smoke-cli"])
+def test_invariance_finds_the_permuted_run_equal(tmp_path, workload):
+    out = tmp_path / f"invariance-{workload}.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "invariance.py"), "--workload", workload, "--seeds", "0",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    (seed,) = record["per_seed"]
+    assert record["pass"] and set(seed) == {"seed", "chosen", "permuted", "scaled", "shifted",
+                                            "rotated"}
+    assert seed["permuted"] == {"chosen": seed["chosen"], "outliers_differ": 0,
+                                "removals_agree": 3, "removals": 3}
+    assert proc.stdout.splitlines()[1] == (
+        f"{workload} seed 0 permuted: chosen {seed['chosen']}, outlier sets differ by 0 rows, "
+        "removal orders agree on 3 of 3")

@@ -1,6 +1,7 @@
 import gc
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from oclust import (
     DegenerateFitError,
     DeltaMode,
     FitConfig,
+    KlEstimate,
     OclustConfig,
     SimModelSpec,
     classify_errors,
+    em_fit,
     error_rates,
     gen_dataset,
     most_likely_outlier,
@@ -19,6 +22,7 @@ from oclust import (
     outlier_mask,
 )
 from oclust import subset, trim
+from oclust.rng import derive_seed
 from oclust.trim import default_max_outliers
 
 
@@ -103,6 +107,56 @@ def test_retained_and_outliers_partition_rows(contaminated_blobs):
     assert np.array_equal(np.flatnonzero(mask), np.sort(result.outlier_indices))
 
 
+def _assert_is_iterations_fit(result, data, fit, iteration):
+    """The result's model, labels and rows are a fresh fit of iteration
+    ``iteration``'s rows with that iteration's seed, bit for bit."""
+    retained = np.setdiff1d(np.arange(data.shape[0]), result.outlier_indices)
+    model, labels, _ = em_fit(data[retained], result.final_model.n_components,
+                              replace(fit, seed=derive_seed(fit.seed, 101, iteration)))
+    assert result.chosen_num_outliers == iteration
+    assert np.array_equal(result.retained_indices, retained)
+    assert np.array_equal(result.final_labels, labels)
+    for name in ("weights", "means", "covariances"):
+        assert np.array_equal(getattr(result.final_model, name), getattr(model, name)), name
+    assert result.final_model is result.trace[iteration].model
+
+
+@pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
+def test_result_is_the_chosen_iterations_fit(contaminated_blobs, mode):
+    data, _ = contaminated_blobs
+    fit = FitConfig(seed=1)
+    result = oclust_run(data, OclustConfig(n_clusters=2, max_outliers=8, fit=fit, delta_mode=mode))
+    assert result.chosen_num_outliers >= 5
+    _assert_is_iterations_fit(result, data, fit, result.chosen_num_outliers)
+
+
+def test_tied_lowest_kl_keeps_the_earlier_iteration(contaminated_blobs, monkeypatch):
+    # iterations 2 and 4 tie for the lowest KL; iteration 2's fit is the result
+    values = iter([0.5, 0.3, 0.125, 0.25, 0.125, 0.4])
+
+    def fixed_kl(deltas, bins):
+        return KlEstimate(value=next(values), clamped_count=0)
+
+    monkeypatch.setattr(trim, "kl_divergence", fixed_kl)
+    data, _ = contaminated_blobs
+    fit = FitConfig(seed=1)
+    result = oclust_run(data, OclustConfig(n_clusters=2, max_outliers=5, fit=fit))
+    assert [record.kl.value for record in result.trace] == [0.5, 0.3, 0.125, 0.25, 0.125, 0.4]
+    _assert_is_iterations_fit(result, data, fit, 2)
+
+
+def test_frozen_p6_run_survives_a_fit_with_a_small_cluster():
+    # at iteration 71 of this run, the best of the plain fit's restarts holds
+    # a 7-point cluster at p = 6, which the beta reference rejects; the
+    # trimming fit discards such restarts, so the run completes
+    ds = gen_dataset(SimModelSpec(model="III", n_good=900, n_outliers=100, p=6, seed=1068))
+    config = OclustConfig(n_clusters=3, max_outliers=72, fit=FitConfig(seed=68),
+                          delta_mode=DeltaMode.FROZEN)
+    result = oclust_run(ds.data, config)
+    assert len(result.trace) == 73
+    assert np.bincount(result.final_labels).min() > 7
+
+
 def test_run_is_deterministic(contaminated_blobs):
     data, _ = contaminated_blobs
     config = OclustConfig(n_clusters=2, max_outliers=6, fit=FitConfig(seed=9))
@@ -153,13 +207,13 @@ def test_run_is_translation_invariant(mode):
         assert set(result.outlier_indices) == expected, offset
 
 
-def _two_clusters_and_a_speck():
-    """Two real clusters of 12 points and a tight cluster of 4, 28 rows."""
+def _two_clusters_and_a_speck(speck=((60.0, 60.0), (60.2, 60.0), (60.0, 60.2), (60.1, 60.1))):
+    """Two real clusters of 12 points and a tight cluster, ``speck``."""
     rng = np.random.default_rng(0)
     return np.vstack([
         rng.standard_normal((12, 2)),
         rng.standard_normal((12, 2)) + 30.0,
-        np.array([[60.0, 60.0], [60.2, 60.0], [60.0, 60.2], [60.1, 60.1]]),
+        np.array(speck),
     ])
 
 
@@ -192,9 +246,12 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
         )  # 312 rows: two chunks per pass by the default rule
         config = OclustConfig(n_clusters=3, max_outliers=2, n_threads=2)
     else:
-        data = _two_clusters_and_a_speck()  # a refit fails in the first pass
-        config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=3), n_threads=2)
-        # 28 rows make one chunk by the default rule; chunks of 7 give two groups
+        # four points on a line and one off it: once the off-line point is
+        # trimmed, a refit of the second pass fails
+        data = _two_clusters_and_a_speck(
+            ((60.0, 60.0), (60.1, 60.1), (60.2, 60.2), (60.3, 60.3), (60.0, 60.3)))
+        config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=2), n_threads=2)
+        # 29 rows make one chunk by the default rule; chunks of 7 give two groups
         monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n, chunk_size: 7)
     opened, names = [], set()
 
