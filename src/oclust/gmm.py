@@ -755,7 +755,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
     each one owns (row 0's cluster is 0), so restarts that reach the same
     partition with their components in another order return the same
     labels.  A restart whose solution leaves any hard cluster with fewer than
-    two points (``_min_points``; a trimming run asks for p + 2, what its beta
+    ``_min_points`` points (2; a trimming run asks for the p + 2 its beta
     reference needs) is discarded as degenerate; if every restart degenerates
     a ``DegenerateFitError`` is raised.
     """
@@ -797,7 +797,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
         restart, exc = failures[0]
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
                                  f"(restart {restart}): {exc}") from exc
-    # every kept component owns at least _min_points >= 2 rows; number them by their first
+    # every kept component owns at least two rows; number them by their first
     order = list(dict.fromkeys(best.labels.tolist()))
     model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],
                          covariances=best.model.covariances[order])
