@@ -10,11 +10,12 @@ count, the KL trace and the per-iteration clamped counts (the CLI's
 ``trace.csv`` ``clamped`` column) are equal, the largest relative drift of the
 per-iteration log-likelihood and of the final model's weights, means and
 covariances (written to ``summary.json`` at full precision), and whether the
-final labels give the same partition (and whether they are numbered the
-same).  A delta that crosses a support edge changes the clamped count but can
-leave the KL value as it was, so equal KL traces alone do not make equal CLI
-outputs.  The exit code is 1 when any seed differs in one of those or either
-drift exceeds ``LOGLIK_DRIFT_BOUND``, else 0.
+final labels are equal (``em_fit`` numbers components by the first row each
+one owns, so equal partitions have equal labels).  A delta that crosses a
+support edge changes the clamped count but can leave the KL value as it was,
+so equal KL traces alone do not make equal CLI outputs.  The exit code is 1
+when any seed differs in one of those or either drift exceeds
+``LOGLIK_DRIFT_BOUND``, else 0.
 
 Example:
     python3 scripts/compare_runs.py ../parent . --workload trim-refit-n500 \\
@@ -82,11 +83,6 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def same_partition(a: list, b: list) -> bool:
-    """Whether two labelings group the rows the same way, whatever the numbers."""
-    return len(a) == len(b) and len(set(zip(a, b))) == len(set(a)) == len(set(b))
-
-
 def drift(parent: list, change: list) -> float | None:
     """Largest relative difference of two number lists; None when their lengths differ."""
     if len(parent) != len(change):
@@ -107,7 +103,6 @@ def compare(parent: dict, change: dict) -> dict:
         "clamped_equal": parent["clamped"] == change["clamped"],
         "loglik_drift": drift(parent["loglik"], change["loglik"]),
         "final_model_drift": drift(parent["final_model"], change["final_model"]),
-        "partition_equal": same_partition(parent["labels"], change["labels"]),
         "labels_equal": parent["labels"] == change["labels"],
     }
 
@@ -124,7 +119,7 @@ def main(argv=None) -> int:
                                        run(args.change, args.workload, seed))}
         loglik_drift, model_drift = row["loglik_drift"], row["final_model_drift"]
         passed = (row["removed_equal"] and row["chosen_equal"] and row["kl_equal"]
-                  and row["clamped_equal"] and row["partition_equal"]
+                  and row["clamped_equal"] and row["labels_equal"]
                   and all(d is not None and d <= LOGLIK_DRIFT_BOUND
                           for d in (loglik_drift, model_drift)))
         ok &= passed
@@ -135,8 +130,7 @@ def main(argv=None) -> int:
               f"clamped counts {'equal' if row['clamped_equal'] else 'DIFFER'}, "
               f"loglik drift {show(loglik_drift, 'trace lengths differ')}, "
               f"final model drift {show(model_drift, 'shapes differ')}, "
-              f"final partition {'equal' if row['partition_equal'] else 'DIFFERS'}"
-              f"{'' if row['labels_equal'] else ' (renumbered)'}"
+              f"final labels {'equal' if row['labels_equal'] else 'DIFFER'}"
               f"{'' if passed else '  FAIL'}", flush=True)
     print(f"{args.workload}: {'all seeds pass' if ok else 'some seeds FAIL'} "
           f"(drift bound {LOGLIK_DRIFT_BOUND:g})")

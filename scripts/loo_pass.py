@@ -10,16 +10,16 @@ threads of the process) and its minor page faults, all from ``getrusage`` and
 ``perf_counter`` around the call, plus a SHA-256 of the returned values so
 that two runs can be checked for equal outputs.
 
-The chunk size is the library default unless ``--chunk-size`` gives one, or
-``--elements E`` gives clip(E // (G n), 8, 4096), the default rule with E in
-place of its constant.  Like ``perfbench``, the script pins BLAS to one
-thread before NumPy loads.  The first pass also starts the threads and
-touches the workspaces for the first time, which a trimming run pays once;
-the later passes time what each trimming iteration pays.  Run one process per
-setting to compare settings.
+Each line also gives the refits per chunk, from the library's one rule
+(``subset._chunk_rows``); to try another rule, edit that function in a
+scratch copy of the source and run one process per copy.  Like ``perfbench``,
+the script pins BLAS to one thread before NumPy loads.  The first pass also
+starts the threads and touches the workspaces for the first time, which a
+trimming run pays once; the later passes time what each trimming iteration
+pays.  Run one process per setting to compare settings.
 
 Example:
-    python3 scripts/loo_pass.py --n-good 1995 --n-out 5 --threads 2 --elements 262144
+    python3 scripts/loo_pass.py --n-good 1995 --n-out 5 --threads 2 --repeats 3
 """
 
 import argparse
@@ -34,12 +34,10 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
-from oclust.subset import _RefitWorkers  # noqa: E402
+from oclust.subset import _chunk_rows, _RefitWorkers  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -52,10 +50,6 @@ def parse_args(argv=None):
     parser.add_argument("--data-seed", type=int, default=1000)
     parser.add_argument("--fit-seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
-    size = parser.add_mutually_exclusive_group()
-    size.add_argument("--chunk-size", type=int, default=None)
-    size.add_argument("--elements", type=int, default=None,
-                      help="chunk size clip(E // (G n), 8, 4096)")
     parser.add_argument("--repeats", type=int, default=1)
     return parser.parse_args(argv)
 
@@ -67,20 +61,16 @@ def main(argv=None) -> int:
                                     seed=args.data_seed)).data
     model, _, _ = em_fit(data, args.clusters, FitConfig(seed=args.fit_seed))
     n = data.shape[0]
-    chunk = args.chunk_size
-    if args.elements is not None:
-        chunk = int(np.clip(args.elements // (args.clusters * n), 8, 4096))
-    with _RefitWorkers(args.clusters, [n], args.threads, chunk) as workers:
+    with _RefitWorkers(args.clusters, [n], args.threads) as workers:
         for repeat in range(args.repeats):
             before = resource.getrusage(resource.RUSAGE_SELF)
             t0 = time.perf_counter()
-            values = loo_refit_logliks(data, model, n_threads=args.threads, chunk_size=chunk,
-                                       _workers=workers)
+            values = loo_refit_logliks(data, model, n_threads=args.threads, _workers=workers)
             wall = time.perf_counter() - t0
             after = resource.getrusage(resource.RUSAGE_SELF)
             print(json.dumps({
                 "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
-                "threads": args.threads, "chunk_size": chunk, "elements": args.elements,
+                "threads": args.threads, "chunk": _chunk_rows(args.clusters, n),
                 "wall_s": round(wall, 6),
                 "cpu_s": round(after.ru_utime + after.ru_stime
                                - before.ru_utime - before.ru_stime, 6),

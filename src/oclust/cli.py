@@ -35,7 +35,7 @@ from .errors import (
 from .gmm import FitConfig
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
-from .trim import OclustConfig, constant_column, error_rates, oclust_run
+from .trim import OclustConfig, error_rates, oclust_run, unusable_column
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -161,13 +161,10 @@ def _cmd_oclust(args) -> int:
     if not feature_idx:
         raise InputFormatError(f"{in_path}: no feature columns")
     table = table[:, feature_idx]
-    flat = constant_column(table)
-    if flat is not None:
-        name = header[feature_idx[flat]]
-        raise InputFormatError(
-            f"{in_path}: column {feature_idx[flat] + 1} ({name!r}) is constant "
-            f"(every value is {float(table[0, flat])!r}); "
-            "it makes every cluster covariance singular")
+    bad = unusable_column(table)
+    if bad is not None:
+        column = feature_idx[bad[0]]
+        raise InputFormatError(f"{in_path}: column {column + 1} ({header[column]!r}) is {bad[1]}")
     threads = _default_threads(args.threads)
     config = OclustConfig(
         n_clusters=args.clusters,

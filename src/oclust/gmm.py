@@ -48,12 +48,11 @@ while the others run on; the caller decides what a failure means.  A single
 fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for
 them; it numbers the winning fit's components by the first row each one owns.
-Its E-steps write into a workspace (``_em_workspace``): C-contiguous views of
-one flat buffer that a caller can own and reuse for batches of any size and
-row count, on the leading rows for the problems still active, so a sweep
-allocates nothing of size n.  A leave-one-out batch runs its E-step in place,
-the responsibilities overwriting the log-densities, which it does not read
-again; the values are the same bits either way.
+Its E-steps run in place, the responsibilities overwriting the log-densities,
+in a workspace (``_em_workspace``): C-contiguous views of one flat buffer
+that a caller can own and reuse for batches of any size and row count, on
+the leading rows for the problems still active, so a sweep allocates nothing
+of size n.
 """
 
 from __future__ import annotations
@@ -368,24 +367,22 @@ def _log_densities(feats, coefs, out=None):
     return out
 
 
-def _posterior(logp, resp=None, top=None, row_ll=None):
-    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from log-densities.
+def _posterior(logp, top=None, row_ll=None):
+    """Per-row log-likelihoods (m, n) and responsibilities (m, G, n) from
+    log-densities (m, G, n), which the responsibilities overwrite.
 
-    ``resp`` (m, G, n), ``top`` and ``row_ll`` (m, n) are optional buffers.
-    ``logp`` is left as it is unless ``resp`` is ``logp``, an in-place
-    E-step that overwrites the log-densities with the responsibilities.  One
-    exp per entry: with e = exp(logp - top) and s = sum_g e, the
-    responsibilities are e / s and the row log-likelihood is top + log s; the
-    steps are the same, buffers or not, in place or not.
+    ``top`` and ``row_ll`` (m, n) are optional buffers.  One exp per entry:
+    with e = exp(logp - top) and s = sum_g e, the responsibilities are e / s
+    and the row log-likelihood is top + log s.
     """
     top = np.maximum.reduce(logp, axis=1, out=top)
-    resp = np.subtract(logp, top[:, None, :], out=resp)
-    np.exp(resp, out=resp)
-    row_ll = np.add.reduce(resp, axis=1, out=row_ll)
-    resp /= row_ll[:, None, :]
+    logp -= top[:, None, :]
+    np.exp(logp, out=logp)
+    row_ll = np.add.reduce(logp, axis=1, out=row_ll)
+    logp /= row_ll[:, None, :]
     np.log(row_ll, out=row_ll)
     row_ll += top
-    return row_ll, resp
+    return row_ll, logp
 
 
 def _moments(feats, resp):
@@ -515,31 +512,26 @@ def _em_start(data: np.ndarray, model: MixtureModel) -> _EmStart:
     return _EmStart(model, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
-def _em_workspace_size(m: int, n_components: int, n: int, in_place: bool = False) -> int:
-    """Elements of the flat buffer behind ``_em_workspace(m, n_components, n, in_place=)``."""
-    return m * n * ((1 if in_place else 2) * n_components + 2)
+def _em_workspace_size(m: int, n_components: int, n: int) -> int:
+    """Elements of the flat buffer behind ``_em_workspace(m, n_components, n)``."""
+    return m * n * (n_components + 2)
 
 
-def _em_workspace(m: int, n_components: int, n: int, flat=None, *, in_place: bool = False):
+def _em_workspace(m: int, n_components: int, n: int, flat=None):
     """Work buffers for ``_em_sweeps`` batches of up to m problems on n rows:
-    the log-densities and responsibilities (m, G, n), and the per-row maxima
-    and log-likelihoods (m, n).
+    the log-densities (m, G, n), which the E-step overwrites with the
+    responsibilities, and the per-row maxima and log-likelihoods (m, n).
 
     Each is a C-contiguous view of the leading elements of the 1-d float
     buffer ``flat``, which must hold ``_em_workspace_size`` elements (made
     here when None), so one buffer sized for the largest batch serves every
-    smaller one.  With ``in_place`` the responsibilities are the
-    log-densities' buffer: the E-step overwrites the log-densities, which a
-    leave-one-out batch does not read afterwards.
+    smaller one.
     """
     if flat is None:
-        flat = np.empty(_em_workspace_size(m, n_components, n, in_place))
+        flat = np.empty(_em_workspace_size(m, n_components, n))
     block = m * n_components * n
-    logp = flat[:block].reshape(m, n_components, n)
-    resp = logp if in_place else flat[block:2 * block].reshape(m, n_components, n)
-    rows = block if in_place else 2 * block
-    return (logp, resp, flat[rows:rows + m * n].reshape(m, n),
-            flat[rows + m * n:rows + 2 * m * n].reshape(m, n))
+    return (flat[:block].reshape(m, n_components, n), flat[block:block + m * n].reshape(m, n),
+            flat[block + m * n:block + 2 * m * n].reshape(m, n))
 
 
 def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float, work=None):
@@ -553,18 +545,16 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     below ``_MIN_SOFT_COUNT`` or a covariance stays singular after the ridge,
     or when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep
     that needed no ridge; the others run on, to the same bits.  The E-steps
-    write into ``work`` (from ``_em_workspace``, for at least m problems; made
-    here when None), on its leading rows for the active ones.  A batch with
-    ``leave_out`` reads no log-density after its E-step, so its ``work`` may
-    be in place (the default here); one without reads its labels from them
-    and needs a separate responsibility buffer.  While every
-    problem is active the per-problem state is replaced whole each sweep;
-    once one has stopped, the active rows are written into a copy of the
-    log-likelihoods, so no history row is written after it is recorded.
+    run in place in ``work`` (from ``_em_workspace``, for at least m problems;
+    made here when None), on its leading rows for the active ones.  While
+    every problem is active the per-problem state is replaced whole each
+    sweep; once one has stopped, the active rows are written into a copy of
+    the log-likelihoods, so no history row is written after it is recorded.
     Returns per problem the final log-likelihood (m,), the parameters it
     belongs to as ``(weights, means, covs)``, the log-likelihood before the
     first and after every sweep, (sweeps + 1, m), held once it stops, the hard
-    labels (n,) of the last E-step (ties to the lower component; None unless
+    labels (n,) as the argmax of the last E-step's responsibilities (the
+    maximum posterior, ties to the lower component; None unless
     ``leave_out`` is None and nothing failed), and a dict of failed problems
     to their errors.
     """
@@ -579,8 +569,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         moments = start.moments - removed
     m = loglik.shape[0]
     if work is None:
-        work = _em_workspace(m, start.model.n_components, feats.shape[2],
-                             in_place=rows is not None)
+        work = _em_workspace(m, start.model.n_components, feats.shape[2])
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.model.covariances[None], m, axis=0)
@@ -608,8 +597,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
             active, w, s, c = active[kept], w[kept], s[kept], c[kept]
             coefs, factored = _log_density_coefs(w, s, c, _RIDGE)
         k = active.shape[0]  # when 0, the sweep runs on empty arrays and ends the loop
-        logp = _log_densities(feats, coefs, out=work[0][:k])
-        row_ll, resp = _posterior(logp, work[1][:k], work[2][:k], work[3][:k])
+        row_ll, resp = _posterior(_log_densities(feats, coefs, out=work[0][:k]),
+                                  work[1][:k], work[2][:k])
         if rows is not None:
             batch, excluded = np.arange(k), rows[active]
             row_ll[batch, excluded] = 0.0
@@ -639,7 +628,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         moments = _moments(feats, resp)
         if stopped:
             active, moments = active[~stop], moments[~stop]
-    labels = logp[0].argmax(axis=0) if rows is None and not failures else None
+    labels = resp[0].argmax(axis=0) if rows is None and not failures else None
     return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels, failures
 
 

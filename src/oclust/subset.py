@@ -33,12 +33,13 @@ per row, in one of two ways:
 The refits run in the EM loop of ``gmm``, the one that also runs the single
 fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
-chunk and thread.  Chunks are sized for a core's cache.  A trimming run keeps
-one thread pool and one workspace per thread for the whole run
-(``_RefitWorkers``), sized once for its largest pass, and each thread runs
-the E-steps of all its chunks there, in place (see ``loo_refit_logliks``).  A
-refit is held to the single fit's convergence test and failures, and the error
-raised is the lowest failing row's at any chunking and thread count.
+chunk and thread.  Chunks are sized for a core's cache by one rule,
+``_chunk_rows``.  A trimming run keeps one thread pool and one workspace per
+thread for the whole run (``_RefitWorkers``), sized once for its largest
+pass, and each thread runs the E-steps of all its chunks there (see
+``loo_refit_logliks``).  A refit is held to the single fit's convergence
+test and failures, and the error raised is the lowest failing row's at any
+chunking and thread count.
 """
 
 from __future__ import annotations
@@ -333,12 +334,9 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_rows(n_components: int, n: int, chunk_size: int | None) -> int:
-    """Refits per batch on n rows: ``chunk_size``, by default
-    clip(2**18 // (G n), 8, 4096), so that each (chunk, G, n) work array holds
-    about 2 MiB and stays in a core's cache."""
-    if chunk_size is not None:
-        return chunk_size
+def _chunk_rows(n_components: int, n: int) -> int:
+    """Refits per batch on n rows: clip(2**18 // (G n), 8, 4096), so that each
+    (chunk, G, n) work array holds about 2 MiB and stays in a core's cache."""
     return int(np.clip(2**18 // (n_components * n), 8, 4096))
 
 
@@ -352,31 +350,30 @@ class _RefitWorkers:
     until ``close``: for a whole trimming run, or for one call.
 
     Sized once, when made, for a pass on each row count in ``sizes`` at
-    ``n_threads`` threads and ``chunk_size`` (None for the default rule): one
-    flat buffer per worker, each holding the in-place workspace of the largest
-    batch that any of those passes gives a worker.  A pass takes
-    C-contiguous views of its leading elements (``workspace``), so it
-    allocates nothing of size n, and runs its groups on ``pool`` when it has
-    more than one.  ``close`` stops the threads and drops the buffers; used in
+    ``n_threads`` threads: one flat buffer per worker, each holding the
+    workspace of the largest batch that any of those passes gives a worker.
+    A pass takes C-contiguous views of its leading elements (``workspace``),
+    so it allocates nothing of size n, and runs its groups on ``pool`` when
+    it has more than one.  ``close`` stops the threads and drops the buffers; used in
     a ``with`` statement, the state closes on exit.
     """
 
-    def __init__(self, n_components: int, sizes, n_threads: int, chunk_size: int | None = None):
+    def __init__(self, n_components: int, sizes, n_threads: int):
         self.n_components = n_components
         workers, capacity = 1, 0
         for n in sizes:
-            chunk = _chunk_rows(n_components, n, chunk_size)
+            chunk = _chunk_rows(n_components, n)
             groups = _group_count(n, chunk, n_threads)
             workers = max(workers, groups)
             capacity = max(capacity, _em_workspace_size(min(chunk, -(-n // groups)),
-                                                        n_components, n, in_place=True))
+                                                        n_components, n))
         self.buffers = [np.empty(capacity) for _ in range(workers)]
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def workspace(self, worker: int, m: int, n: int):
-        """The in-place ``_em_workspace`` of one worker, for batches of up to m
-        refits on n rows."""
-        return _em_workspace(m, self.n_components, n, self.buffers[worker], in_place=True)
+        """The ``_em_workspace`` of one worker, for batches of up to m refits
+        on n rows."""
+        return _em_workspace(m, self.n_components, n, self.buffers[worker])
 
     def close(self) -> None:
         if self.pool is not None:
@@ -391,20 +388,18 @@ class _RefitWorkers:
 
 
 def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
-                      n_threads: int = 1, chunk_size: int | None = None,
-                      _workers: _RefitWorkers | None = None) -> np.ndarray:
+                      n_threads: int = 1, _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
-    The refits run as vectorized batches of ``chunk_size`` subsets, by default
-    clip(2**18 // (G n), 8, 4096), so that each (chunk, G, n) work array
-    holds about 2 MiB and stays in a core's cache.  The rows are split into
+    The refits run as vectorized batches of clip(2**18 // (G n), 8, 4096)
+    subsets (``_chunk_rows``), so that each (chunk, G, n) work array holds
+    about 2 MiB and stays in a core's cache.  The rows are split into
     min(n_threads, number of chunks) contiguous groups, one per worker
-    thread; each worker reuses one workspace for every chunk of its group,
-    and runs the E-step there in place.  The result is independent of
-    chunking and thread count, and so is the error when refits fail: that of
-    the lowest failing row j, as "leave-one-out refit for row j: ...".
-    ``n_threads``, ``chunk_size`` or ``max_iter`` below 1 and ``rel_tol`` not
-    positive raise ``ValueError``.  The warm start ``model`` must factor
+    thread; each worker reuses one workspace for every chunk of its group.
+    The result is independent of chunking and thread count, and so is the
+    error when refits fail: that of the lowest failing row j, as
+    "leave-one-out refit for row j: ...".  ``n_threads`` or ``max_iter``
+    below 1 and ``rel_tol`` not positive raise ``ValueError``.  The warm start ``model`` must factor
     without a ridge, or ``SingularCovarianceError`` names its first singular
     component.  The threads and workspaces last for the call; a trimming run
     passes its own, sized for all of its passes, as the private ``_workers``.
@@ -412,16 +407,14 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     arr = validate_data(data)
     n = arr.shape[0]
-    chunk = _chunk_rows(model.n_components, n, chunk_size)
+    chunk = _chunk_rows(model.n_components, n)
     start = _em_start(arr, model)
     groups = np.array_split(np.arange(n), _group_count(n, chunk, n_threads))
     workers = _workers
     if workers is None:
-        workers = _RefitWorkers(model.n_components, [n], n_threads, chunk_size)
+        workers = _RefitWorkers(model.n_components, [n], n_threads)
 
     def refit(worker, group):
         work = workers.workspace(worker, min(chunk, group.shape[0]), n)

@@ -109,15 +109,35 @@ def most_likely_outlier(subset_logliks) -> int:
     return int(np.argmax(values))
 
 
-def constant_column(data) -> int | None:
-    """Index of the first feature column that holds one value while others vary.
+def unusable_column(data) -> tuple[int, str] | None:
+    """The first feature column that no cluster covariance can be estimated
+    from, and why, as ``(column, reason)`` to be read "column ... is reason".
 
-    Such a column makes every cluster covariance singular.  When every column
-    is constant, all rows are one point and no column is to blame: the result
-    is ``None`` and the fit reports the degeneracy.
+    A column that holds one value while others vary makes every cluster
+    covariance singular.  So does one whose range r is so narrow that r**2 is
+    below the smallest normal float, and one so wide that n r**2 overflows
+    makes the second moments infinite.  When every column is constant, all
+    rows are one point and no column is to blame: the result is ``None`` and
+    the fit reports the degeneracy.
     """
-    flat = np.flatnonzero(np.ptp(data, axis=0) == 0)
-    return int(flat[0]) if 0 < flat.size < data.shape[1] else None
+    with np.errstate(over="ignore"):
+        spread = np.ptp(data, axis=0)
+        square = spread ** 2
+        wide = ~np.isfinite(data.shape[0] * square)
+    flat = spread == 0
+    narrow = ~flat & (square < np.finfo(float).tiny)
+    bad = np.flatnonzero((flat & ~flat.all()) | narrow | wide)
+    if bad.size == 0:
+        return None
+    j = int(bad[0])
+    if flat[j]:
+        return j, (f"constant (every value is {float(data[0, j])!r}); "
+                   "it makes every cluster covariance singular")
+    if narrow[j]:
+        return j, (f"too narrow (range {float(spread[j])!r}, whose square is below the "
+                   "smallest normal float); it makes every cluster covariance singular")
+    return j, (f"too wide (range {float(spread[j])!r}, whose square times {data.shape[0]} "
+               "rows overflows a float); it makes the cluster covariances infinite")
 
 
 def oclust_run(data, config: OclustConfig) -> OclustResult:
@@ -129,17 +149,14 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
 
     Raises ``DegenerateFitError`` (with the trace so far attached) if an
     iteration's fit collapses, and ``ValueError`` if a feature column is
-    constant or the trimming budget leaves too few points to keep the mixture
-    identifiable.
+    unusable (``unusable_column``) or the trimming budget leaves too few
+    points to keep the mixture identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
-    flat = constant_column(arr)
-    if flat is not None:
-        raise ValueError(
-            f"feature column {flat} is constant (every value is {float(arr[0, flat])!r}); "
-            "it makes every cluster covariance singular"
-        )
+    bad = unusable_column(arr)
+    if bad is not None:
+        raise ValueError(f"feature column {bad[0]} is {bad[1]}")
     budget = config.max_outliers
     if budget is None:
         budget = default_max_outliers(n)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +428,21 @@ def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
     )
     assert code == 2
     assert "column 2 ('x2') is constant (every value is 5.0)" in err
+
+
+@pytest.mark.parametrize("scale, reason", [(1e160, "too wide"), (1e-160, "too narrow")])
+def test_column_of_extreme_scale_exits_2_and_names_it(tmp_path, capsys, scale, reason):
+    rng = np.random.default_rng(0)
+    data = scale * np.vstack([rng.standard_normal((40, 2)) + centre
+                              for centre in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
+    path = tmp_path / "scaled.csv"
+    path.write_text("a,b\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning comes before the message
+        code, _, err = run_cli(["oclust", str(path), "--clusters", "3", "--max-outliers", "5",
+                                "--threads", "1", "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"column 1 ('a') is {reason} (range " in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

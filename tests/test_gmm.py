@@ -476,30 +476,21 @@ def test_posterior_in_buffers_matches_one_exp_formula(seed, m, n_comp, n, spread
     if ties:
         # exact ties between components, some of them at the row maximum
         logp[:, rng.integers(n_comp)] = logp[:, rng.integers(n_comp)]
-    given_logp = logp.copy()
     top = logp.max(axis=1)
     shifted = np.exp(logp - top[:, None, :])
     total = shifted.sum(axis=1)
     row_ll = top + np.log(total)
     resp = shifted / total[:, None, :]
-    # buffers are the leading rows of a larger workspace, filled with junk
-    work = gmm._em_workspace(m + 3, n_comp, n)
-    for buffer in work:
-        buffer.fill(np.nan)
-    for got in (gmm._posterior(logp), gmm._posterior(logp, work[1][:m], work[2][:m], work[3][:m])):
-        assert np.array_equal(got[0], row_ll)
-        assert np.array_equal(got[1], resp)
-    assert np.array_equal(logp, given_logp)
-    # in place: the responsibilities overwrite the log-densities, in the
-    # leading rows of a flat in-place workspace or in the caller's array
-    flat = np.full(gmm._em_workspace_size(m + 3, n_comp, n, in_place=True), np.nan)
-    aliased = gmm._em_workspace(m + 3, n_comp, n, flat, in_place=True)
-    assert aliased[1] is aliased[0]
-    aliased[0][:m] = logp
+    # the responsibilities overwrite the log-densities: in the caller's array,
+    # and in the leading rows of a larger flat workspace filled with junk
     own = logp.copy()
-    for buffer, got in ((aliased[0][:m], gmm._posterior(aliased[0][:m], aliased[1][:m],
-                                                        aliased[2][:m], aliased[3][:m])),
-                        (own, gmm._posterior(own, own, work[2][:m], work[3][:m]))):
+    flat = np.full(gmm._em_workspace_size(m + 3, n_comp, n), np.nan)
+    work = gmm._em_workspace(m + 3, n_comp, n, flat)
+    assert all(np.shares_memory(buffer, flat) for buffer in work)
+    assert not any(np.shares_memory(a, b) for a, b in [work[:2], work[1:], work[::2]])
+    work[0][:m] = logp
+    for buffer, got in ((own, gmm._posterior(own)),
+                        (work[0][:m], gmm._posterior(work[0][:m], work[1][:m], work[2][:m]))):
         assert np.shares_memory(got[1], buffer)
         assert np.array_equal(got[0], row_ll)
         assert np.array_equal(got[1], resp)
@@ -528,11 +519,12 @@ def test_kernel_products_of_a_batch_match_single_problem_calls(seed, p, n_comp, 
     for buffer in work:
         buffer.fill(np.nan)
     logp = gmm._log_densities(feats, coefs, out=work[0][:m])
-    resp = work[1][:m]
+    for i in range(m):
+        assert np.array_equal(logp[i], gmm._log_densities(feats, coefs[i:i + 1])[0])
+    resp = work[0][:m]  # the E-step's responsibilities take the log-densities' place
     resp[...] = rng.dirichlet(np.ones(n_comp), (m, n)).transpose(0, 2, 1)
     moments = gmm._moments(feats, resp)
     for i in range(m):
-        assert np.array_equal(logp[i], gmm._log_densities(feats, coefs[i:i + 1])[0])
         assert np.array_equal(moments[i], gmm._moments(feats, resp[i:i + 1].copy())[0])
 
 

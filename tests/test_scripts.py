@@ -14,21 +14,22 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_loo_pass_prints_one_line_per_pass_with_the_in_process_values():
-    # two threads over chunks of 7 rows, in passes that reuse one worker
-    # state, must hash like one thread in-process, pass after pass
+    # 300 rows make two chunks by the rule, one per thread; two threads, in
+    # passes that reuse one worker state, must hash like one thread
+    # in-process, pass after pass
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "loo_pass.py"), "--n-good", "60", "--n-out", "3",
-         "--threads", "2", "--chunk-size", "7", "--repeats", "2"],
+        [sys.executable, str(SCRIPTS / "loo_pass.py"), "--n-good", "297", "--n-out", "3",
+         "--threads", "2", "--repeats", "2"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [record["repeat"] for record in records] == [0, 1]
-    data = gen_dataset(SimModelSpec(model="I", n_good=60, n_outliers=3, p=2, seed=1000)).data
+    data = gen_dataset(SimModelSpec(model="I", n_good=297, n_outliers=3, p=2, seed=1000)).data
     model, _, _ = em_fit(data, 3, FitConfig(seed=0))
     values = loo_refit_logliks(data, model, n_threads=1)
     for record in records:
-        assert (record["n"], record["threads"], record["chunk_size"]) == (63, 2, 7)
+        assert (record["n"], record["threads"], record["chunk"]) == (300, 2, 291)
         assert isinstance(record["minflt"], int) and record["minflt"] >= 0
         assert record["sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
 
@@ -45,7 +46,7 @@ def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == (
             f"seed 1: removal order equal, chosen {chosen} -> {chosen}, KL trace equal, "
-            "clamped counts equal, loglik drift 0, final model drift 0, final partition equal")
+            "clamped counts equal, loglik drift 0, final model drift 0, final labels equal")
         record = json.loads(out.read_text())
         assert record["pass"] and record["per_seed"][0]["labels_equal"]
 

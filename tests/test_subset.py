@@ -116,11 +116,23 @@ def test_refit_subset_logliks_match_serial_library_refits(fitted_blobs):
         assert ours[j] == pytest.approx(run.loglik, abs=1e-10)
 
 
-def test_refit_logliks_invariant_to_chunking_and_threads(fitted_blobs):
+_chunk_rule = subset._chunk_rows
+
+
+def _set_chunk(monkeypatch, chunk):
+    """Run every leave-one-out pass in batches of ``chunk`` refits (None: the rule)."""
+    monkeypatch.setattr(subset, "_chunk_rows",
+                        _chunk_rule if chunk is None else lambda n_components, n: chunk)
+
+
+def test_refit_logliks_invariant_to_chunking_and_threads(fitted_blobs, monkeypatch):
     data, model, _, _ = fitted_blobs
-    base = loo_refit_logliks(data, model, chunk_size=7)
-    assert np.array_equal(base, loo_refit_logliks(data, model, chunk_size=60))
-    assert np.array_equal(base, loo_refit_logliks(data, model, chunk_size=13, n_threads=4))
+    _set_chunk(monkeypatch, 7)
+    base = loo_refit_logliks(data, model)
+    _set_chunk(monkeypatch, 60)
+    assert np.array_equal(base, loo_refit_logliks(data, model))
+    _set_chunk(monkeypatch, 13)
+    assert np.array_equal(base, loo_refit_logliks(data, model, n_threads=4))
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +147,13 @@ def fitted_blobs_300():
     return data, model
 
 
-def test_refit_logliks_invariant_to_uneven_chunks_at_larger_n(fitted_blobs_300):
+def test_refit_logliks_invariant_to_uneven_chunks_at_larger_n(fitted_blobs_300, monkeypatch):
     data, model = fitted_blobs_300
     n = data.shape[0]
     base = loo_refit_logliks(data, model)
-    for chunk_size in [7, 64, n - 1]:
-        got = loo_refit_logliks(data, model, chunk_size=chunk_size, n_threads=2)
-        assert np.array_equal(base, got), chunk_size
+    for chunk in [7, 64, n - 1]:
+        _set_chunk(monkeypatch, chunk)
+        assert np.array_equal(base, loo_refit_logliks(data, model, n_threads=2)), chunk
 
 
 def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monkeypatch):
@@ -169,16 +181,13 @@ def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monke
 @pytest.mark.parametrize("kwargs, message", [
     (dict(n_threads=0), "n_threads must be >= 1, got 0"),
     (dict(n_threads=-2), "n_threads must be >= 1, got -2"),
-    (dict(chunk_size=0), "chunk_size must be >= 1, got 0"),
-    (dict(chunk_size=-3), "chunk_size must be >= 1, got -3"),
 ])
-def test_refit_rejects_bad_threads_and_chunk_size(fitted_blobs, kwargs, message):
+def test_refit_rejects_bad_thread_counts(fitted_blobs, kwargs, message):
     data, model, labels, loglik = fitted_blobs
     with pytest.raises(ValueError, match=message):
         loo_refit_logliks(data, model, **kwargs)
-    if "n_threads" in kwargs:
-        with pytest.raises(ValueError, match=message):
-            subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT, **kwargs)
 
 
 def test_refit_logliks_pinned_on_acceptance_scenario():
@@ -218,7 +227,7 @@ def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, cas
                    "clip-8": _spread_model(128, 260, 2)}[case]
     n, n_comp = data.shape[0], model.n_components
     expected_chunk = {"rule": 280, "clip-4096": 4096, "clip-8": 8}[case]
-    assert subset._chunk_rows(n_comp, n, None) == expected_chunk
+    assert subset._chunk_rows(n_comp, n) == expected_chunk
 
     def passes(workers):
         values, current = [], data
@@ -294,7 +303,7 @@ def test_refit_logliks_match_independent_oracle_property(seed, n_comp, p, per_cl
     assert np.max(np.abs(ours - expected)) < 1e-6
 
 
-def test_degenerate_refit_raises_on_a_decrease():
+def test_degenerate_refit_raises_on_a_decrease(monkeypatch):
     # one component sits on 3 points with a near-singular covariance; the
     # refits chase likelihood spikes, and a sweep that lowers the
     # log-likelihood must be reported, for the lowest failing row (several
@@ -305,11 +314,12 @@ def test_degenerate_refit_raises_on_a_decrease():
     )
     model, _, _ = em_fit(data, 3, FitConfig(seed=2))
     texts = set()
-    for chunk_size in [None, 1, 3, 7, 12]:
+    for chunk in [None, 1, 3, 7, 12]:
+        _set_chunk(monkeypatch, chunk)
         for n_threads in [1, 2]:
             with pytest.raises(DegenerateFitError) as info:
                 loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500,
-                                  chunk_size=chunk_size, n_threads=n_threads)
+                                  n_threads=n_threads)
             assert info.value.subset_index == 0
             texts.add(str(info.value))
     assert len(texts) == 1
@@ -345,11 +355,12 @@ def test_refit_decrease_is_checked_per_problem(fitted_blobs, monkeypatch):
     for row, ridged in [(3, False), (17, True)]:
         if ridged:
             monkeypatch.setattr(gmm, "_factor_covariances", ridged_row_3)
-        for kwargs in [{}, dict(chunk_size=7, n_threads=2)]:
+        for chunk, n_threads in [(None, 1), (7, 2)]:
+            _set_chunk(monkeypatch, chunk)
             with pytest.raises(DegenerateFitError,
                                match=f"^leave-one-out refit for row {row}: log-likelihood "
                                      "decreased") as info:
-                loo_refit_logliks(data, model, max_iter=1, **kwargs)
+                loo_refit_logliks(data, model, max_iter=1, n_threads=n_threads)
             assert info.value.subset_index == row
 
 

@@ -1,5 +1,6 @@
 import gc
 import threading
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -194,6 +195,34 @@ def test_constant_column_is_named(contaminated_blobs):
         oclust_run(flat, OclustConfig(n_clusters=2, max_outliers=3))
 
 
+def _three_blobs():
+    rng = np.random.default_rng(0)
+    return np.vstack([rng.standard_normal((40, 2)) + centre
+                      for centre in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
+
+
+@pytest.mark.parametrize("scale, reason", [
+    (1e160, "too wide"),  # r**2 overflows
+    (1e153, "too wide"),  # r**2 is finite, 120 r**2 overflows
+    (1e-160, "too narrow"),  # r**2 is below the smallest normal float
+])
+def test_column_of_extreme_scale_is_named_before_any_fit(scale, reason):
+    data = _three_blobs()
+    data[:, 1] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing overflows on the way to the message
+        with pytest.raises(ValueError, match=rf"^feature column 1 is {reason} \(range "):
+            oclust_run(data, OclustConfig(n_clusters=3, max_outliers=5))
+
+
+def test_columns_of_large_and_small_scale_trim_the_same_rows():
+    data = _three_blobs()
+    config = OclustConfig(n_clusters=3, max_outliers=5)
+    for scale in [1.0, 1e150, 1e-150]:
+        result = oclust_run(data * scale, config)
+        assert list(result.outlier_indices) == [109, 119, 69, 34, 37], scale
+
+
 @pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
 def test_run_is_translation_invariant(mode):
     # adding 1e7 rounds the data themselves, so only the chosen rows are
@@ -252,7 +281,7 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
             ((60.0, 60.0), (60.1, 60.1), (60.2, 60.2), (60.3, 60.3), (60.0, 60.3)))
         config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=2), n_threads=2)
         # 29 rows make one chunk by the default rule; chunks of 7 give two groups
-        monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n, chunk_size: 7)
+        monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n: 7)
     opened, names = [], set()
 
     class Recording(subset._RefitWorkers):
