@@ -35,7 +35,7 @@ from .errors import (
 from .gmm import FitConfig
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
-from .trim import OclustConfig, error_rates, oclust_run, unusable_column
+from .trim import OclustConfig, error_rates, oclust_run, unusable_columns
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -161,10 +161,9 @@ def _cmd_oclust(args) -> int:
     if not feature_idx:
         raise InputFormatError(f"{in_path}: no feature columns")
     table = table[:, feature_idx]
-    bad = unusable_column(table)
-    if bad is not None:
-        column = feature_idx[bad[0]]
-        raise InputFormatError(f"{in_path}: column {column + 1} ({header[column]!r}) is {bad[1]}")
+    problem = unusable_columns(table, [f"column {k + 1} ({header[k]!r})" for k in feature_idx])
+    if problem is not None:
+        raise InputFormatError(f"{in_path}: {problem}")
     threads = _default_threads(args.threads)
     config = OclustConfig(
         n_clusters=args.clusters,

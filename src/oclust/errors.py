@@ -8,7 +8,7 @@ class OclustError(Exception):
 
 
 class SingularCovarianceError(OclustError):
-    """A covariance matrix is not positive definite (even after regularization)."""
+    """A covariance matrix is not positive definite."""
 
 
 class InsufficientPointsError(OclustError):

@@ -35,9 +35,9 @@ batch it runs in.  Arrays carry a leading problem axis m (m = 1 for a single
 fit).  One helper, ``_factor_covariances``, turns every covariance stack into
 Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
 on the data (its features and its log-densities) for the start of EM, the
-mixture log-likelihood and the hard labels.  Only EM ridges a covariance (the
-pooled start and a covariance after an M-step); a model put on the data must
-factor as it is.  The single-point formulas share ``_point_terms``, kept
+mixture log-likelihood and the hard labels.  No covariance is ridged: one
+that does not factor fails the fit or refit that reached it, as a spurious
+singular maximum.  The single-point formulas share ``_point_terms``, kept
 apart from the kernel as the oracle it is tested against.  The
 hard-assignment log-likelihood and the frozen subset deltas read each row's
 assigned component from those same log-densities
@@ -71,10 +71,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Soft cluster mass below which an EM component is considered collapsed.
 _MIN_SOFT_COUNT = 1e-9
-
-# Ridge factor: a covariance that is not positive definite at the pooled start
-# or after an M-step is retried once with _RIDGE * trace/p added to its diagonal.
-_RIDGE = 1e-8
 
 
 def validate_data(data) -> np.ndarray:
@@ -148,9 +144,6 @@ class FitConfig:
         max_iter: cap on EM update sweeps per run.
         rel_tol: relative log-likelihood change that counts as converged.
         seed: master seed; every random draw derives from it.
-
-    A covariance that loses positive definiteness during EM gets the fixed
-    ridge 1e-8 * trace/p on its diagonal.
     """
 
     restarts: int = 3
@@ -213,44 +206,35 @@ def _check_symmetric(covs: np.ndarray) -> None:
         raise ValueError(f"covariance{where} is not symmetric")
 
 
-def _positive_definite(block: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _singular(covs) -> SingularCovarianceError | None:
+    """The error naming the first block of a covariance stack (..., p, p) that
+    is not positive definite, or None when every block is.  The error is
+    made, not raised, so no traceback ties it to a caller's frame."""
+    for idx in np.ndindex(covs.shape[:-2]):
+        try:
+            np.linalg.cholesky(covs[idx])
+        except np.linalg.LinAlgError:
+            where = f"component {idx[-1]} covariance" if idx else "covariance"
+            return SingularCovarianceError(f"{where} is not positive definite")
+    return None
 
 
-def _factor_covariances(covs, reg_eps: float = 0.0):
+def _factor_covariances(covs):
     """Cholesky factors and log-determinants of a covariance stack (..., p, p).
 
-    Returns ``(chol, logdet, factored)``: the lower factors, the
-    log-determinants (shape ``covs.shape[:-2]``) and the covariances actually
-    factored.  When ``reg_eps > 0`` a block that is not positive definite is
-    retried once with ``reg_eps * trace/p`` added to its diagonal;
-    ``factored`` is ``covs`` itself when no block needed that ridge.  A block
-    that still fails raises ``SingularCovarianceError`` naming its component.
+    Returns ``(chol, logdet)``: the lower factors and the log-determinants
+    (shape ``covs.shape[:-2]``).  A block that is not positive definite raises
+    ``SingularCovarianceError`` naming its component (``_singular``).
     """
     covs = np.asarray(covs, dtype=float)
     try:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        covs = covs.copy()
-        p = covs.shape[-1]
-        for idx in np.ndindex(covs.shape[:-2]):
-            if _positive_definite(covs[idx]):
-                continue
-            if reg_eps > 0:
-                ridge = reg_eps * float(np.trace(covs[idx])) / p
-                covs[idx] = covs[idx] + ridge * np.eye(p)
-                if _positive_definite(covs[idx]):
-                    continue
-            where = f"component {idx[-1]} covariance" if idx else "covariance"
-            after = " even after regularization" if reg_eps > 0 else ""
-            raise SingularCovarianceError(f"{where} is not positive definite{after}")
-        chol = np.linalg.cholesky(covs)
+        chol = None  # raised below, outside the handler, with no chained error
+    if chol is None:
+        raise _singular(covs)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return chol, logdet, covs
+    return chol, logdet
 
 
 def _point_terms(x, mean, cov):
@@ -266,7 +250,7 @@ def _point_terms(x, mean, cov):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     _check_symmetric(cov)
-    chol, logdet, _ = _factor_covariances(cov)
+    chol, logdet = _factor_covariances(cov)
     z = np.linalg.solve(chol, x - mean)
     return p, float(logdet), float(z @ z)
 
@@ -330,15 +314,15 @@ def _features(data: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_density_coefs(weights, shifts, covs, reg_eps=0.0):
+def _log_density_coefs(weights, shifts, covs):
     """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
 
     Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
-    (m, G, d) coefficients, written into one array, and the covariances
-    actually factored (see ``_factor_covariances``).
+    (m, G, d) coefficients, written into one array.  A covariance that is not
+    positive definite raises ``SingularCovarianceError`` (``_factor_covariances``).
     """
     p = shifts.shape[-1]
-    chol, logdet, factored = _factor_covariances(covs, reg_eps)
+    chol, logdet = _factor_covariances(covs)
     chol_inv = np.linalg.inv(chol)
     prec = chol_inv.swapaxes(-1, -2) @ chol_inv
     whitened = (chol_inv @ shifts[..., None])[..., 0]
@@ -349,7 +333,7 @@ def _log_density_coefs(weights, shifts, covs, reg_eps=0.0):
                 out=coefs[..., 0])
     coefs[..., 1:p + 1] = (prec @ shifts[..., None])[..., 0]
     np.multiply(_upper_scale(p), prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
-    return coefs, factored
+    return coefs
 
 
 def _log_densities(feats, coefs, out=None):
@@ -407,13 +391,13 @@ def _evaluate(data: np.ndarray, model: MixtureModel):
     """A model on every row: its features centred on its means, feature-major
     (G, d, n) and C-contiguous, and its log-densities log w_g + log N(x; mu_g,
     Sigma_g) as (1, G, n).  A covariance that is not positive definite raises
-    ``SingularCovarianceError`` naming its component; nothing is ridged."""
+    ``SingularCovarianceError`` naming its component."""
     if data.shape[1] != model.dim:
         raise ValueError(
             f"data has dimension {data.shape[1]} but the model expects {model.dim}"
         )
-    coefs, _ = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
-                                  model.covariances[None])
+    coefs = _log_density_coefs(model.weights[None], np.zeros((1,) + model.means.shape),
+                               model.covariances[None])
     feats = _features(data, model.means)
     return feats, _log_densities(feats, coefs)
 
@@ -542,9 +526,9 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     weighted features are taken off the shared first E-step.  A problem stops
     once its relative log-likelihood change drops below ``rel_tol`` or after
     ``max_iter`` sweeps.  It stops as failed when a component's mass falls
-    below ``_MIN_SOFT_COUNT`` or a covariance stays singular after the ridge,
-    or when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep
-    that needed no ridge; the others run on, to the same bits.  The E-steps
+    below ``_MIN_SOFT_COUNT``, when a covariance is not positive definite, or
+    when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep;
+    the others run on, to the same bits.  The E-steps
     run in place in ``work`` (from ``_em_workspace``, for at least m problems;
     made here when None), on its leading rows for the active ones.  While
     every problem is active the per-problem state is replaced whole each
@@ -586,16 +570,13 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
             active, moments = active[~collapsed], moments[~collapsed]
         w, s, c = _params_from_moments(moments, p)
         try:
-            coefs, factored = _log_density_coefs(w, s, c, _RIDGE)
-        except SingularCovarianceError:
-            for i in range(active.shape[0]):
-                try:
-                    _factor_covariances(c[i], _RIDGE)
-                except SingularCovarianceError as exc:
-                    failures[int(active[i])] = exc
-            kept = ~np.isin(active, list(failures))
+            coefs = _log_density_coefs(w, s, c)
+        except SingularCovarianceError:  # name each failed problem; the others run on
+            errors = {int(i): _singular(block) for i, block in zip(active, c)}
+            failures.update((i, error) for i, error in errors.items() if error is not None)
+            kept = np.array([error is None for error in errors.values()])
             active, w, s, c = active[kept], w[kept], s[kept], c[kept]
-            coefs, factored = _log_density_coefs(w, s, c, _RIDGE)
+            coefs = _log_density_coefs(w, s, c)
         k = active.shape[0]  # when 0, the sweep runs on empty arrays and ends the loop
         row_ll, resp = _posterior(_log_densities(feats, coefs, out=work[0][:k]),
                                   work[1][:k], work[2][:k])
@@ -606,15 +587,13 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         new = row_ll.sum(axis=1)
         if k == m:
             old, loglik = loglik, new
-            weights, shifts, covs = w, s, factored
+            weights, shifts, covs = w, s, c
         else:
             old, loglik = loglik[active], loglik.copy()  # history holds the old array
-            loglik[active], weights[active], shifts[active], covs[active] = new, w, s, factored
+            loglik[active], weights[active], shifts[active], covs[active] = new, w, s, c
         history.append(loglik)
         scale = np.maximum(1.0, np.abs(old))
         fell = new < old - 1e-7 * scale
-        if factored is not c:  # a problem whose covariances were ridged is exempt
-            fell &= (factored == c).all(axis=(1, 2, 3))
         stop = np.abs(new - old) / np.maximum(scale, np.abs(new)) < rel_tol
         if np.count_nonzero(fell):
             for i in np.flatnonzero(fell):
@@ -636,17 +615,15 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
               rel_tol: float = 1e-8) -> EmRun:
     """Run EM updates from explicit starting parameters (one problem of ``_em_sweeps``).
 
-    The start's covariances must factor without a ridge; one that is not
-    positive definite raises ``SingularCovarianceError`` naming its
-    component.  The log-likelihood history is monotone nondecreasing up to
-    float rounding on every sweep whose covariances factor without a ridge; a
-    sweep that had to ridge a covariance is exempt, since the ridge moves the
-    parameters off the EM update.  Iteration stops once the relative change
-    drops below ``rel_tol`` or after ``max_iter`` update sweeps; ``max_iter``
-    below 1 or ``rel_tol`` not positive raises ``ValueError``.  The returned
-    log-likelihood is always that of the returned parameters, whose
-    covariances are the ones actually factored; the returned labels are the
-    maximum-posterior components of the final E-step under those parameters.
+    A covariance that is not positive definite, at the start or after a
+    sweep, raises ``SingularCovarianceError`` naming its component.  The
+    log-likelihood history is monotone nondecreasing up to float rounding, or
+    ``DegenerateFitError`` is raised.  Iteration stops once the relative
+    change drops below ``rel_tol`` or after ``max_iter`` update sweeps;
+    ``max_iter`` below 1 or ``rel_tol`` not positive raises ``ValueError``.
+    The returned log-likelihood is always that of the returned parameters;
+    the returned labels are the maximum-posterior components of the final
+    E-step under those parameters.
     """
     _check_em_limits(max_iter, rel_tol)
     arr = validate_data(data)
@@ -699,8 +676,8 @@ def _seed_mean_indices(data: np.ndarray, rows: list[bytes], n_clusters: int,
     chosen = [int(np.argmin(-np.log(uniforms)))]
     dist_sq = ((data - data[chosen[0]]) ** 2).sum(axis=1)
     for draw in range(1, n_clusters):
-        weights = dist_sq.copy()
-        if weights.max() <= 0.0:
+        top = dist_sq.max()
+        if top <= 0.0:
             # all remaining points coincide with a chosen center; fall back to
             # the lowest unchosen row
             mask = np.ones(n, dtype=bool)
@@ -708,20 +685,14 @@ def _seed_mean_indices(data: np.ndarray, rows: list[bytes], n_clusters: int,
             chosen.append(int(np.flatnonzero(mask)[0]) if mask.any() else chosen[-1])
             continue
         uniforms = _content_uniforms(rows, key_seed, draw)
-        with np.errstate(divide="ignore"):
-            race = -np.log(uniforms) / weights
+        # weights relative to the largest, as the draw does not depend on scale: no
+        # subnormal distance overflows a race; a weight below ~1e-308 races to inf
+        with np.errstate(divide="ignore", over="ignore"):
+            race = -np.log(uniforms) / (dist_sq / top)
         pick = int(np.argmin(race))
         chosen.append(pick)
         dist_sq = np.minimum(dist_sq, ((data - data[pick]) ** 2).sum(axis=1))
     return chosen
-
-
-def _pooled_covariance(data: np.ndarray) -> np.ndarray:
-    """The sample covariance of every row (the identity for one row), ridged
-    once if it is not positive definite: every restart's start covariance."""
-    n, p = data.shape
-    pooled = np.atleast_2d(np.cov(data, rowvar=False, ddof=1)) if n >= 2 else np.eye(p)
-    return _factor_covariances(pooled, _RIDGE)[2]
 
 
 def _initial_model(data: np.ndarray, rows: list[bytes], pooled: np.ndarray, n_clusters: int,
@@ -743,10 +714,10 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
     fit.  The components are then numbered in the order of the first row
     each one owns (row 0's cluster is 0), so restarts that reach the same
     partition with their components in another order return the same
-    labels.  A restart whose solution leaves any hard cluster with fewer than
-    ``_min_points`` points (2; a trimming run asks for the p + 2 its beta
-    reference needs) is discarded as degenerate; if every restart degenerates
-    a ``DegenerateFitError`` is raised.
+    labels.  A restart whose EM fails, or whose solution leaves any hard
+    cluster with fewer than ``_min_points`` points (2; a trimming run asks
+    for the p + 2 its beta reference needs), is discarded as degenerate; if
+    every restart degenerates a ``DegenerateFitError`` is raised.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -762,12 +733,11 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
         )
     best: EmRun | None = None
     failures = []  # (restart, error)
-    rows, pooled = _row_bytes(arr), None
+    rows = _row_bytes(arr)
+    pooled = np.atleast_2d(np.cov(arr, rowvar=False, ddof=1)) if n >= 2 else np.eye(p)
     for restart in range(config.restarts):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
-            if pooled is None:  # a failure here is this restart's, and the next one retries
-                pooled = _pooled_covariance(arr)
             start = _initial_model(arr, rows, pooled, n_clusters, key_seed)
             run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)

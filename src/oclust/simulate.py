@@ -9,8 +9,8 @@ points and accepted only when they are far (in Mahalanobis distance) from
 every cluster, so they are gross outliers by construction.  "Far" is a
 squared distance above the 0.995 quantile of chi-squared with p degrees of
 freedom, taken as 2 * gammaincinv(p / 2, 0.995): the chi-squared quantile at
-level q is twice the inverse regularized lower incomplete gamma function at
-shape p/2.
+level q is twice the inverse in x of gammainc(p/2, x), the lower incomplete
+gamma function divided by Gamma(p/2).
 
 Separation between two clusters is summarized by the gap/spread ratio
 

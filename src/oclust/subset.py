@@ -216,7 +216,7 @@ class GammaReference:
 
 def _cluster_shifts(weights, covariances, p: int) -> np.ndarray:
     """c_g = -log(pi_g) + (p/2) log(2 pi) + (1/2) log det(S_g) for every cluster."""
-    _, logdets, _ = _factor_covariances(covariances)
+    _, logdets = _factor_covariances(covariances)
     return -np.log(weights) + 0.5 * p * LOG_2PI + 0.5 * logdets
 
 
@@ -311,8 +311,9 @@ def reference_mixture_ppf(q, ref: ReferenceMixture):
 def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the reference mixture by component choice plus inverse CDF.
 
-    The Beta(a, b) quantile at level u is the inverse regularized incomplete
-    beta function, ``betaincinv(a, b, u)``.
+    The Beta(a, b) quantile at level u is the inverse in x of
+    betainc(a, b, x), the incomplete beta function divided by B(a, b):
+    ``betaincinv(a, b, u)``.
     """
     picks = rng.choice(ref.weight.size, size=size, p=ref.weight / ref.weight.sum())
     u = betaincinv(ref.alpha[picks], ref.beta[picks], rng.random(size))
@@ -399,9 +400,9 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     The result is independent of chunking and thread count, and so is the
     error when refits fail: that of the lowest failing row j, as
     "leave-one-out refit for row j: ...".  ``n_threads`` or ``max_iter``
-    below 1 and ``rel_tol`` not positive raise ``ValueError``.  The warm start ``model`` must factor
-    without a ridge, or ``SingularCovarianceError`` names its first singular
-    component.  The threads and workspaces last for the call; a trimming run
+    below 1 and ``rel_tol`` not positive raise ``ValueError``.  A singular
+    covariance in the warm start ``model`` raises ``SingularCovarianceError``
+    naming its component.  The threads and workspaces last for the call; a trimming run
     passes its own, sized for all of its passes, as the private ``_workers``.
     """
     _check_em_limits(max_iter, rel_tol)

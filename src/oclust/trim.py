@@ -109,35 +109,50 @@ def most_likely_outlier(subset_logliks) -> int:
     return int(np.argmax(values))
 
 
-def unusable_column(data) -> tuple[int, str] | None:
-    """The first feature column that no cluster covariance can be estimated
-    from, and why, as ``(column, reason)`` to be read "column ... is reason".
+def unusable_columns(data, names) -> str | None:
+    """Why no cluster covariance can be estimated from the feature columns, as
+    a message that calls column j ``names[j]``; None when it can.
 
     A column that holds one value while others vary makes every cluster
     covariance singular.  So does one whose range r is so narrow that r**2 is
     below the smallest normal float, and one so wide that n r**2 overflows
     makes the second moments infinite.  When every column is constant, all
     rows are one point and no column is to blame: the result is ``None`` and
-    the fit reports the degeneracy.
+    the fit reports the degeneracy.  Otherwise the columns are affinely
+    dependent, which also makes every cluster covariance singular, when the
+    smallest eigenvalue of their correlation matrix is below n * eps, the
+    rounding of n rows; the message names the columns whose entries in its
+    eigenvector are at least a thousandth of the largest.
     """
+    n = data.shape[0]
     with np.errstate(over="ignore"):
         spread = np.ptp(data, axis=0)
         square = spread ** 2
-        wide = ~np.isfinite(data.shape[0] * square)
+        wide = ~np.isfinite(n * square)
     flat = spread == 0
-    narrow = ~flat & (square < np.finfo(float).tiny)
-    bad = np.flatnonzero((flat & ~flat.all()) | narrow | wide)
-    if bad.size == 0:
+    if flat.all():
         return None
-    j = int(bad[0])
-    if flat[j]:
-        return j, (f"constant (every value is {float(data[0, j])!r}); "
-                   "it makes every cluster covariance singular")
-    if narrow[j]:
-        return j, (f"too narrow (range {float(spread[j])!r}, whose square is below the "
-                   "smallest normal float); it makes every cluster covariance singular")
-    return j, (f"too wide (range {float(spread[j])!r}, whose square times {data.shape[0]} "
-               "rows overflows a float); it makes the cluster covariances infinite")
+    narrow = ~flat & (square < np.finfo(float).tiny)
+    bad = np.flatnonzero(flat | narrow | wide)
+    if bad.size:
+        j = int(bad[0])
+        if flat[j]:
+            return (f"{names[j]} is constant (every value is {float(data[0, j])!r}); "
+                    "it makes every cluster covariance singular")
+        if narrow[j]:
+            return (f"{names[j]} is too narrow (range {float(spread[j])!r}, whose square is "
+                    "below the smallest normal float); it makes every cluster covariance singular")
+        return (f"{names[j]} is too wide (range {float(spread[j])!r}, whose square times {n} "
+                "rows overflows a float); it makes the cluster covariances infinite")
+    values, vectors = np.linalg.eigh(np.atleast_2d(np.corrcoef(data, rowvar=False)))
+    tol = n * np.finfo(float).eps
+    if values[0] >= tol:
+        return None
+    entries = np.abs(vectors[:, 0])
+    named = " and ".join(names[j] for j in np.flatnonzero(entries >= 1e-3 * entries.max()))
+    return (f"{named} are affinely dependent (the smallest eigenvalue of their correlation "
+            f"matrix is {values[0]:.3g}, below {tol:.3g}); they make every cluster covariance "
+            "singular")
 
 
 def oclust_run(data, config: OclustConfig) -> OclustResult:
@@ -148,15 +163,15 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     the result's model, labels and (ascending) retained rows are its own fit.
 
     Raises ``DegenerateFitError`` (with the trace so far attached) if an
-    iteration's fit collapses, and ``ValueError`` if a feature column is
-    unusable (``unusable_column``) or the trimming budget leaves too few
+    iteration's fit collapses, and ``ValueError`` if the feature columns are
+    unusable (``unusable_columns``) or the trimming budget leaves too few
     points to keep the mixture identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
-    bad = unusable_column(arr)
-    if bad is not None:
-        raise ValueError(f"feature column {bad[0]} is {bad[1]}")
+    problem = unusable_columns(arr, [f"feature column {j}" for j in range(p)])
+    if problem is not None:
+        raise ValueError(problem)
     budget = config.max_outliers
     if budget is None:
         budget = default_max_outliers(n)

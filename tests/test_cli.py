@@ -445,6 +445,36 @@ def test_column_of_extreme_scale_exits_2_and_names_it(tmp_path, capsys, scale, r
     assert f"column 1 ('a') is {reason} (range " in err
 
 
+def test_affinely_dependent_columns_exit_2_and_name_them(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    a, c = np.vstack([rng.standard_normal((40, 2)) + centre
+                      for centre in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])]).T
+    b = 2.0 * a + 1e-10 * rng.standard_normal(a.shape)
+    path = tmp_path / "dependent.csv"
+    rows = np.column_stack([a, b, c]).tolist()
+    path.write_text("is_outlier,a,b,c\n" + "".join(f"0,{x!r},{y!r},{z!r}\n" for x, y, z in rows))
+    code, _, err = run_cli(["oclust", str(path), "--clusters", "3", "--max-outliers", "5",
+                            "--threads", "1", "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "column 2 ('a') and column 3 ('b') are affinely dependent (" in err
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_data_rounded_to_a_coarse_grid_complete(tmp_path, capsys, seed):
+    # rounded to a grid of step 2, a restart can put 30 rows on 3 collinear
+    # grid points; such a fit is singular and is discarded
+    rng = np.random.default_rng(0)
+    data = 2.0 * np.round(np.vstack([rng.standard_normal((40, 2)) + centre
+                                     for centre in ([0.0, 0.0], [8.0, 0.0], [0.0, 8.0])]) / 2.0)
+    path = tmp_path / "grid.csv"
+    path.write_text("a,b\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in data))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(["oclust", str(path), "--clusters", "3", "--max-outliers", "5",
+                            "--threads", "1", "--seed", str(seed), "--out", str(out_dir)], capsys)
+    assert code == 0, err
+    assert json.loads((out_dir / "summary.json").read_text())["chosen_num_outliers"] == 0
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_nonpositive_threads_exit_2(dataset_csv, tmp_path, capsys, threads):
     out_dir = tmp_path / "o"

@@ -218,9 +218,23 @@ def test_column_of_extreme_scale_is_named_before_any_fit(scale, reason):
 def test_columns_of_large_and_small_scale_trim_the_same_rows():
     data = _three_blobs()
     config = OclustConfig(n_clusters=3, max_outliers=5)
-    for scale in [1.0, 1e150, 1e-150]:
-        result = oclust_run(data * scale, config)
+    for scale in [1.0, 1e150, 1e-150, 1e-153]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no subnormal distance overflows the seeding
+            result = oclust_run(data * scale, config)
         assert list(result.outlier_indices) == [109, 119, 69, 34, 37], scale
+
+
+@pytest.mark.parametrize("columns, named", [
+    (lambda a, b, noise: (a, b, 2.0 * a + 1e-10 * noise), "0 and feature column 2"),
+    (lambda a, b, noise: (a, b, a - b + 5.0), "0 and feature column 1 and feature column 2"),
+], ids=["near-copy", "exact-sum"])
+def test_affinely_dependent_columns_are_named_before_any_fit(columns, named):
+    data = _three_blobs()
+    noise = np.random.default_rng(1).standard_normal(data.shape[0])
+    dependent = np.column_stack(columns(data[:, 0], data[:, 1], noise))
+    with pytest.raises(ValueError, match=rf"^feature column {named} are affinely dependent \("):
+        oclust_run(dependent, OclustConfig(n_clusters=3, max_outliers=5))
 
 
 @pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
