@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import KlEstimate, build_bins, default_num_bins, kl_divergence
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
-from .gmm import FitConfig, MixtureModel, cluster_stats, em_fit, validate_data
+from .gmm import FitConfig, MixtureModel, _singular, cluster_stats, em_fit, validate_data
 from .rng import derive_seed
 from .subset import DeltaMode, _RefitWorkers, beta_mixture_reference, subset_deltas
 
@@ -144,10 +144,13 @@ def unusable_columns(data, names) -> str | None:
                     "below the smallest normal float); it makes every cluster covariance singular")
         return (f"{names[j]} is too wide (range {float(spread[j])!r}, whose square times {n} "
                 "rows overflows a float); it makes the cluster covariances infinite")
-    values, vectors = np.linalg.eigh(np.atleast_2d(np.corrcoef(data, rowvar=False)))
+    corr = np.atleast_2d(np.corrcoef(data, rowvar=False))
     tol = n * np.finfo(float).eps
-    if values[0] >= tol:
+    # factoring corr - tol I tests the smallest eigenvalue; eigh, whose first
+    # call raises peak RSS by about 0.75 MB with OpenBLAS, runs only when it fails
+    if _singular(corr - tol * np.eye(corr.shape[0])) is None:
         return None
+    values, vectors = np.linalg.eigh(corr)
     entries = np.abs(vectors[:, 0])
     named = " and ".join(names[j] for j in np.flatnonzero(entries >= 1e-3 * entries.max()))
     return (f"{named} are affinely dependent (the smallest eigenvalue of their correlation "

@@ -278,7 +278,7 @@ def test_em_rejects_degenerate_input():
 
 def test_em_warns_when_ill_posed():
     # five points for two 2-d clusters: every restart reaches a singular
-    # covariance, which no ridge rescues
+    # covariance and is discarded
     rng = np.random.default_rng(0)
     with pytest.warns(UserWarning, match="ill-posed"), \
             pytest.raises(DegenerateFitError, match="covariance is not positive definite$"):
