@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         for repeat in range(args.repeats):
             before = resource.getrusage(resource.RUSAGE_SELF)
             t0 = time.perf_counter()
-            values = loo_refit_logliks(data, model, n_threads=args.threads, _workers=workers)
+            values = loo_refit_logliks(data, model, _workers=workers)
             wall = time.perf_counter() - t0
             after = resource.getrusage(resource.RUSAGE_SELF)
             print(json.dumps({

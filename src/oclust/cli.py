@@ -23,15 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BinningError,
-    DegenerateFitError,
-    GenerationStallError,
-    InputFormatError,
-    InsufficientPointsError,
-    OclustError,
-    SingularCovarianceError,
-)
+from .errors import DegenerateFitError, GenerationStallError, InputFormatError, OclustError
 from .gmm import FitConfig
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
@@ -459,8 +451,7 @@ def main(argv=None) -> int:
     except (InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateFitError, SingularCovarianceError, InsufficientPointsError,
-            BinningError) as exc:
+    except DegenerateFitError as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except GenerationStallError as exc:

@@ -1,26 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  ``DegenerateFitError`` means
+"this fit cannot stand"; every other degeneracy is a subclass of it."""
 
 from __future__ import annotations
 
 
 class OclustError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class SingularCovarianceError(OclustError):
-    """A covariance matrix is not positive definite."""
-
-
-class InsufficientPointsError(OclustError):
-    """A cluster holds too few points for the requested statistic.
-
-    Attributes:
-        cluster: index of the offending cluster, when known.
-    """
-
-    def __init__(self, message: str, cluster: int | None = None):
-        super().__init__(message)
-        self.cluster = cluster
 
 
 class DegenerateFitError(OclustError):
@@ -43,7 +28,23 @@ class DegenerateFitError(OclustError):
         self.partial_trace = partial_trace
 
 
-class BinningError(OclustError):
+class SingularCovarianceError(DegenerateFitError):
+    """A covariance matrix is not positive definite."""
+
+
+class InsufficientPointsError(DegenerateFitError):
+    """A cluster holds too few points for the requested statistic.
+
+    Attributes:
+        cluster: index of the offending cluster, when known.
+    """
+
+    def __init__(self, message: str, cluster: int | None = None):
+        super().__init__(message)
+        self.cluster = cluster
+
+
+class BinningError(DegenerateFitError):
     """Histogram bins could not be built or are incompatible with the data."""
 
 

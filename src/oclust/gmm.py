@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -705,7 +704,13 @@ def _initial_model(data: np.ndarray, rows: list[bytes], pooled: np.ndarray, n_cl
     return MixtureModel(weights=weights, means=centers, covariances=covs)
 
 
-def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_points: int = 2):
+def _min_cluster_size(p: int) -> int:
+    """The admissibility rule of every fit: a hard cluster holds at least p + 2
+    points, the fewest that admit its beta reference Beta(p/2, (n_g - p - 1)/2)."""
+    return p + 2
+
+
+def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
     """Fit a Gaussian mixture by restarted EM.
 
     Returns ``(model, labels, loglik)`` for the restart with the highest
@@ -714,10 +719,11 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
     fit.  The components are then numbered in the order of the first row
     each one owns (row 0's cluster is 0), so restarts that reach the same
     partition with their components in another order return the same
-    labels.  A restart whose EM fails, or whose solution leaves any hard
-    cluster with fewer than ``_min_points`` points (2; a trimming run asks
-    for the p + 2 its beta reference needs), is discarded as degenerate; if
-    every restart degenerates a ``DegenerateFitError`` is raised.
+    labels.  A restart whose EM fails, or whose solution leaves a hard
+    cluster with fewer points than ``_min_cluster_size(p)``, is discarded as
+    degenerate; if every restart degenerates a ``DegenerateFitError`` is
+    raised.  Fewer rows than ``n_clusters`` times that, where every restart
+    must fail, raise ``InsufficientPointsError`` up front.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -725,29 +731,25 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
         raise ValueError("n_clusters must be >= 1")
     if n < n_clusters:
         raise ValueError(f"cannot fit {n_clusters} clusters to {n} points")
-    if n <= n_clusters * (p + 1):
-        warnings.warn(
-            f"only {n} points for {n_clusters} clusters in dimension {p}; "
-            "the fit is ill-posed",
-            stacklevel=2,
-        )
+    need = _min_cluster_size(p)
+    if n < n_clusters * need:
+        raise InsufficientPointsError(f"{n} points are too few for {n_clusters} clusters; "
+                                      f"each cluster in dimension {p} needs at least {need}")
     best: EmRun | None = None
     failures = []  # (restart, error)
     rows = _row_bytes(arr)
-    pooled = np.atleast_2d(np.cov(arr, rowvar=False, ddof=1)) if n >= 2 else np.eye(p)
+    pooled = np.atleast_2d(np.cov(arr, rowvar=False, ddof=1))
     for restart in range(config.restarts):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
             start = _initial_model(arr, rows, pooled, n_clusters, key_seed)
             run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)
-            if np.any(counts < _min_points):
+            if np.any(counts < need):
                 g = int(np.argmin(counts))
-                raise DegenerateFitError(
-                    f"restart {restart}: hard cluster {g} retained {counts[g]} points; "
-                    f"at least {_min_points} are needed"
-                )
-        except (DegenerateFitError, SingularCovarianceError) as exc:
+                raise DegenerateFitError(f"restart {restart}: hard cluster {g} retained "
+                                         f"{counts[g]} points; at least {need} are needed")
+        except DegenerateFitError as exc:
             failures.append((restart, exc))
             continue
         if best is None or run.loglik > best.loglik:
@@ -756,7 +758,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig(), *, _min_point
         restart, exc = failures[0]
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
                                  f"(restart {restart}): {exc}") from exc
-    # every kept component owns at least two rows; number them by their first
+    # every kept component owns rows; number them by their first
     order = list(dict.fromkeys(best.labels.tolist()))
     model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],
                          covariances=best.model.covariances[order])

@@ -242,7 +242,8 @@ def separation_index_univariate(sample_a, sample_b) -> float:
 
 def _pair_directions(block_a: np.ndarray, block_b: np.ndarray) -> list[np.ndarray]:
     """Unit projection directions that discriminate two clusters: the mean
-    difference delta and the linear discriminant pooled^-1 delta."""
+    difference delta and the linear discriminant pooled^-1 delta.  A pooled
+    covariance that is exactly singular raises ``ValueError``."""
     mean_a = block_a.mean(axis=0)
     mean_b = block_b.mean(axis=0)
     delta = mean_b - mean_a
@@ -250,12 +251,15 @@ def _pair_directions(block_a: np.ndarray, block_b: np.ndarray) -> list[np.ndarra
     cov_a = np.atleast_2d(np.cov(block_a, rowvar=False, ddof=1))
     cov_b = np.atleast_2d(np.cov(block_b, rowvar=False, ddof=1))
     pooled = ((n_a - 1) * cov_a + (n_b - 1) * cov_b) / (n_a + n_b - 2)
-    pooled = pooled + 1e-10 * np.trace(pooled) / pooled.shape[0] * np.eye(pooled.shape[0])
     directions = []
     norm = np.linalg.norm(delta)
     if norm > 0:
         directions.append(delta / norm)
-    whitened = np.linalg.solve(pooled, delta)
+    try:
+        whitened = np.linalg.solve(pooled, delta)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("the pooled covariance of a cluster pair is singular; its linear "
+                         "discriminant is undefined") from exc
     norm = np.linalg.norm(whitened)
     if norm > 0:
         directions.append(whitened / norm)

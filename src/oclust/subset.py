@@ -51,7 +51,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln
 
-from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
+from .errors import InsufficientPointsError
 from .gmm import (
     LOG_2PI,
     ClusterStats,
@@ -63,6 +63,7 @@ from .gmm import (
     _em_workspace,
     _em_workspace_size,
     _factor_covariances,
+    _min_cluster_size,
     _point_terms,
     cluster_stats,
     validate_data,
@@ -223,17 +224,15 @@ def _cluster_shifts(weights, covariances, p: int) -> np.ndarray:
 def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
     """Reference mixture implied by per-cluster sample statistics.
 
-    Every cluster must satisfy ``n_g > p + 1`` so that the second beta shape
-    parameter is positive.
+    Every cluster must hold at least ``_min_cluster_size(p)`` points, so
+    that the second beta shape parameter is positive.
     """
-    p = stats.dim
-    small = stats.counts <= p + 1
+    p, need = stats.dim, _min_cluster_size(stats.dim)
+    small = stats.counts < need
     if small.any():
         g = int(np.argmax(small))
-        raise InsufficientPointsError(
-            f"cluster {g} has {stats.counts[g]} points; the beta reference needs more than {p + 1}",
-            cluster=g,
-        )
+        raise InsufficientPointsError(f"cluster {g} has {stats.counts[g]} points; the beta "
+                                      f"reference needs more than {need - 1}", cluster=g)
     n_g = stats.counts.astype(float)
     return ReferenceMixture(
         shift=_cluster_shifts(stats.weights, stats.covariances, p),
@@ -360,7 +359,7 @@ class _RefitWorkers:
     """
 
     def __init__(self, n_components: int, sizes, n_threads: int):
-        self.n_components = n_components
+        self.n_components, self.n_threads = n_components, n_threads
         workers, capacity = 1, 0
         for n in sizes:
             chunk = _chunk_rows(n_components, n)
@@ -398,12 +397,14 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     min(n_threads, number of chunks) contiguous groups, one per worker
     thread; each worker reuses one workspace for every chunk of its group.
     The result is independent of chunking and thread count, and so is the
-    error when refits fail: that of the lowest failing row j, as
-    "leave-one-out refit for row j: ...".  ``n_threads`` or ``max_iter``
-    below 1 and ``rel_tol`` not positive raise ``ValueError``.  A singular
-    covariance in the warm start ``model`` raises ``SingularCovarianceError``
-    naming its component.  The threads and workspaces last for the call; a trimming run
-    passes its own, sized for all of its passes, as the private ``_workers``.
+    error when refits fail: that of the lowest failing row j, of its class
+    (a ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out
+    refit for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and
+    ``rel_tol`` not positive raise ``ValueError``.  A singular covariance in
+    the warm start ``model`` raises ``SingularCovarianceError`` naming its
+    component.  The threads and workspaces last for the call; a trimming run
+    passes its own, sized for all of its passes, as the private ``_workers``,
+    and then their thread count is the one used.
     """
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
@@ -412,10 +413,10 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     n = arr.shape[0]
     chunk = _chunk_rows(model.n_components, n)
     start = _em_start(arr, model)
-    groups = np.array_split(np.arange(n), _group_count(n, chunk, n_threads))
     workers = _workers
     if workers is None:
         workers = _RefitWorkers(model.n_components, [n], n_threads)
+    groups = np.array_split(np.arange(n), _group_count(n, chunk, workers.n_threads))
 
     def refit(worker, group):
         work = workers.workspace(worker, min(chunk, group.shape[0]), n)
@@ -438,10 +439,8 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     failures = {int(rows[i]): exc for rows, _, failed in chunks for i, exc in failed.items()}
     if failures:
         j = min(failures)
-        message = f"leave-one-out refit for row {j}: {failures[j]}"
-        if isinstance(failures[j], SingularCovarianceError):
-            raise SingularCovarianceError(message) from failures[j]
-        raise DegenerateFitError(message, subset_index=j) from failures[j]
+        raise type(failures[j])(f"leave-one-out refit for row {j}: {failures[j]}",
+                                subset_index=j) from failures[j]
     return np.concatenate([loglik for _, loglik, _ in chunks])
 
 
@@ -455,7 +454,8 @@ def subset_deltas(data, model: MixtureModel, labels, loglik: float,
     Entry j is the subset log-likelihood minus the full-data log-likelihood
     when row j is removed.  ``loglik`` must be the full-data mixture
     log-likelihood of ``model``; ``labels`` are its hard clusters, read in
-    frozen mode.  ``_workers`` goes to ``loo_refit_logliks`` in refit mode.
+    frozen mode.  ``n_threads`` and ``_workers`` go to ``loo_refit_logliks``
+    in refit mode, which reads ``n_threads`` only when ``_workers`` is None.
     """
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:

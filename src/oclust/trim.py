@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .divergence import KlEstimate, build_bins, default_num_bins, kl_divergence
-from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
-from .gmm import FitConfig, MixtureModel, _singular, cluster_stats, em_fit, validate_data
+from .errors import DegenerateFitError
+from .gmm import (FitConfig, MixtureModel, _min_cluster_size, _singular, cluster_stats, em_fit,
+                  validate_data)
 from .rng import derive_seed
 from .subset import DeltaMode, _RefitWorkers, beta_mixture_reference, subset_deltas
 
@@ -33,8 +34,8 @@ class OclustConfig:
             ``max_outliers + 1`` entries).  ``None`` selects ceil(0.125 * n).
         fit: EM settings.  ``restarts`` and ``max_iter`` apply to each
             iteration's fit (``em_fit``), seeded from ``seed`` and the
-            iteration; a restart that leaves a hard cluster with p + 1 points
-            or fewer, too few for the beta reference, is discarded.  The
+            iteration; ``em_fit`` discards a restart that leaves a hard
+            cluster too small for the beta reference.  The
             leave-one-out refits in refit mode take only ``rel_tol`` and keep
             their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
@@ -166,9 +167,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     the result's model, labels and (ascending) retained rows are its own fit.
 
     Raises ``DegenerateFitError`` (with the trace so far attached) if an
-    iteration's fit collapses, and ``ValueError`` if the feature columns are
-    unusable (``unusable_columns``) or the trimming budget leaves too few
-    points to keep the mixture identifiable.
+    iteration's fit, leave-one-out deltas or reference fail, naming the
+    iteration, its row count and the stage, and ``ValueError`` if the
+    feature columns are unusable (``unusable_columns``) or the trimming
+    budget leaves too few points to keep the mixture identifiable.
     """
     arr = validate_data(data)
     n, p = arr.shape
@@ -178,11 +180,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     budget = config.max_outliers
     if budget is None:
         budget = default_max_outliers(n)
-    if not 1 <= budget < n - config.n_clusters * (p + 2):
-        raise ValueError(
-            f"max_outliers={budget} is outside [1, {n - config.n_clusters * (p + 2) - 1}] "
-            f"for n={n}, n_clusters={config.n_clusters}, p={p}"
-        )
+    most = n - config.n_clusters * _min_cluster_size(p) - 1
+    if not 1 <= budget <= most:
+        raise ValueError(f"max_outliers={budget} is outside [1, {most}] for n={n}, "
+                         f"n_clusters={config.n_clusters}, p={p}")
     current = arr
     original_rows = np.arange(n)
     removed: list[int] = []
@@ -194,14 +195,14 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
                if DeltaMode(config.delta_mode) is DeltaMode.REFIT else None)
     try:
         for m in range(budget + 1):
+            stage = "fit"
             fit_cfg = replace(config.fit, seed=derive_seed(config.fit.seed, 101, m))
-            model, labels, loglik = em_fit(current, config.n_clusters, fit_cfg,
-                                           _min_points=p + 2)
+            model, labels, loglik = em_fit(current, config.n_clusters, fit_cfg)
             stats = cluster_stats(current, labels, config.n_clusters)
-            deltas = subset_deltas(
-                current, model, labels, loglik, stats, config.delta_mode,
-                rel_tol=config.fit.rel_tol, n_threads=config.n_threads, _workers=workers,
-            )
+            stage = "leave-one-out deltas"
+            deltas = subset_deltas(current, model, labels, loglik, stats, config.delta_mode,
+                                   rel_tol=config.fit.rel_tol, _workers=workers)
+            stage = "reference"
             reference = beta_mixture_reference(stats)
             bins = build_bins(reference, default_num_bins(current.shape[0]))
             kl = kl_divergence(deltas, bins)
@@ -221,9 +222,10 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
                 removed.append(int(original_rows[local]))
                 current = np.delete(current, local, axis=0)
                 original_rows = np.delete(original_rows, local)
-    except (DegenerateFitError, SingularCovarianceError, InsufficientPointsError) as exc:
+    except DegenerateFitError as exc:
         raise DegenerateFitError(
-            f"trimming aborted after {len(records)} of {budget + 1} iterations: {exc}",
+            f"trimming aborted after {len(records)} of {budget + 1} iterations, in the {stage} "
+            f"of iteration {m} on {current.shape[0]} rows: {exc}",
             partial_trace=records,
         ) from exc
     finally:

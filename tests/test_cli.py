@@ -398,8 +398,9 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert ("trimming aborted after 1 of 6 iterations: all 3 restarts degenerated; first failure "
-            "(restart 0): restart 0: hard cluster 1 retained 3 points; at least 4 are needed") in err
+    assert ("trimming aborted after 1 of 6 iterations, in the fit of iteration 1 on 63 rows: "
+            "all 3 restarts degenerated; first failure (restart 0): restart 0: hard cluster 1 "
+            "retained 3 points; at least 4 are needed") in err
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,removed_row,kl,loglik,n_remaining,clamped"
     assert len(trace) == 2

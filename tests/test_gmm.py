@@ -1,5 +1,6 @@
 import hashlib
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -276,13 +277,20 @@ def test_em_rejects_degenerate_input():
         em_fit(data, 2, FitConfig(seed=0))
 
 
-def test_em_warns_when_ill_posed():
-    # five points for two 2-d clusters: every restart reaches a singular
-    # covariance and is discarded
+def test_em_rejects_too_few_points_up_front(monkeypatch):
+    # five points for two 2-d clusters: each needs p + 2 = 4, so every
+    # restart must fail, and none runs; no warning is given
     rng = np.random.default_rng(0)
-    with pytest.warns(UserWarning, match="ill-posed"), \
-            pytest.raises(DegenerateFitError, match="covariance is not positive definite$"):
-        em_fit(rng.standard_normal((5, 2)), 2, FitConfig(seed=0))
+    monkeypatch.setattr(gmm, "em_refine", None)  # any restart would raise TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientPointsError,
+                           match="^5 points are too few for 2 clusters; each cluster in "
+                                 "dimension 2 needs at least 4$"):
+            em_fit(rng.standard_normal((5, 2)), 2, FitConfig(seed=0))
+    # eight points are enough to try
+    with pytest.raises(TypeError):
+        em_fit(rng.standard_normal((8, 2)), 2, FitConfig(seed=0))
 
 
 def test_em_more_points_than_clusters_required():
@@ -703,7 +711,7 @@ def test_em_refine_labels_match_hard_labels(seed, n_comp, p, max_iter):
     data, model = overlapping_start(seed, n_comp, p)
     try:
         run = em_refine(data, model, max_iter=max_iter)
-    except (DegenerateFitError, SingularCovarianceError):
+    except DegenerateFitError:
         assume(False)
     clear = clear_rows(data, run.model)
     assert np.array_equal(run.labels[clear], hard_labels(data, run.model)[clear])

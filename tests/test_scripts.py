@@ -1,5 +1,6 @@
 """Smoke tests for the measurement scripts under ``scripts/``."""
 
+import csv
 import hashlib
 import json
 import subprocess
@@ -69,3 +70,17 @@ def test_invariance_finds_the_permuted_run_equal(tmp_path, workload):
     assert proc.stdout.splitlines()[1] == (
         f"{workload} seed 0 permuted: chosen {seed['chosen']}, outlier sets differ by 0 rows, "
         "removal orders agree on 3 of 3")
+
+
+def test_simulation_study_writes_one_row_for_a_tiny_cell(tmp_path):
+    out = tmp_path / "study.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_simulation_study.py"), "--models", "I",
+         "--n-good", "57", "--n-out", "3", "--seeds", "1", "--threads", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="", encoding="utf-8") as handle:
+        (row,) = csv.DictReader(handle)
+    assert (row["model"], row["proportions"], row["seeds_done"], row["seeds_failed"]) == (
+        "I", "equal", "1", "0")

@@ -196,7 +196,7 @@ def test_pairwise_separation_picks_discriminating_direction():
 def test_pairwise_separation_is_best_of_mean_difference_and_discriminant():
     # oracle: each pair's index is the larger of its values along the mean
     # difference delta and the linear discriminant pooled^-1 delta (pooled
-    # with the same 1e-10 trace/p ridge), and the clustering takes the worst pair
+    # with no ridge), and the clustering takes the worst pair
     for seed in range(10):
         rng = np.random.default_rng(seed)
         p = 2 + seed % 5
@@ -212,7 +212,6 @@ def test_pairwise_separation_is_best_of_mean_difference_and_discriminant():
             delta = b.mean(axis=0) - a.mean(axis=0)
             pooled = ((len(a) - 1) * np.cov(a.T) + (len(b) - 1) * np.cov(b.T)) / (
                 len(a) + len(b) - 2)
-            pooled += 1e-10 * np.trace(pooled) / p * np.eye(p)
             lda = np.linalg.solve(pooled, delta)
             pair_values.append(max(
                 separation_index_univariate(a @ u, b @ u)
@@ -220,6 +219,14 @@ def test_pairwise_separation_is_best_of_mean_difference_and_discriminant():
             ))
         assert separation_index_pairwise(data, labels) == pytest.approx(
             min(pair_values), rel=1e-12)
+
+
+def test_pairwise_separation_names_a_singular_pooled_covariance():
+    # two clusters on one line: their pooled covariance is exactly singular,
+    # so the discriminant is undefined and is not ridged into one
+    a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="^the pooled covariance of a cluster pair is singular"):
+        separation_index_pairwise(np.vstack([a, a + 5.0]), [0, 0, 0, 1, 1, 1])
 
 
 def test_pairwise_separation_needs_two_clusters():

@@ -178,6 +178,28 @@ def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monke
     assert threading.active_count() == before  # the call's own pool is shut down
 
 
+def test_refit_thread_count_comes_from_the_workers(fitted_blobs_300, monkeypatch):
+    # a pass on given workers runs at the thread count they were made for,
+    # whatever n_threads says, and returns the one-thread values
+    data, model = fitted_blobs_300
+    _set_chunk(monkeypatch, 7)
+    serial = loo_refit_logliks(data, model, n_threads=1)
+    sweeps, names = subset._em_sweeps, set()
+
+    def recording(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    for made_for, asked in [(1, 2), (2, 4)]:
+        names.clear()
+        with subset._RefitWorkers(model.n_components, [data.shape[0]], made_for) as workers:
+            assert workers.n_threads == made_for
+            got = loo_refit_logliks(data, model, n_threads=asked, _workers=workers)
+        assert np.array_equal(got, serial)
+        assert len(names) == made_for
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(n_threads=0), "n_threads must be >= 1, got 0"),
     (dict(n_threads=-2), "n_threads must be >= 1, got -2"),
@@ -303,17 +325,27 @@ def test_refit_logliks_match_independent_oracle_property(seed, n_comp, p, per_cl
     assert np.max(np.abs(ours - expected)) < 1e-6
 
 
-def test_degenerate_refit_raises_on_a_decrease(monkeypatch):
-    # one component sits on 4 points with a near-singular covariance; the
-    # refits chase likelihood spikes, and a sweep that lowers the
-    # log-likelihood must be reported, for the lowest failing row (rows 0, 4
-    # and 5 fall, and row 7's refit reaches a singular covariance), with the
-    # same text whatever the chunking and thread count
+def _four_point_component_fit(start_rows):
+    """24 rows in p = 3 and an EM fit from means at ``start_rows``, pooled
+    covariances and equal weights, which puts one component on 4 points with
+    a near-singular covariance: a fit that ``em_fit`` discards, as 4 < p + 2."""
     rng = np.random.default_rng(17)
     data = np.vstack(
         [rng.standard_normal((8, 3)) * rng.uniform(0.5, 2.0) + 9.0 * g for g in range(3)]
     )
-    model, _, _ = em_fit(data, 3, FitConfig(seed=17))
+    start = MixtureModel(weights=np.full(3, 1.0 / 3.0), means=data[start_rows],
+                         covariances=np.repeat(np.cov(data, rowvar=False)[None], 3, axis=0))
+    run = em_refine(data, start)
+    assert sorted(np.bincount(run.labels)) == [4, 10, 10]
+    return data, run.model
+
+
+def test_degenerate_refit_raises_on_a_decrease(monkeypatch):
+    # the refits chase likelihood spikes, and a sweep that lowers the
+    # log-likelihood must be reported, for the lowest failing row (rows 0, 4
+    # and 5 fall, and row 7's refit reaches a singular covariance), with the
+    # same text whatever the chunking and thread count
+    data, model = _four_point_component_fit([4, 16, 8])
     texts = set()
     for chunk in [None, 1, 3, 7, 12]:
         _set_chunk(monkeypatch, chunk)
@@ -325,6 +357,22 @@ def test_degenerate_refit_raises_on_a_decrease(monkeypatch):
             texts.add(str(info.value))
     assert len(texts) == 1
     assert texts.pop().startswith("leave-one-out refit for row 0: log-likelihood decreased from ")
+
+
+def test_singular_refit_is_a_degenerate_fit_naming_its_row(monkeypatch):
+    # from another start order the same fit differs in its last bits, and the
+    # refit without row 0 reaches a singular covariance: the error keeps its
+    # class, which is a DegenerateFitError, and names the row
+    data, model = _four_point_component_fit([8, 16, 4])
+    for chunk, n_threads in [(None, 1), (5, 2)]:
+        _set_chunk(monkeypatch, chunk)
+        with pytest.raises(SingularCovarianceError,
+                           match="^leave-one-out refit for row 0: component 2 covariance is not "
+                                 "positive definite$") as info:
+            loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500, n_threads=n_threads)
+        assert isinstance(info.value, DegenerateFitError)
+        assert info.value.subset_index == 0
+        assert isinstance(info.value.__cause__, SingularCovarianceError)
 
 
 def test_refit_decrease_is_checked_per_problem(fitted_blobs, monkeypatch):

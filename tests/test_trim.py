@@ -303,10 +303,15 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
             super().__init__(*args, **kwargs)
             opened.append([weakref.ref(self)] + [weakref.ref(b) for b in self.buffers])
 
-    sweeps = subset._em_sweeps
+    # every thread's first call waits at a barrier, which times out unless a
+    # second thread is running, so one thread cannot take both groups
+    sweeps, barrier = subset._em_sweeps, threading.Barrier(2, timeout=30)
 
     def recording(*args, **kwargs):
-        names.add(threading.current_thread().name)
+        name = threading.current_thread().name
+        if name not in names:
+            names.add(name)
+            barrier.wait()
         return sweeps(*args, **kwargs)
 
     monkeypatch.setattr(trim, "_RefitWorkers", Recording)
