@@ -10,9 +10,10 @@ threads of the process) and its minor page faults, all from ``getrusage`` and
 ``perf_counter`` around the call, plus a SHA-256 of the returned values so
 that two runs can be checked for equal outputs.
 
-Each line also gives the refits per chunk, from the library's one rule
-(``subset._chunk_rows``); to try another rule, edit that function in a
-scratch copy of the source and run one process per copy.  Like ``perfbench``,
+Each line also gives the most refits per batch, from the library's one rule
+(``subset._chunk_rows``), and the pass plan that ran: per worker thread, the
+sizes of its batches (``subset._refit_plan``).  To try another rule, edit
+``_chunk_rows`` in a scratch copy of the source and run one process per copy.  Like ``perfbench``,
 the script pins BLAS to one thread before NumPy loads.  The first pass also
 starts the threads and touches the workspaces for the first time, which a
 trimming run pays once; the later passes time what each trimming iteration
@@ -37,7 +38,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
-from oclust.subset import _chunk_rows, _RefitWorkers  # noqa: E402
+from oclust.subset import _chunk_rows, _refit_plan, _RefitWorkers  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -61,6 +62,8 @@ def main(argv=None) -> int:
                                     seed=args.data_seed)).data
     model, _, _ = em_fit(data, args.clusters, FitConfig(seed=args.fit_seed))
     n = data.shape[0]
+    batches = [[rows.shape[0] for rows in group]
+               for group in _refit_plan(args.clusters, n, args.threads)]
     with _RefitWorkers(args.clusters, [n], args.threads) as workers:
         for repeat in range(args.repeats):
             before = resource.getrusage(resource.RUSAGE_SELF)
@@ -71,6 +74,7 @@ def main(argv=None) -> int:
             print(json.dumps({
                 "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
                 "threads": args.threads, "chunk": _chunk_rows(args.clusters, n),
+                "batches": batches,
                 "wall_s": round(wall, 6),
                 "cpu_s": round(after.ru_utime + after.ru_stime
                                - before.ru_utime - before.ru_stime, 6),

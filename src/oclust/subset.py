@@ -33,13 +33,15 @@ per row, in one of two ways:
 The refits run in the EM loop of ``gmm``, the one that also runs the single
 fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
-chunk and thread.  Chunks are sized for a core's cache by one rule,
-``_chunk_rows``.  A trimming run keeps one thread pool and one workspace per
-thread for the whole run (``_RefitWorkers``), sized once for its largest
-pass, and each thread runs the E-steps of all its chunks there (see
+batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
+contiguous group per thread and each group into batches whose sizes differ by
+at most one, as few as a core's cache allows (``_chunk_rows``).  A trimming
+run keeps one thread pool and one workspace per thread for the whole run
+(``_RefitWorkers``), sized once for the largest batch of any of its passes,
+and each thread runs the E-steps of all its batches there (see
 ``loo_refit_logliks``).  A refit is held to the single fit's convergence
 test and failures, and the error raised is the lowest failing row's at any
-chunking and thread count.
+batching and thread count.
 """
 
 from __future__ import annotations
@@ -335,14 +337,24 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 
 
 def _chunk_rows(n_components: int, n: int) -> int:
-    """Refits per batch on n rows: clip(2**18 // (G n), 8, 4096), so that each
-    (chunk, G, n) work array holds about 2 MiB and stays in a core's cache."""
+    """Most refits per batch on n rows: clip(2**18 // (G n), 8, 4096), so that
+    each (chunk, G, n) work array holds at most about 2 MiB and stays in a
+    core's cache.  ``_refit_plan`` alone reads it."""
     return int(np.clip(2**18 // (n_components * n), 8, 4096))
 
 
-def _group_count(n: int, chunk: int, n_threads: int) -> int:
-    """Contiguous row groups, one per worker, of a pass of n refits in batches of ``chunk``."""
-    return min(n_threads, -(-n // chunk))
+def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
+    """The row batches of a leave-one-out pass on n rows, per worker.
+
+    The rows are cut into min(n_threads, ceil(n / chunk)) contiguous groups,
+    chunk = ``_chunk_rows(n_components, n)``, and each group into
+    ceil(rows / chunk) contiguous batches whose sizes differ by at most one,
+    larger first: the fewest batches of at most ``chunk`` refits, each as
+    small as that count allows.
+    """
+    chunk = _chunk_rows(n_components, n)
+    groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
+    return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
 
 
 class _RefitWorkers:
@@ -351,22 +363,22 @@ class _RefitWorkers:
 
     Sized once, when made, for a pass on each row count in ``sizes`` at
     ``n_threads`` threads: one flat buffer per worker, each holding the
-    workspace of the largest batch that any of those passes gives a worker.
-    A pass takes C-contiguous views of its leading elements (``workspace``),
-    so it allocates nothing of size n, and runs its groups on ``pool`` when
-    it has more than one.  ``close`` stops the threads and drops the buffers; used in
-    a ``with`` statement, the state closes on exit.
+    workspace of the largest batch that ``_refit_plan`` gives any worker in
+    any of those passes.  A pass takes C-contiguous views of its leading
+    elements (``workspace``), so it allocates nothing of size n, and runs its
+    groups on ``pool`` when it has more than one.  ``close`` stops the threads
+    and drops the buffers; used in a ``with`` statement, the state closes on
+    exit.
     """
 
     def __init__(self, n_components: int, sizes, n_threads: int):
         self.n_components, self.n_threads = n_components, n_threads
         workers, capacity = 1, 0
         for n in sizes:
-            chunk = _chunk_rows(n_components, n)
-            groups = _group_count(n, chunk, n_threads)
-            workers = max(workers, groups)
-            capacity = max(capacity, _em_workspace_size(min(chunk, -(-n // groups)),
-                                                        n_components, n))
+            plan = _refit_plan(n_components, n, n_threads)
+            workers = max(workers, len(plan))
+            largest = max(batches[0].shape[0] for batches in plan)
+            capacity = max(capacity, _em_workspace_size(largest, n_components, n))
         self.buffers = [np.empty(capacity) for _ in range(workers)]
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
@@ -391,15 +403,17 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
                       n_threads: int = 1, _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
-    The refits run as vectorized batches of clip(2**18 // (G n), 8, 4096)
-    subsets (``_chunk_rows``), so that each (chunk, G, n) work array holds
-    about 2 MiB and stays in a core's cache.  The rows are split into
-    min(n_threads, number of chunks) contiguous groups, one per worker
-    thread; each worker reuses one workspace for every chunk of its group.
-    The result is independent of chunking and thread count, and so is the
-    error when refits fail: that of the lowest failing row j, of its class
-    (a ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out
-    refit for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and
+    The refits run as vectorized batches of the pass plan (``_refit_plan``):
+    the rows are split into min(n_threads, ceil(n / chunk)) contiguous
+    groups, one per worker thread, chunk = clip(2**18 // (G n), 8, 4096)
+    (``_chunk_rows``), and each group into the fewest batches of at most
+    chunk refits, balanced to within one row, so that each (batch, G, n)
+    work array holds at most about 2 MiB and stays in a core's cache.  Each
+    worker reuses one workspace for every batch of its group.  The result is
+    independent of batching and thread count, and so is the error when
+    refits fail: that of the lowest failing row j, of its class (a
+    ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
+    for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and
     ``rel_tol`` not positive raise ``ValueError``.  A singular covariance in
     the warm start ``model`` raises ``SingularCovarianceError`` naming its
     component.  The threads and workspaces last for the call; a trimming run
@@ -411,28 +425,27 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     arr = validate_data(data)
     n = arr.shape[0]
-    chunk = _chunk_rows(model.n_components, n)
     start = _em_start(arr, model)
     workers = _workers
     if workers is None:
         workers = _RefitWorkers(model.n_components, [n], n_threads)
-    groups = np.array_split(np.arange(n), _group_count(n, chunk, workers.n_threads))
+    plan = _refit_plan(model.n_components, n, workers.n_threads)
 
-    def refit(worker, group):
-        work = workers.workspace(worker, min(chunk, group.shape[0]), n)
+    def refit(worker, batches):
+        work = workers.workspace(worker, batches[0].shape[0], n)
         results = []
-        for rows in np.split(group, range(chunk, group.shape[0], chunk)):
+        for rows in batches:
             loglik, _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
                                                  rel_tol=rel_tol, work=work)
             results.append((rows, loglik, failed))
         return results
 
     try:
-        if len(groups) > 1:
-            parts = workers.pool.map(refit, range(len(groups)), groups)
+        if len(plan) > 1:
+            parts = workers.pool.map(refit, range(len(plan)), plan)
             chunks = [item for part in parts for item in part]
         else:
-            chunks = refit(0, groups[0])
+            chunks = refit(0, plan[0])
     finally:
         if _workers is None:
             workers.close()

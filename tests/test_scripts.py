@@ -15,9 +15,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_loo_pass_prints_one_line_per_pass_with_the_in_process_values():
-    # 300 rows make two chunks by the rule, one per thread; two threads, in
-    # passes that reuse one worker state, must hash like one thread
-    # in-process, pass after pass
+    # 300 rows in chunks of at most 291 make two groups, one per thread, of
+    # one 150-row batch each; two threads, in passes that reuse one worker
+    # state, must hash like one thread in-process, pass after pass
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "loo_pass.py"), "--n-good", "297", "--n-out", "3",
          "--threads", "2", "--repeats", "2"],
@@ -31,6 +31,7 @@ def test_loo_pass_prints_one_line_per_pass_with_the_in_process_values():
     values = loo_refit_logliks(data, model, n_threads=1)
     for record in records:
         assert (record["n"], record["threads"], record["chunk"]) == (300, 2, 291)
+        assert record["batches"] == [[150], [150]]
         assert isinstance(record["minflt"], int) and record["minflt"] >= 0
         assert record["sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
 

@@ -200,6 +200,47 @@ def test_refit_thread_count_comes_from_the_workers(fitted_blobs_300, monkeypatch
         assert len(names) == made_for
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
+    # every row once and in order, one group per thread up to the chunk
+    # count, and per group the fewest batches of at most chunk rows, sizes
+    # within one; workers made for a run's passes hold every batch of each
+    # (with chunks of 7 and groups of 15 and 14 rows, the smaller group has
+    # the larger batches)
+    _set_chunk(monkeypatch, chunk)
+    n_comp = 3
+    for n_threads in (1, 2, 3):
+        for n in range(10, 401):
+            step = subset._chunk_rows(n_comp, n)
+            plan = subset._refit_plan(n_comp, n, n_threads)
+            batches = [rows for group in plan for rows in group]
+            assert np.array_equal(np.concatenate(batches), np.arange(n))
+            assert len(plan) == min(n_threads, -(-n // step))
+            for group in plan:
+                sizes = [rows.shape[0] for rows in group]
+                assert len(sizes) == -(-sum(sizes) // step)
+                assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
+        for n in range(10, 401, 7):
+            sizes = range(n, n - n // 8 - 1, -1)
+            with subset._RefitWorkers(n_comp, sizes, n_threads) as workers:
+                for size in sizes:
+                    plan = subset._refit_plan(n_comp, size, n_threads)
+                    assert len(workers.buffers) >= len(plan)
+                    for worker, group in enumerate(plan):
+                        for rows in group:
+                            assert workers.buffers[worker].size >= gmm._em_workspace_size(
+                                rows.shape[0], n_comp, size)
+
+
+def test_refit_workers_of_the_n500_run_hold_two_balanced_batches():
+    # a 500-row run with budget 63 on two threads: 250 rows per thread make
+    # batches of 125 + 125, not 174 + 76, so each buffer holds the
+    # workspace of 125 refits on 500 rows
+    assert [len(group) for group in subset._refit_plan(3, 500, 2)] == [2, 2]
+    with subset._RefitWorkers(3, range(500, 436, -1), 2) as workers:
+        assert [buffer.size for buffer in workers.buffers] == [5 * 125 * 500] * 2
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(n_threads=0), "n_threads must be >= 1, got 0"),
     (dict(n_threads=-2), "n_threads must be >= 1, got -2"),

@@ -250,6 +250,23 @@ def test_run_is_translation_invariant(mode):
         assert set(result.outlier_indices) == expected, offset
 
 
+def test_tight_cluster_far_from_the_others_completes():
+    # a cluster of spread 1e-6 at 1e4 from two unit clusters: EM centres the
+    # features per component, so its covariance still factors; one feature
+    # centre shared by every component (the data mean) loses its digits and
+    # aborts these runs at iteration 0
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.normal(size=(80, 2)),
+                      rng.normal(size=(80, 2)) * 1e-6 + 1e4,
+                      rng.normal(size=(80, 2)) + [8.0, 0.0]])
+    for seed in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = oclust_run(data, OclustConfig(n_clusters=3, max_outliers=5,
+                                                   fit=FitConfig(seed=seed)))
+        assert len(result.trace) == 6 and result.chosen_num_outliers == 0, seed
+
+
 def _two_clusters_and_a_speck(speck=((60.0, 60.0), (60.2, 60.0), (60.0, 60.2), (60.1, 60.1))):
     """Two real clusters of 12 points and a tight cluster, ``speck``."""
     rng = np.random.default_rng(0)
