@@ -13,11 +13,11 @@ that two runs can be checked for equal outputs.
 Each line also gives the most refits per batch, from the library's one rule
 (``subset._chunk_rows``), and the pass plan that ran: per worker thread, the
 sizes of its batches (``subset._refit_plan``).  To try another rule, edit
-``_chunk_rows`` in a scratch copy of the source and run one process per copy.  Like ``perfbench``,
-the script pins BLAS to one thread before NumPy loads.  The first pass also
-starts the threads and touches the workspaces for the first time, which a
-trimming run pays once; the later passes time what each trimming iteration
-pays.  Run one process per setting to compare settings.
+``_chunk_rows`` in a scratch copy of the source and run one process per copy.
+Like ``perfbench``, the script pins BLAS to one thread before NumPy loads.
+The first pass also starts the threads and touches the workspaces for the
+first time, which a trimming run pays once; the later passes time what each
+trimming iteration pays.  Run one process per setting to compare settings.
 
 Example:
     python3 scripts/loo_pass.py --n-good 1995 --n-out 5 --threads 2 --repeats 3

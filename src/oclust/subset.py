@@ -344,14 +344,10 @@ def _chunk_rows(n_components: int, n: int) -> int:
 
 
 def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
-    """The row batches of a leave-one-out pass on n rows, per worker.
-
-    The rows are cut into min(n_threads, ceil(n / chunk)) contiguous groups,
-    chunk = ``_chunk_rows(n_components, n)``, and each group into
-    ceil(rows / chunk) contiguous batches whose sizes differ by at most one,
-    larger first: the fewest batches of at most ``chunk`` refits, each as
-    small as that count allows.
-    """
+    """The row batches of a leave-one-out pass on n rows, per worker: the
+    rows cut into min(n_threads, ceil(n / chunk)) contiguous groups, chunk =
+    ``_chunk_rows(n_components, n)``, and each group into ceil(rows / chunk)
+    contiguous batches whose sizes differ by at most one, larger first."""
     chunk = _chunk_rows(n_components, n)
     groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
     return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
@@ -403,13 +399,11 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
                       n_threads: int = 1, _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
-    The refits run as vectorized batches of the pass plan (``_refit_plan``):
-    the rows are split into min(n_threads, ceil(n / chunk)) contiguous
-    groups, one per worker thread, chunk = clip(2**18 // (G n), 8, 4096)
-    (``_chunk_rows``), and each group into the fewest batches of at most
-    chunk refits, balanced to within one row, so that each (batch, G, n)
-    work array holds at most about 2 MiB and stays in a core's cache.  Each
-    worker reuses one workspace for every batch of its group.  The result is
+    The refits run in the batches of one pass plan (``_refit_plan``): a
+    contiguous group of rows per worker thread, cut into batches whose sizes
+    differ by at most one, so that each (batch, G, n) work array holds at
+    most about 2 MiB and stays in a core's cache.  Each worker reuses one
+    workspace for every batch of its group.  The result is
     independent of batching and thread count, and so is the error when
     refits fail: that of the lowest failing row j, of its class (a
     ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
@@ -432,7 +426,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     plan = _refit_plan(model.n_components, n, workers.n_threads)
 
     def refit(worker, batches):
-        work = workers.workspace(worker, batches[0].shape[0], n)
+        work = workers.workspace(worker, batches[0].shape[0], n)  # the largest batch
         results = []
         for rows in batches:
             loglik, _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
