@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, logsumexp
 from scipy.stats import beta as beta_dist
@@ -319,6 +319,26 @@ def test_refit_logliks_invariant_to_translation(fitted_blobs_300):
     assert np.max(np.abs(far - base)) < 1e-6
 
 
+def _blob_fit(seed, n_comp, p, per_cluster):
+    """``n_comp`` blobs of ``per_cluster`` rows in dimension ``p`` and the
+    ``em_fit`` model of them, for fits that recover the blobs.  A fit with a
+    component on a handful of points is degenerate: its refits chase
+    likelihood spikes and depend on rounding, so no oracle applies.  Such
+    inputs are rejected, whether ``em_fit`` returns the fit or refuses it
+    because every restart left a cluster below its minimum size."""
+    rng = np.random.default_rng(seed)
+    data = np.vstack(
+        [rng.standard_normal((per_cluster, p)) * rng.uniform(0.5, 2.0) + 9.0 * g
+         for g in range(n_comp)]
+    )
+    try:
+        model, labels, _ = em_fit(data, n_comp, FitConfig(seed=seed))
+    except DegenerateFitError:
+        reject()
+    assume(np.array_equal(np.bincount(labels, minlength=n_comp), [per_cluster] * n_comp))
+    return data, model
+
+
 @given(
     seed=st.integers(0, 10_000),
     n_comp=st.integers(1, 3),
@@ -327,15 +347,7 @@ def test_refit_logliks_invariant_to_translation(fitted_blobs_300):
 )
 @settings(max_examples=15)
 def test_refit_logliks_match_explicit_deletion_refits(seed, n_comp, p, per_cluster):
-    rng = np.random.default_rng(seed)
-    data = np.vstack(
-        [rng.standard_normal((per_cluster, p)) * rng.uniform(0.5, 2.0) + 9.0 * g
-         for g in range(n_comp)]
-    )
-    model, labels, _ = em_fit(data, n_comp, FitConfig(seed=seed))
-    # a fit with a component on a handful of points is degenerate: its refits
-    # chase likelihood spikes and depend on rounding, so no oracle applies
-    assume(np.array_equal(np.bincount(labels, minlength=n_comp), [per_cluster] * n_comp))
+    data, model = _blob_fit(seed, n_comp, p, per_cluster)
     ours = loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500)
     for j in range(data.shape[0]):
         run = em_refine(np.delete(data, j, axis=0), model, rel_tol=1e-12, max_iter=500)
@@ -348,16 +360,11 @@ def test_refit_logliks_match_explicit_deletion_refits(seed, n_comp, p, per_clust
     p=st.integers(1, 3),
     per_cluster=st.integers(8, 16),
 )
+@example(seed=77, n_comp=3, p=3, per_cluster=8)  # em_fit refuses: every restart degenerates
 @settings(max_examples=15)
 def test_refit_logliks_match_independent_oracle_property(seed, n_comp, p, per_cluster):
     # em_refine shares the refit's EM loop, so this checks against scipy instead
-    rng = np.random.default_rng(seed)
-    data = np.vstack(
-        [rng.standard_normal((per_cluster, p)) * rng.uniform(0.5, 2.0) + 9.0 * g
-         for g in range(n_comp)]
-    )
-    model, labels, _ = em_fit(data, n_comp, FitConfig(seed=seed))
-    assume(np.array_equal(np.bincount(labels, minlength=n_comp), [per_cluster] * n_comp))
+    data, model = _blob_fit(seed, n_comp, p, per_cluster)
     ours = loo_refit_logliks(data, model, rel_tol=1e-12, max_iter=500)
     expected = np.array(
         [oracle_loo_loglik(data, model, j, rel_tol=1e-12, max_iter=500)
