@@ -6,9 +6,10 @@ Subcommands:
     separation-study  measure the hard-assignment likelihood gap vs separation
     score             compare predicted outlier labels against ground truth
 
-Exit codes: 0 success, 2 bad input, 3 numerical degeneracy, 4 generation
-stall.  All numeric CSV output uses 17 significant digits so values
-round-trip exactly, and every run is a pure function of its flags and seed.
+Exit codes: 0 success, 2 bad input or a path that cannot be read or
+written, 3 numerical degeneracy, 4 generation stall.  All numeric CSV
+output uses 17 significant digits so values round-trip exactly, and every
+run is a pure function of its flags and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -76,12 +78,8 @@ def _write_trace(path: Path, records, n: int) -> None:
 
 
 def _numbered_lines(path: Path) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, each with its number in the file
-    (from 1).  A file that cannot be read raises ``InputFormatError``."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    """The non-blank lines of a text file, each with its number in the file (from 1)."""
+    text = path.read_text(encoding="utf-8")
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
 
@@ -89,7 +87,7 @@ def _numbered_lines(path: Path) -> list[tuple[int, str]]:
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a comma-separated numeric table with a header row.
 
-    Blank lines are skipped.  Raises ``InputFormatError`` naming the
+    Blank lines are skipped.  Raises ``InputFormatError`` naming the first
     offending line (numbered by its position in the file) and column when a
     field does not parse or is not finite (``nan``, ``inf``).
     """
@@ -111,19 +109,14 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
                 raise InputFormatError(
                     f"{path}: line {lineno}, column {colno} ({header[colno - 1]!r}): "
                     f"cannot parse {field.strip()!r} as a number") from exc
+            if not math.isfinite(row[-1]):
+                raise InputFormatError(
+                    f"{path}: line {lineno}, column {colno} ({header[colno - 1]!r}): "
+                    f"{field.strip()!r} is not a finite number")
         rows.append(row)
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
-    table = np.asarray(rows)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        row_idx, col_idx = (int(k) for k in bad[0])
-        lineno, line = lines[row_idx + 1]
-        field = line.split(",")[col_idx]
-        raise InputFormatError(
-            f"{path}: line {lineno}, column {col_idx + 1} ({header[col_idx]!r}): "
-            f"{field.strip()!r} is not a finite number")
-    return header, table
+    return header, np.asarray(rows)
 
 
 def _default_threads(value: int | None) -> int:
@@ -238,8 +231,7 @@ def _cmd_simulate(args) -> int:
     )
     dataset = gen_dataset(spec)
     out_path = Path(args.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     feature_names = [f"x{k + 1}" for k in range(args.dim)]
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(feature_names + ["true_label", "is_outlier"]) + "\n")
@@ -266,23 +258,41 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+#: Most separation targets one study may ask for: each costs at least one
+#: calibration and one fit on 1,800 points.
+_MAX_GRID_TARGETS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputFormatError(f"grid {text!r} must be start:stop:step")
+    """Separation targets from ``start:stop:step`` (both ends included, to
+    within 1e-9 steps) or a comma list: at most ``_MAX_GRID_TARGETS`` finite
+    floats, or ``InputFormatError`` naming the problem."""
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [part for part in text.split(",") if part.strip()]
+    if ranged and len(parts) != 3:
+        raise InputFormatError(f"grid {text!r} must be start:stop:step")
+    values = []
+    for part in parts:
         try:
-            start, stop, step = (float(p) for p in parts)
+            values.append(float(part))
         except ValueError as exc:
             raise InputFormatError(f"grid {text!r} has non-numeric parts") from exc
+        if not math.isfinite(values[-1]):
+            raise InputFormatError(f"grid {text!r}: {part.strip()!r} is not a finite number")
+    count = len(values)
+    if ranged:
+        start, stop, step = values
         if step <= 0:
-            raise InputFormatError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + k * step, 10) for k in range(count)]
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise InputFormatError(f"grid {text!r} has non-numeric parts") from exc
+            raise InputFormatError(f"grid {text!r}: step must be positive")
+        count = np.floor((stop - start) / step + 1e-9) + 1  # inf past the largest float
+    if count > _MAX_GRID_TARGETS:
+        many = f"{count:.6g}" if math.isfinite(count) else "more than 1e308"
+        raise InputFormatError(
+            f"grid {text!r} asks for {many} targets; at most {_MAX_GRID_TARGETS} are allowed")
+    grid = [round(start + k * step, 10) for k in range(int(count))] if ranged else values
+    if grid and not math.isfinite(grid[-1]):  # a last step, within 1e-9, past the largest float
+        raise InputFormatError(f"grid {text!r}: its last target overflows a float")
+    return grid
 
 
 def _cmd_separation_study(args) -> int:
@@ -448,7 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, ValueError) as exc:
+    except (InputFormatError, ValueError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFitError as exc:

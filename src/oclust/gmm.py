@@ -736,7 +736,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         raise InsufficientPointsError(f"{n} points are too few for {n_clusters} clusters; "
                                       f"each cluster in dimension {p} needs at least {need}")
     best: EmRun | None = None
-    failures = []  # (restart, error)
+    first_failure: DegenerateFitError | None = None
     rows = _row_bytes(arr)
     pooled = np.atleast_2d(np.cov(arr, rowvar=False, ddof=1))
     for restart in range(config.restarts):
@@ -747,17 +747,16 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
             counts = np.bincount(run.labels, minlength=n_clusters)
             if np.any(counts < need):
                 g = int(np.argmin(counts))
-                raise DegenerateFitError(f"restart {restart}: hard cluster {g} retained "
-                                         f"{counts[g]} points; at least {need} are needed")
+                raise DegenerateFitError(f"hard cluster {g} retained {counts[g]} points; "
+                                         f"at least {need} are needed")
         except DegenerateFitError as exc:
-            failures.append((restart, exc))
+            first_failure = first_failure or exc
             continue
         if best is None or run.loglik > best.loglik:
             best = run
-    if best is None:
-        restart, exc = failures[0]
+    if best is None:  # every restart failed, restart 0 first
         raise DegenerateFitError(f"all {config.restarts} restarts degenerated; first failure "
-                                 f"(restart {restart}): {exc}") from exc
+                                 f"(restart 0): {first_failure}") from first_failure
     # every kept component owns rows; number them by their first
     order = list(dict.fromkeys(best.labels.tolist()))
     model = MixtureModel(weights=best.model.weights[order], means=best.model.means[order],

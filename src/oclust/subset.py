@@ -37,11 +37,11 @@ batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
 contiguous group per thread and each group into batches whose sizes differ by
 at most one, as few as a core's cache allows (``_chunk_rows``).  A trimming
 run keeps one thread pool and one workspace per thread for the whole run
-(``_RefitWorkers``), sized once for the largest batch of any of its passes,
-and each thread runs the E-steps of all its batches there (see
-``loo_refit_logliks``).  A refit is held to the single fit's convergence
-test and failures, and the error raised is the lowest failing row's at any
-batching and thread count.
+(``_RefitWorkers``), sized once for the largest batch of any of its passes.
+Each thread runs the E-steps of its batches there and writes its rows'
+values and failures into the pass's one result (``loo_refit_logliks``).  A
+refit is held to the single fit's convergence test and failures, and the
+error raised is the lowest failing row's at any batching and thread count.
 """
 
 from __future__ import annotations
@@ -337,17 +337,18 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 
 
 def _chunk_rows(n_components: int, n: int) -> int:
-    """Most refits per batch on n rows: clip(2**18 // (G n), 8, 4096), so that
-    each (chunk, G, n) work array holds at most about 2 MiB and stays in a
-    core's cache.  ``_refit_plan`` alone reads it."""
-    return int(np.clip(2**18 // (n_components * n), 8, 4096))
+    """Most refits per batch on n rows: max(8, 2**18 // (G n)), so that each
+    (chunk, G, n) work array holds at most about 2 MiB and stays in a core's
+    cache.  ``_refit_plan`` alone reads it."""
+    return max(8, 2**18 // (n_components * n))
 
 
 def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
     """The row batches of a leave-one-out pass on n rows, per worker: the
     rows cut into min(n_threads, ceil(n / chunk)) contiguous groups, chunk =
     ``_chunk_rows(n_components, n)``, and each group into ceil(rows / chunk)
-    contiguous batches whose sizes differ by at most one, larger first."""
+    contiguous batches whose sizes differ by at most one, larger first.  A
+    chunk of n rows or more makes the pass one group of one batch."""
     chunk = _chunk_rows(n_components, n)
     groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
     return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
@@ -358,17 +359,15 @@ class _RefitWorkers:
     until ``close``: for a whole trimming run, or for one call.
 
     Sized once, when made, for a pass on each row count in ``sizes`` at
-    ``n_threads`` threads: one flat buffer per worker, each holding the
-    workspace of the largest batch that ``_refit_plan`` gives any worker in
-    any of those passes.  A pass takes C-contiguous views of its leading
-    elements (``workspace``), so it allocates nothing of size n, and runs its
-    groups on ``pool`` when it has more than one.  ``close`` stops the threads
-    and drops the buffers; used in a ``with`` statement, the state closes on
-    exit.
+    ``n_threads`` threads: ``buffers`` holds one flat buffer per worker, each
+    large enough for the ``_em_workspace`` of the largest batch in any of
+    those passes' plans (``_refit_plan``).  ``pool`` runs a pass's groups
+    when it has more than one.  ``close`` stops the threads and drops the
+    buffers, also on leaving a ``with`` block.
     """
 
     def __init__(self, n_components: int, sizes, n_threads: int):
-        self.n_components, self.n_threads = n_components, n_threads
+        self.n_threads = n_threads
         workers, capacity = 1, 0
         for n in sizes:
             plan = _refit_plan(n_components, n, n_threads)
@@ -377,11 +376,6 @@ class _RefitWorkers:
             capacity = max(capacity, _em_workspace_size(largest, n_components, n))
         self.buffers = [np.empty(capacity) for _ in range(workers)]
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def workspace(self, worker: int, m: int, n: int):
-        """The ``_em_workspace`` of one worker, for batches of up to m refits
-        on n rows."""
-        return _em_workspace(m, self.n_components, n, self.buffers[worker])
 
     def close(self) -> None:
         if self.pool is not None:
@@ -403,7 +397,8 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     contiguous group of rows per worker thread, cut into batches whose sizes
     differ by at most one, so that each (batch, G, n) work array holds at
     most about 2 MiB and stays in a core's cache.  Each worker reuses one
-    workspace for every batch of its group.  The result is
+    workspace for every batch of its group and writes its rows' values and
+    failures in place, into one array and one dict per pass.  The result is
     independent of batching and thread count, and so is the error when
     refits fail: that of the lowest failing row j, of its class (a
     ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
@@ -424,50 +419,44 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     if workers is None:
         workers = _RefitWorkers(model.n_components, [n], n_threads)
     plan = _refit_plan(model.n_components, n, workers.n_threads)
+    logliks, failures = np.empty(n), {}  # workers write disjoint rows, so need no lock
 
     def refit(worker, batches):
-        work = workers.workspace(worker, batches[0].shape[0], n)  # the largest batch
-        results = []
+        work = _em_workspace(batches[0].shape[0], model.n_components, n,
+                             workers.buffers[worker])  # sized for the largest batch
         for rows in batches:
-            loglik, _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
-                                                 rel_tol=rel_tol, work=work)
-            results.append((rows, loglik, failed))
-        return results
+            logliks[rows], _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
+                                                        rel_tol=rel_tol, work=work)
+            failures.update((int(rows[i]), exc) for i, exc in failed.items())
 
     try:
-        if len(plan) > 1:
-            parts = workers.pool.map(refit, range(len(plan)), plan)
-            chunks = [item for part in parts for item in part]
-        else:
-            chunks = refit(0, plan[0])
+        run = workers.pool.map if len(plan) > 1 else map
+        list(run(refit, range(len(plan)), plan))  # reads every group's outcome
     finally:
         if _workers is None:
             workers.close()
-    failures = {int(rows[i]): exc for rows, _, failed in chunks for i, exc in failed.items()}
     if failures:
         j = min(failures)
         raise type(failures[j])(f"leave-one-out refit for row {j}: {failures[j]}",
                                 subset_index=j) from failures[j]
-    return np.concatenate([loglik for _, loglik, _ in chunks])
+    return logliks
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
-                  rel_tol: float = 1e-8, n_threads: int = 1,
-                  _workers: _RefitWorkers | None = None) -> np.ndarray:
+                  rel_tol: float = 1e-8, _workers: _RefitWorkers | None = None) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood
     when row j is removed.  ``loglik`` must be the full-data mixture
     log-likelihood of ``model``; ``labels`` are its hard clusters, read in
-    frozen mode.  ``n_threads`` and ``_workers`` go to ``loo_refit_logliks``
-    in refit mode, which reads ``n_threads`` only when ``_workers`` is None.
+    frozen mode.  In refit mode ``_workers`` goes to ``loo_refit_logliks``,
+    which runs on one thread without it.
     """
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
-        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads,
-                                 _workers=_workers) - loglik
+        return loo_refit_logliks(arr, model, rel_tol=rel_tol, _workers=_workers) - loglik
     if stats is None:
         stats = cluster_stats(arr, labels, model.n_components)
     return frozen_subset_deltas(arr, labels, stats)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from oclust.cli import main
+from oclust.cli import _parse_grid, main
+from oclust.errors import InputFormatError
 
 
 def run_cli(argv, capsys):
@@ -224,6 +227,42 @@ def test_score_rejects_misordered_rows_and_unknown_labels(tmp_path, capsys, line
     assert code == 0 and json.loads(out)["misclassification_rate"] == 0.0
 
 
+@pytest.mark.parametrize("pred_text, truth_text, message", [
+    ("index,label\n0,1\n", "x1,is_outlier\n0.5,0\n",
+     "{pred}: expected a header starting with 'row'"),
+    ("row,label\n0,1\n", "x1,is_outlier\n0.5,0\n2.5,1\n", "{pred} has 1 rows but {truth} has 2"),
+    ("row,label\n0,1\n", "x1,x2\n0.5,0\n", "{truth}: missing 'is_outlier' column"),
+], ids=["header", "fewer rows", "no is_outlier"])
+def test_score_rejects_bad_headers_and_row_counts(tmp_path, capsys, pred_text, truth_text,
+                                                  message):
+    pred, truth = tmp_path / "labels.csv", tmp_path / "truth.csv"
+    pred.write_text(pred_text)
+    truth.write_text(truth_text)
+    code, out, err = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(pred=pred, truth=truth)}\n"
+
+
+_GRID_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.9",
+                     "0.9", "1e-12", "", " ", "x", "1e", "--1", "0x10"]),
+    st.text(max_size=3),
+)
+
+
+@given(tokens=st.lists(_GRID_TOKENS, min_size=1, max_size=3), sep=st.sampled_from([":", ","]))
+@example(tokens=["0", repr(sys.float_info.max), repr(sys.float_info.max / 2 * (1 + 1e-12))],
+         sep=":")  # its last target, within 1e-9 steps of stop, overflows
+def test_parse_grid_returns_few_finite_floats_or_refuses(tokens, sep):
+    try:
+        grid = _parse_grid(sep.join(tokens))
+    except InputFormatError:
+        return
+    assert isinstance(grid, list) and len(grid) <= 10_000
+    assert all(isinstance(value, float) and math.isfinite(value) for value in grid)
+
+
 def test_separation_study_rejects_dimension_below_two(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(
@@ -237,8 +276,13 @@ def test_separation_study_rejects_dimension_below_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dims", ["", ",", " , ,"])
-def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims):
+@pytest.mark.parametrize("dims, problem", [
+    ("", "is an empty list"),
+    (",", "is an empty list"),
+    (" , ,", "is an empty list"),
+    ("2,x", "must be a comma list of integers"),
+], ids=["", ",", " , ,", "2,x"])
+def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims, problem):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(
         ["separation-study", "--dims", dims, "--grid", "0.0", "--replicates", "1",
@@ -246,7 +290,7 @@ def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims):
         capsys,
     )
     assert code == 2
-    assert f"error: dims {dims!r} is an empty list" in err
+    assert f"error: dims {dims!r} {problem}" in err
     assert not out.exists()
 
 
@@ -257,11 +301,29 @@ def test_separation_study_rejects_empty_dims(tmp_path, capsys, dims):
     # each cell of these would fail, so the whole study is refused up front
     ("1.5,-2", "1", "grid '1.5,-2': separation target 1.5 lies outside (-1, 1)"),
     ("0.5", "0", "replicates 0: need at least 1"),
-], ids=["", ",", "1:0:0.5", "1.5,-2", "replicates 0"])
+    ("0:1", "1", "grid '0:1' must be start:stop:step"),
+    ("a:1:0.1", "1", "grid 'a:1:0.1' has non-numeric parts"),
+    ("0,x", "1", "grid '0,x' has non-numeric parts"),
+    ("0:0.5:0", "1", "grid '0:0.5:0': step must be positive"),
+    ("0:inf:0.1", "1", "grid '0:inf:0.1': 'inf' is not a finite number"),
+    ("nan:0.5:0.1", "1", "grid 'nan:0.5:0.1': 'nan' is not a finite number"),
+    ("0:0.5:inf", "1", "grid '0:0.5:inf': 'inf' is not a finite number"),
+    ("0.5,-inf", "1", "grid '0.5,-inf': '-inf' is not a finite number"),
+    # the target count is checked before any target is made
+    ("-1e308:1e308:1", "1", "grid '-1e308:1e308:1' asks for more than 1e308 targets; "
+                            "at most 10000 are allowed"),
+    ("-0.9:0.9:1e-12", "1", "grid '-0.9:0.9:1e-12' asks for 1.8e+12 targets; "
+                            "at most 10000 are allowed"),
+    ("0:1e-3:1e-7", "1", "grid '0:1e-3:1e-7' asks for 10001 targets; at most 10000 are allowed"),
+    ("0," * 10_001, "1",
+     f"grid {'0,' * 10_001!r} asks for 10001 targets; at most 10000 are allowed"),
+], ids=["", ",", "1:0:0.5", "1.5,-2", "replicates 0", "0:1", "a:1:0.1", "0,x", "0:0.5:0",
+        "0:inf:0.1", "nan:0.5:0.1", "0:0.5:inf", "0.5,-inf", "-1e308:1e308:1",
+        "-0.9:0.9:1e-12", "0:1e-3:1e-7", "10001 commas"])
 def test_separation_study_rejects_empty_grid(tmp_path, capsys, grid, replicates, message):
     out = tmp_path / "study.csv"
     code, _, err = run_cli(
-        ["separation-study", "--dims", "2", "--grid", grid, "--replicates", replicates,
+        ["separation-study", "--dims", "2", f"--grid={grid}", "--replicates", replicates,
          "--out", str(out)],
         capsys,
     )
@@ -287,6 +349,36 @@ def test_separation_study_small_grid(tmp_path, capsys):
     assert int(fields[1]) == 2
     gap = float(fields[2])
     assert 0.0 < gap < 0.1
+
+
+def test_separation_study_records_a_failed_cell_and_completes(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code, stdout, err = run_cli(
+        ["separation-study", "--dims", "2", "--grid", "0.9999", "--replicates", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert "warning: separation 0.9999 at p=2 failed: " in err
+    assert "no replicate achieved separation target 0.9999" in err
+    assert "finished with 1 failed cells" in err
+    assert out.read_text().splitlines()[1:] == ["0.99990000000000001,2,,,0"]
+    assert f"wrote separation study to {out}" in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["oclust", "{data}", "--clusters", "3", "--out", "{file}"],
+    ["simulate", "--model", "I", "--n-good", "30", "--n-out", "0", "--out", "{file}/x.csv"],
+    ["separation-study", "--grid", "0.0", "--replicates", "1", "--out", "{file}/s.csv"],
+], ids=["oclust", "simulate", "separation-study"])
+def test_out_blocked_by_a_file_exits_2_and_names_it(dataset_csv, tmp_path, capsys, argv):
+    blocker = tmp_path / "afile"
+    blocker.write_text("in the way\n")
+    code, out, err = run_cli([arg.format(data=dataset_csv, file=blocker) for arg in argv],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "in the way\n"
 
 
 def test_clean_gaussian_csv_reports_few_outliers(tmp_path, capsys):
@@ -342,6 +434,9 @@ def test_malformed_csv_exits_2_and_names_location(tmp_path, capsys):
         ("x1,x2\n1.0,2.0\n3.0,not-a-number\n", "line 3, column 2 ('x2'): cannot parse"),
         ("x1,x2\n1,2\n\n\n3,abc\n", "line 5, column 2 ('x2'): cannot parse 'abc'"),
         ("x1,x2\n1,2\n\n3\n", "line 4 has 1 fields, expected 2"),
+        ("", "bad.csv: empty file"),
+        ("x1,x2\n\n", "bad.csv: no data rows"),
+        ("true_label,is_outlier\n1,0\n", "bad.csv: no feature columns"),
     ]:
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -355,7 +450,9 @@ def test_malformed_csv_exits_2_and_names_location(tmp_path, capsys):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_csv_cell_exits_2_and_names_location(tmp_path, capsys, cell):
-    for text, line in [(f"x1,x2\n1.0,2.0\n3.0,{cell}\n", 3), (f"x1,x2\n1,2\n\n3,{cell}\n", 4)]:
+    # the first bad cell in file order is named, even when a later one does not parse
+    for text, line in [(f"x1,x2\n1.0,2.0\n3.0,{cell}\n", 3), (f"x1,x2\n1,2\n\n3,{cell}\n", 4),
+                       (f"x1,x2\n1,{cell}\n2,abc\n", 2)]:
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         code, _, err = run_cli(
@@ -399,7 +496,7 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
     )
     assert code == 3
     assert ("trimming aborted after 1 of 6 iterations, in the fit of iteration 1 on 63 rows: "
-            "all 3 restarts degenerated; first failure (restart 0): restart 0: hard cluster 1 "
+            "all 3 restarts degenerated; first failure (restart 0): hard cluster 1 "
             "retained 3 points; at least 4 are needed") in err
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,removed_row,kl,loglik,n_remaining,clamped"

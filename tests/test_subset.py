@@ -246,11 +246,9 @@ def test_refit_workers_of_the_n500_run_hold_two_balanced_batches():
     (dict(n_threads=-2), "n_threads must be >= 1, got -2"),
 ])
 def test_refit_rejects_bad_thread_counts(fitted_blobs, kwargs, message):
-    data, model, labels, loglik = fitted_blobs
+    data, model, _, _ = fitted_blobs
     with pytest.raises(ValueError, match=message):
         loo_refit_logliks(data, model, **kwargs)
-    with pytest.raises(ValueError, match=message):
-        subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT, **kwargs)
 
 
 def test_refit_logliks_pinned_on_acceptance_scenario():
@@ -278,7 +276,7 @@ def _spread_model(n_comp, n, seed):
 
 @pytest.mark.parametrize("case, n_threads, steps, kwargs", [
     ("rule", 3, 4, {}),  # 312 rows: two chunks, more threads than chunks
-    ("clip-4096", 2, 4, {}),  # G n = 60: one chunk of 4096 rows
+    ("one-batch", 2, 4, {}),  # G n = 60: a chunk of 4369 rows, so one batch
     ("clip-8", 2, 3, dict(max_iter=2)),  # G n > 2**15: chunks of 8
 ])
 def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, case, n_threads,
@@ -286,10 +284,10 @@ def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, cas
     # one state for the passes of a trimming run, n, n - 1, ... rows, each
     # removing the row with the highest subset log-likelihood, must give
     # the values of fresh calls, which make and drop their own state
-    data, model = {"rule": fitted_blobs_300, "clip-4096": _spread_model(2, 30, 1),
+    data, model = {"rule": fitted_blobs_300, "one-batch": _spread_model(2, 30, 1),
                    "clip-8": _spread_model(128, 260, 2)}[case]
     n, n_comp = data.shape[0], model.n_components
-    expected_chunk = {"rule": 280, "clip-4096": 4096, "clip-8": 8}[case]
+    expected_chunk = {"rule": 280, "one-batch": 4369, "clip-8": 8}[case]
     assert subset._chunk_rows(n_comp, n) == expected_chunk
 
     def passes(workers):
