@@ -11,8 +11,8 @@ threads of the process) and its minor page faults, all from ``getrusage`` and
 that two runs can be checked for equal outputs.
 
 Each line also gives the most refits per batch, from the library's one rule
-(``subset._chunk_rows``), and the pass plan that ran: per worker thread, the
-sizes of its batches (``subset._refit_plan``).  To try another rule, edit
+(``subset._chunk_rows``), and the pass plan that ran: per thread, the calling
+thread's first, the sizes of its batches (``subset._refit_plan``).  To try another rule, edit
 ``_chunk_rows`` in a scratch copy of the source and run one process per copy.
 Like ``perfbench``, the script pins BLAS to one thread before NumPy loads.
 The first pass also starts the threads and touches the workspaces for the

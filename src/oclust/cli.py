@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -78,8 +79,18 @@ def _write_trace(path: Path, records, n: int) -> None:
 
 
 def _numbered_lines(path: Path) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, each with its number in the file (from 1)."""
-    text = path.read_text(encoding="utf-8")
+    """The non-blank lines of a text file, each with its number in the file (from 1).
+
+    A file that is not UTF-8 raises ``InputFormatError`` naming the line of
+    its first bad byte.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise InputFormatError(
+            f"{path}: line {lineno} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
+            f"offset {exc.start}: {exc.reason}") from exc
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
 
@@ -421,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=[m.value for m in DeltaMode], default=DeltaMode.REFIT.value,
                      help="subset delta mode")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker threads for the subset refits "
+                     help="threads that run the leave-one-out refits, the calling thread "
+                          "included; frozen mode starts none "
                           "(default: the cores this process may run on)")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=_cmd_oclust)
@@ -440,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="hard-assignment likelihood gap vs cluster separation")
     study.add_argument("--dims", default="2", help="comma list of dimensions")
     study.add_argument("--grid", default="-0.9:0.9:0.1",
-                       help="separation targets, start:stop:step or comma list")
+                       help="separation targets, start:stop:step or comma list, "
+                            "e.g. -0.9:0.9:0.1 or -0.5,0,0.5")
     study.add_argument("--replicates", type=int, default=20)
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--out", required=True, help="output CSV path")
@@ -453,9 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_grid(argv: list[str]) -> list[str]:
+    """``argv`` with ``--grid VALUE`` joined into ``--grid=VALUE`` when VALUE
+    starts with a minus sign and a digit or point: argparse takes such a
+    value for an unknown option unless it is one plain number."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--grid" and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_grid(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (InputFormatError, ValueError, OSError) as exc:  # an OSError names its path

@@ -35,18 +35,20 @@ fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
 batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
 contiguous group per thread and each group into batches whose sizes differ by
-at most one, as few as a core's cache allows (``_chunk_rows``).  A trimming
-run keeps one thread pool and one workspace per thread for the whole run
-(``_RefitWorkers``), sized once for the largest batch of any of its passes.
-Each thread runs the E-steps of its batches there and writes its rows'
-values and failures into the pass's one result (``loo_refit_logliks``).  A
-refit is held to the single fit's convergence test and failures, and the
-error raised is the lowest failing row's at any batching and thread count.
+at most one, as few as the measured pass time favours (``_chunk_rows``).  The
+calling thread runs the first group and a pool of helper threads the rest, so
+``n_threads`` counts the caller.  A trimming run keeps one pool and one
+workspace per thread for the whole run (``_RefitWorkers``), sized once for
+the largest batch of any of its passes.  Each thread runs the E-steps of its
+batches there and writes its rows' values and failures into the pass's one
+result (``loo_refit_logliks``).  A refit is held to the single fit's
+convergence test and failures, and the error raised is the lowest failing
+row's at any batching and thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -338,8 +340,11 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 
 def _chunk_rows(n_components: int, n: int) -> int:
     """Most refits per batch on n rows: max(8, 2**18 // (G n)), so that each
-    (chunk, G, n) work array holds at most about 2 MiB and stays in a core's
-    cache.  ``_refit_plan`` alone reads it."""
+    (chunk, G, n) work array holds at most about 2 MiB.  A batch's whole
+    workspace, that array and two (chunk, n) ones, is (G + 2) / G times as
+    large: about 3.3 MiB at G = 3, more than a 2 MiB per-core L2 cache
+    holds.  The constant was set by measured pass time: 2**17 made a
+    2,000-row pass slower at two threads.  ``_refit_plan`` alone reads it."""
     return max(8, 2**18 // (n_components * n))
 
 
@@ -355,14 +360,16 @@ def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarr
 
 
 class _RefitWorkers:
-    """Worker threads and E-step workspaces for leave-one-out passes, kept
+    """Helper threads and E-step workspaces for leave-one-out passes, kept
     until ``close``: for a whole trimming run, or for one call.
 
     Sized once, when made, for a pass on each row count in ``sizes`` at
-    ``n_threads`` threads: ``buffers`` holds one flat buffer per worker, each
-    large enough for the ``_em_workspace`` of the largest batch in any of
-    those passes' plans (``_refit_plan``).  ``pool`` runs a pass's groups
-    when it has more than one.  ``close`` stops the threads and drops the
+    ``n_threads`` threads, the calling thread included: ``buffers`` holds one
+    flat buffer per working thread, the caller's first, each large enough
+    for the ``_em_workspace`` of the largest batch in any of those passes'
+    plans (``_refit_plan``).  ``pool`` holds one thread fewer than the most
+    groups of any pass, for the groups after the first, and is ``None`` when
+    every pass has one group.  ``close`` stops the threads and drops the
     buffers, also on leaving a ``with`` block.
     """
 
@@ -375,7 +382,7 @@ class _RefitWorkers:
             largest = max(batches[0].shape[0] for batches in plan)
             capacity = max(capacity, _em_workspace_size(largest, n_components, n))
         self.buffers = [np.empty(capacity) for _ in range(workers)]
-        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        self.pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
 
     def close(self) -> None:
         if self.pool is not None:
@@ -394,16 +401,17 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
     The refits run in the batches of one pass plan (``_refit_plan``): a
-    contiguous group of rows per worker thread, cut into batches whose sizes
-    differ by at most one, so that each (batch, G, n) work array holds at
-    most about 2 MiB and stays in a core's cache.  Each worker reuses one
-    workspace for every batch of its group and writes its rows' values and
-    failures in place, into one array and one dict per pass.  The result is
-    independent of batching and thread count, and so is the error when
-    refits fail: that of the lowest failing row j, of its class (a
-    ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
-    for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and
-    ``rel_tol`` not positive raise ``ValueError``.  A singular covariance in
+    contiguous group of rows per thread, cut into batches whose sizes differ
+    by at most one, so that each (batch, G, n) work array holds at most
+    about 2 MiB.  The calling thread runs the first group and pool threads
+    the others, so a pass runs on at most ``n_threads`` threads, the caller
+    included.  Each thread reuses one workspace for every batch of its group
+    and writes its rows' values and failures in place, into one array and
+    one dict per pass.  The result is independent of batching and thread
+    count, and so is the error when refits fail: that of the lowest failing
+    row j, of its class (a ``DegenerateFitError``) with ``subset_index`` j,
+    as "leave-one-out refit for row j: ...".  ``n_threads`` or ``max_iter``
+    below 1 and ``rel_tol`` not positive raise ``ValueError``.  A singular covariance in
     the warm start ``model`` raises ``SingularCovarianceError`` naming its
     component.  The threads and workspaces last for the call; a trimming run
     passes its own, sized for all of its passes, as the private ``_workers``,
@@ -419,7 +427,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     if workers is None:
         workers = _RefitWorkers(model.n_components, [n], n_threads)
     plan = _refit_plan(model.n_components, n, workers.n_threads)
-    logliks, failures = np.empty(n), {}  # workers write disjoint rows, so need no lock
+    logliks, failures = np.empty(n), {}  # threads write disjoint rows, so need no lock
 
     def refit(worker, batches):
         work = _em_workspace(batches[0].shape[0], model.n_components, n,
@@ -430,8 +438,14 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
             failures.update((int(rows[i]), exc) for i, exc in failed.items())
 
     try:
-        run = workers.pool.map if len(plan) > 1 else map
-        list(run(refit, range(len(plan)), plan))  # reads every group's outcome
+        helpers = [workers.pool.submit(refit, group, batches)
+                   for group, batches in enumerate(plan[1:], start=1)]
+        try:
+            refit(0, plan[0])
+        finally:
+            wait(helpers)  # no helper writes once the pass returns or raises
+        for helper in helpers:
+            helper.result()  # raises a helper's exception, the lowest group's first
     finally:
         if _workers is None:
             workers.close()

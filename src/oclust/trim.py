@@ -39,8 +39,10 @@ class OclustConfig:
             leave-one-out refits in refit mode take only ``rel_tol`` and keep
             their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
-        n_threads: worker threads for the batched leave-one-out refits (at
-            least 1).
+        n_threads: threads that run the leave-one-out refits of refit
+            mode, counting the calling thread, which runs the first group
+            of each pass (at least 1).  Frozen mode runs no refits and
+            starts no thread.  Outputs do not depend on it.
 
     The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
     equal-probability bins of the beta-mixture reference.
@@ -189,7 +191,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     removed: list[int] = []
     records: list[IterationRecord] = []
     best = None  # (kl, iteration, labels, rows) of the first lowest KL so far
-    # refit mode: one thread pool and one workspace per thread for every
+    # refit mode: one helper pool and one workspace per thread for every
     # leave-one-out pass of the run, on n, n - 1, ..., n - budget rows
     workers = (_RefitWorkers(config.n_clusters, range(n, n - budget - 1, -1), config.n_threads)
                if DeltaMode(config.delta_mode) is DeltaMode.REFIT else None)

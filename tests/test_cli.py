@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oclust import DeltaMode, FitConfig, OclustConfig, oclust_run
 from oclust.cli import _parse_grid, main
-from oclust.errors import InputFormatError
+from oclust.errors import DegenerateFitError, InputFormatError
 
 
 def run_cli(argv, capsys):
@@ -351,6 +357,22 @@ def test_separation_study_small_grid(tmp_path, capsys):
     assert 0.0 < gap < 0.1
 
 
+def test_separation_study_takes_a_negative_grid_in_either_form(tmp_path, capsys):
+    # argparse alone reads "--grid -0.5:-0.4:0.1" as an unknown option
+    outputs = []
+    for form in (["--grid", "-0.5:-0.4:0.1"], ["--grid=-0.5:-0.4:0.1"]):
+        out = tmp_path / f"study-{len(outputs)}.csv"
+        code, _, err = run_cli(["separation-study", *form, "--replicates", "1", "--out", str(out)],
+                               capsys)
+        assert code == 0, err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert [float(line.split(",")[0]) for line in outputs[0].splitlines()[1:]] == [-0.5, -0.4]
+    with pytest.raises(SystemExit):
+        main(["separation-study", "--help"])
+    assert "e.g. -0.9:0.9:0.1" in " ".join(capsys.readouterr().out.split())
+
+
 def test_separation_study_records_a_failed_cell_and_completes(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code, stdout, err = run_cli(
@@ -446,6 +468,26 @@ def test_malformed_csv_exits_2_and_names_location(tmp_path, capsys):
         )
         assert code == 2
         assert message in err
+
+
+@pytest.mark.parametrize("command", ["oclust", "score --pred", "score --truth"])
+def test_non_utf8_input_exits_2_and_names_file_and_line(tmp_path, capsys, command):
+    # the line of the first bad byte, counted as the reader counts lines
+    # (blank and CRLF lines included)
+    truth, pred = tmp_path / "truth.csv", tmp_path / "labels.csv"
+    truth.write_text("x1,is_outlier\n0.5,0\n2.5,1\n")
+    pred.write_text("row,label\n0,1\n1,outlier\n")
+    for raw, line in [(b"x1,x2\n1,2\n\xff,3\n", 3), (b"x1,x2\r\n\r\n1,2\r\n3,4\xc3", 4)]:
+        if command == "oclust":
+            bad = tmp_path / "bad.csv"
+            argv = ["oclust", str(bad), "--clusters", "1", "--out", str(tmp_path / "o")]
+        else:
+            bad = pred if command == "score --pred" else truth
+            argv = ["score", "--pred", str(pred), "--truth", str(truth)]
+        bad.write_bytes(raw)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: line {line} is not UTF-8 text: byte 0x")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
@@ -555,6 +597,65 @@ def test_affinely_dependent_columns_exit_2_and_name_them(tmp_path, capsys):
                             "--threads", "1", "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert "column 2 ('a') and column 3 ('b') are affinely dependent (" in err
+
+
+@st.composite
+def _awkward_inputs(draw):
+    """Small data of one awkward family, then scaled and shifted: rounded to
+    a grid, with duplicated rows, with a near-collinear extra column, or with
+    one very tight cluster."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n, p, n_clusters = draw(st.integers(24, 40)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    labels = rng.integers(0, n_clusters, n)
+    data = rng.normal(0.0, 6.0, (n_clusters, p))[labels] + rng.standard_normal((n, p))
+    family = draw(st.sampled_from(["grid", "duplicates", "collinear", "tight"]))
+    if family == "grid":
+        step = draw(st.sampled_from([0.25, 1.0, 2.0, 4.0, 8.0]))
+        data = np.round(data / step) * step
+    elif family == "duplicates":
+        copies = draw(st.integers(2, n // 2))
+        data[1:copies] = data[0]
+    elif family == "collinear":
+        slope, noise = draw(st.floats(-3.0, 3.0)), 10.0 ** draw(st.integers(-12, -2))
+        data = np.column_stack([data, slope * data[:, 0] + noise * rng.standard_normal(n)])
+    else:
+        size, spread = draw(st.integers(p + 2, 10)), 10.0 ** draw(st.integers(-12, -3))
+        data[:size] = data[0] + spread * rng.standard_normal((size, p))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    offset = draw(st.sampled_from([0.0, -1.0, 1e6, -1e9, 1e12]))
+    return data * scale + offset, n_clusters
+
+
+@given(case=_awkward_inputs(), seed=st.integers(0, 3), mode=st.sampled_from(["refit", "frozen"]))
+def test_awkward_inputs_end_in_a_documented_outcome(case, seed, mode):
+    # the library returns or raises ValueError or DegenerateFitError, the CLI
+    # exits 0, 2 or 3 to match, neither warns, and an exit-3 message names
+    # the iteration and the stage that failed
+    data, n_clusters = case
+    config = OclustConfig(n_clusters=n_clusters, max_outliers=2, fit=FitConfig(seed=seed),
+                          delta_mode=DeltaMode(mode), n_threads=1)
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("always")
+        try:
+            oclust_run(data, config)
+            expected = 0
+        except ValueError:
+            expected = 2
+        except DegenerateFitError:
+            expected = 3
+        path = Path(tmp) / "data.csv"
+        path.write_text(",".join(f"x{j}" for j in range(data.shape[1])) + "\n"
+                        + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["oclust", str(path), "--clusters", str(n_clusters), "--max-outliers", "2",
+                         "--seed", str(seed), "--mode", mode, "--threads", "1",
+                         "--out", str(Path(tmp) / "out")])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == expected, err.getvalue()
+    if code == 3:
+        assert re.search(r"in the (fit|leave-one-out deltas|reference) of iteration \d+ on \d+ "
+                         r"rows: ", err.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("seed", range(6))

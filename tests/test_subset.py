@@ -200,6 +200,35 @@ def test_refit_thread_count_comes_from_the_workers(fitted_blobs_300, monkeypatch
         assert len(names) == made_for
 
 
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
+def test_refit_pass_runs_on_the_caller_and_n_threads_minus_one_pool_threads(
+        fitted_blobs_300, monkeypatch, n_threads):
+    # chunks of 7 make a pass with n_threads groups; every thread's first
+    # call waits at a barrier, which times out unless all n_threads run, and
+    # reads the live thread count while they all do
+    data, model = fitted_blobs_300
+    _set_chunk(monkeypatch, 7)
+    assert len(subset._refit_plan(model.n_components, data.shape[0], n_threads)) == n_threads
+    serial = loo_refit_logliks(data, model, n_threads=1)
+    sweeps, seen, live = subset._em_sweeps, set(), []
+    barrier = threading.Barrier(n_threads, timeout=30)
+
+    def recording(*args, **kwargs):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+            live.append(threading.active_count())
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    before = threading.active_count()
+    got = loo_refit_logliks(data, model, n_threads=n_threads)
+    assert len(seen) == n_threads and threading.get_ident() in seen
+    assert live == [before + n_threads - 1] * n_threads
+    assert np.array_equal(got, serial)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
     # every row once and in order, one group per thread up to the chunk
