@@ -48,7 +48,7 @@ row's at any batching and thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -440,10 +440,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     try:
         helpers = [workers.pool.submit(refit, group, batches)
                    for group, batches in enumerate(plan[1:], start=1)]
-        try:
-            refit(0, plan[0])
-        finally:
-            wait(helpers)  # no helper writes once the pass returns or raises
+        refit(0, plan[0])
         for helper in helpers:
             helper.result()  # raises a helper's exception, the lowest group's first
     finally:
