@@ -295,7 +295,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = values
         if step <= 0:
             raise InputFormatError(f"grid {text!r}: step must be positive")
-        count = np.floor((stop - start) / step + 1e-9) + 1  # inf past the largest float
+        # +-inf past the largest float; a stop below start asks for no targets
+        count = max(np.floor((stop - start) / step + 1e-9) + 1, 0)
     if count > _MAX_GRID_TARGETS:
         many = f"{count:.6g}" if math.isfinite(count) else "more than 1e308"
         raise InputFormatError(

@@ -260,6 +260,7 @@ _GRID_TOKENS = st.one_of(
 @given(tokens=st.lists(_GRID_TOKENS, min_size=1, max_size=3), sep=st.sampled_from([":", ","]))
 @example(tokens=["0", repr(sys.float_info.max), repr(sys.float_info.max / 2 * (1 + 1e-12))],
          sep=":")  # its last target, within 1e-9 steps of stop, overflows
+@example(tokens=["1e50", "0", "1e-260"], sep=":")  # (stop - start) / step overflows to -inf
 def test_parse_grid_returns_few_finite_floats_or_refuses(tokens, sep):
     try:
         grid = _parse_grid(sep.join(tokens))
