@@ -3,9 +3,9 @@
 
 Generates a seeded dataset of the three-cluster benchmark family, fits it with
 ``em_fit`` (untimed; this also loads every library the pass needs) and then
-runs ``loo_refit_logliks`` on the fit ``--repeats`` times, all through one
-worker state (thread pool and workspaces) as a trimming run holds it.  Each
-pass prints one JSON line with its wall time, its CPU time (user + system, all
+runs ``loo_refit_logliks`` on the fit ``--repeats`` times.  Each call makes
+and ends its own thread pool and one workspace per group, as every pass of a
+trimming run does.  Each pass prints one JSON line with its wall time, its CPU time (user + system, all
 threads of the process) and its minor page faults, all from ``getrusage`` and
 ``perf_counter`` around the call, plus a SHA-256 of the returned values so
 that two runs can be checked for equal outputs.
@@ -15,9 +15,10 @@ Each line also gives the most refits per batch, from the library's one rule
 thread's first, the sizes of its batches (``subset._refit_plan``).  To try another rule, edit
 ``_chunk_rows`` in a scratch copy of the source and run one process per copy.
 Like ``perfbench``, the script pins BLAS to one thread before NumPy loads.
-The first pass also starts the threads and touches the workspaces for the
-first time, which a trimming run pays once; the later passes time what each
-trimming iteration pays.  Run one process per setting to compare settings.
+Every pass times what each trimming iteration pays, thread start-up included.
+The first one or two passes also fault in their workspaces' pages, which the
+later passes reuse from the heap.  Run one process per setting to compare
+settings.
 
 Example:
     python3 scripts/loo_pass.py --n-good 1995 --n-out 5 --threads 2 --repeats 3
@@ -38,7 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
-from oclust.subset import _chunk_rows, _refit_plan, _RefitWorkers  # noqa: E402
+from oclust.subset import _chunk_rows, _refit_plan  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -64,23 +65,22 @@ def main(argv=None) -> int:
     n = data.shape[0]
     batches = [[rows.shape[0] for rows in group]
                for group in _refit_plan(args.clusters, n, args.threads)]
-    with _RefitWorkers(args.clusters, [n], args.threads) as workers:
-        for repeat in range(args.repeats):
-            before = resource.getrusage(resource.RUSAGE_SELF)
-            t0 = time.perf_counter()
-            values = loo_refit_logliks(data, model, _workers=workers)
-            wall = time.perf_counter() - t0
-            after = resource.getrusage(resource.RUSAGE_SELF)
-            print(json.dumps({
-                "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
-                "threads": args.threads, "chunk": _chunk_rows(args.clusters, n),
-                "batches": batches,
-                "wall_s": round(wall, 6),
-                "cpu_s": round(after.ru_utime + after.ru_stime
-                               - before.ru_utime - before.ru_stime, 6),
-                "minflt": after.ru_minflt - before.ru_minflt,
-                "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
-            }), flush=True)
+    for repeat in range(args.repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        t0 = time.perf_counter()
+        values = loo_refit_logliks(data, model, n_threads=args.threads)
+        wall = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        print(json.dumps({
+            "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
+            "threads": args.threads, "chunk": _chunk_rows(args.clusters, n),
+            "batches": batches,
+            "wall_s": round(wall, 6),
+            "cpu_s": round(after.ru_utime + after.ru_stime
+                           - before.ru_utime - before.ru_stime, 6),
+            "minflt": after.ru_minflt - before.ru_minflt,
+            "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
+        }), flush=True)
     return 0
 
 

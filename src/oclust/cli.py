@@ -81,16 +81,20 @@ def _write_trace(path: Path, records, n: int) -> None:
 def _numbered_lines(path: Path) -> list[tuple[int, str]]:
     """The non-blank lines of a text file, each with its number in the file (from 1).
 
-    A file that is not UTF-8 raises ``InputFormatError`` naming the line of
-    its first bad byte.
+    A leading UTF-8 byte-order mark is dropped.  A file that is not UTF-8
+    raises ``InputFormatError`` naming the line of its first bad byte and
+    that byte's offset in the file.
     """
+    raw = path.read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark, and exc.start counts from there
+        offset = exc.start + len(raw) - len(exc.object)
         lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise InputFormatError(
             f"{path}: line {lineno} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
-            f"offset {exc.start}: {exc.reason}") from exc
+            f"offset {offset}: {exc.reason}") from exc
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
 

@@ -35,15 +35,16 @@ fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
 batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
 contiguous group per thread and each group into batches whose sizes differ by
-at most one, as few as the measured pass time favours (``_chunk_rows``).  The
-calling thread runs the first group and a pool of helper threads the rest, so
-``n_threads`` counts the caller.  A trimming run keeps one pool and one
-workspace per thread for the whole run (``_RefitWorkers``), sized once for
-the largest batch of any of its passes.  Each thread runs the E-steps of its
-batches there and writes its rows' values and failures into the pass's one
-result (``loo_refit_logliks``).  A refit is held to the single fit's
-convergence test and failures, and the error raised is the lowest failing
-row's at any batching and thread count.
+at most one, as few as the measured pass time favours (``_chunk_rows``).  Each
+pass has one pool and one workspace per group: the calling thread runs the
+first group and the pool's helper threads the rest, so ``n_threads`` counts
+the caller, and each group's thread makes its own workspace, of one size for
+every pass on n rows or fewer (``_pass_workspace_size``).  The thread runs the
+E-steps of its batches there and writes its rows' values and failures into
+the pass's one result (``loo_refit_logliks``).  No thread or workspace
+outlives the pass.  A refit is held to the single fit's convergence test and
+failures, and the error raised is the lowest failing row's at any batching
+and thread count.
 """
 
 from __future__ import annotations
@@ -338,14 +339,33 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The chunk rule's two constants: the fewest refits in a batch, and the most
+# cells (refits times rows) that a larger batch may hold.
+_MIN_CHUNK, _CHUNK_CELLS = 8, 2**18
+
+
 def _chunk_rows(n_components: int, n: int) -> int:
     """Most refits per batch on n rows: max(8, 2**18 // (G n)), so that each
     (chunk, G, n) work array holds at most about 2 MiB.  A batch's whole
     workspace, that array and two (chunk, n) ones, is (G + 2) / G times as
     large: about 3.3 MiB at G = 3, more than a 2 MiB per-core L2 cache
     holds.  The constant was set by measured pass time: 2**17 made a
-    2,000-row pass slower at two threads.  ``_refit_plan`` alone reads it."""
-    return max(8, 2**18 // (n_components * n))
+    2,000-row pass slower at two threads.  ``_refit_plan`` reads the rule
+    and ``_pass_workspace_size`` its constants."""
+    return max(_MIN_CHUNK, _CHUNK_CELLS // (n_components * n))
+
+
+def _pass_workspace_size(n_components: int, n: int) -> int:
+    """Floats of a workspace that holds every batch of every pass on n rows or
+    fewer: max(8 n, 2**18 // G) (G + 2).  A batch of m <= ``_chunk_rows``
+    refits on n' <= n rows fills m n' of those max(8 n, 2**18 // G) cells in
+    each of ``_em_workspace``'s G + 2 rows.  While G n <= 2**15 the size is
+    one constant, and it never grows as a trimming run's passes shrink.  It
+    must not: glibc hands a pass the block that the last pass freed only when
+    the new request is no larger, and a size per pass, from its own largest
+    batch, made the refit runs' peak RSS 2-3 MB higher."""
+    cells = max(_MIN_CHUNK * n, _CHUNK_CELLS // n_components)
+    return _em_workspace_size(cells, n_components, 1)
 
 
 def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
@@ -359,93 +379,49 @@ def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarr
     return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
 
 
-class _RefitWorkers:
-    """Helper threads and E-step workspaces for leave-one-out passes, kept
-    until ``close``: for a whole trimming run, or for one call.
-
-    Sized once, when made, for a pass on each row count in ``sizes`` at
-    ``n_threads`` threads, the calling thread included: ``buffers`` holds one
-    flat buffer per working thread, the caller's first, each large enough
-    for the ``_em_workspace`` of the largest batch in any of those passes'
-    plans (``_refit_plan``).  ``pool`` holds one thread fewer than the most
-    groups of any pass, for the groups after the first, and is ``None`` when
-    every pass has one group.  ``close`` stops the threads and drops the
-    buffers, also on leaving a ``with`` block.
-    """
-
-    def __init__(self, n_components: int, sizes, n_threads: int):
-        self.n_threads = n_threads
-        workers, capacity = 1, 0
-        for n in sizes:
-            plan = _refit_plan(n_components, n, n_threads)
-            workers = max(workers, len(plan))
-            largest = max(batches[0].shape[0] for batches in plan)
-            capacity = max(capacity, _em_workspace_size(largest, n_components, n))
-        self.buffers = [np.empty(capacity) for _ in range(workers)]
-        self.pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-        self.pool, self.buffers = None, []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
 def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
-                      n_threads: int = 1, _workers: _RefitWorkers | None = None) -> np.ndarray:
+                      n_threads: int = 1) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
     The refits run in the batches of one pass plan (``_refit_plan``): a
     contiguous group of rows per thread, cut into batches whose sizes differ
     by at most one, so that each (batch, G, n) work array holds at most
-    about 2 MiB.  The calling thread runs the first group and pool threads
-    the others, so a pass runs on at most ``n_threads`` threads, the caller
-    included.  Each thread reuses one workspace for every batch of its group
+    about 2 MiB.  The calling thread runs the first group and the threads of
+    a pool made for the call the others, so a pass runs on at most
+    ``n_threads`` threads, the caller included.  Each group's thread makes
+    one workspace (``_pass_workspace_size``) for every batch of its group
     and writes its rows' values and failures in place, into one array and
-    one dict per pass.  The result is independent of batching and thread
-    count, and so is the error when refits fail: that of the lowest failing
-    row j, of its class (a ``DegenerateFitError``) with ``subset_index`` j,
-    as "leave-one-out refit for row j: ...".  ``n_threads`` or ``max_iter``
-    below 1 and ``rel_tol`` not positive raise ``ValueError``.  A singular covariance in
-    the warm start ``model`` raises ``SingularCovarianceError`` naming its
-    component.  The threads and workspaces last for the call; a trimming run
-    passes its own, sized for all of its passes, as the private ``_workers``,
-    and then their thread count is the one used.
+    one dict per pass; the pool and the workspaces last for the call.  The
+    result is independent of batching and thread count, and so is the error
+    when refits fail: that of the lowest failing row j, of its class (a
+    ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
+    for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and ``rel_tol``
+    not positive raise ``ValueError``.  A singular covariance in the warm
+    start ``model`` raises ``SingularCovarianceError`` naming its component.
     """
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     arr = validate_data(data)
-    n = arr.shape[0]
+    n, n_comp = arr.shape[0], model.n_components
     start = _em_start(arr, model)
-    workers = _workers
-    if workers is None:
-        workers = _RefitWorkers(model.n_components, [n], n_threads)
-    plan = _refit_plan(model.n_components, n, workers.n_threads)
+    plan = _refit_plan(n_comp, n, n_threads)
     logliks, failures = np.empty(n), {}  # threads write disjoint rows, so need no lock
 
-    def refit(worker, batches):
-        work = _em_workspace(batches[0].shape[0], model.n_components, n,
-                             workers.buffers[worker])  # sized for the largest batch
+    def refit(batches):
+        flat = np.empty(_pass_workspace_size(n_comp, n))
+        work = _em_workspace(batches[0].shape[0], n_comp, n, flat)  # for the largest batch
         for rows in batches:
             logliks[rows], _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
                                                         rel_tol=rel_tol, work=work)
             failures.update((int(rows[i]), exc) for i, exc in failed.items())
 
-    try:
-        helpers = [workers.pool.submit(refit, group, batches)
-                   for group, batches in enumerate(plan[1:], start=1)]
-        refit(0, plan[0])
+    # a pool starts a thread per group submitted, so a one-group pass starts none
+    with ThreadPoolExecutor(max(1, len(plan) - 1)) as pool:
+        helpers = [pool.submit(refit, batches) for batches in plan[1:]]
+        refit(plan[0])
         for helper in helpers:
             helper.result()  # raises a helper's exception, the lowest group's first
-    finally:
-        if _workers is None:
-            workers.close()
     if failures:
         j = min(failures)
         raise type(failures[j])(f"leave-one-out refit for row {j}: {failures[j]}",
@@ -456,18 +432,19 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None,
                   mode: DeltaMode = DeltaMode.REFIT, *,
-                  rel_tol: float = 1e-8, _workers: _RefitWorkers | None = None) -> np.ndarray:
+                  rel_tol: float = 1e-8, n_threads: int = 1) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood
     when row j is removed.  ``loglik`` must be the full-data mixture
     log-likelihood of ``model``; ``labels`` are its hard clusters, read in
-    frozen mode.  In refit mode ``_workers`` goes to ``loo_refit_logliks``,
-    which runs on one thread without it.
+    frozen mode.  In refit mode ``rel_tol`` and ``n_threads`` go to
+    ``loo_refit_logliks``, whose pass has one pool and one workspace per
+    group; frozen mode starts no thread.
     """
     arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
-        return loo_refit_logliks(arr, model, rel_tol=rel_tol, _workers=_workers) - loglik
+        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
     if stats is None:
         stats = cluster_stats(arr, labels, model.n_components)
     return frozen_subset_deltas(arr, labels, stats)

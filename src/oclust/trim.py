@@ -21,7 +21,7 @@ from .errors import DegenerateFitError
 from .gmm import (FitConfig, MixtureModel, _min_cluster_size, _singular, cluster_stats, em_fit,
                   validate_data)
 from .rng import derive_seed
-from .subset import DeltaMode, _RefitWorkers, beta_mixture_reference, subset_deltas
+from .subset import DeltaMode, beta_mixture_reference, subset_deltas
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,13 @@ class OclustConfig:
             cluster too small for the beta reference.  The
             leave-one-out refits in refit mode take only ``rel_tol`` and keep
             their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
-        delta_mode: how subset deltas are produced (``refit`` or ``frozen``).
+        delta_mode: how subset deltas are produced (``refit`` or ``frozen``),
+            stored as a ``DeltaMode``; any other value raises ``ValueError``.
         n_threads: threads that run the leave-one-out refits of refit
             mode, counting the calling thread, which runs the first group
-            of each pass (at least 1).  Frozen mode runs no refits and
-            starts no thread.  Outputs do not depend on it.
+            of each pass (at least 1).  Each pass makes its own pool and one
+            workspace per group and ends them.  Frozen mode runs no refits
+            and starts no thread.  Outputs do not depend on it.
 
     The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
     equal-probability bins of the beta-mixture reference.
@@ -55,6 +57,7 @@ class OclustConfig:
     n_threads: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "delta_mode", DeltaMode(self.delta_mode))
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.max_outliers is not None and self.max_outliers < 1:
@@ -191,10 +194,6 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     removed: list[int] = []
     records: list[IterationRecord] = []
     best = None  # (kl, iteration, labels, rows) of the first lowest KL so far
-    # refit mode: one helper pool and one workspace per thread for every
-    # leave-one-out pass of the run, on n, n - 1, ..., n - budget rows
-    workers = (_RefitWorkers(config.n_clusters, range(n, n - budget - 1, -1), config.n_threads)
-               if DeltaMode(config.delta_mode) is DeltaMode.REFIT else None)
     try:
         for m in range(budget + 1):
             stage = "fit"
@@ -203,7 +202,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             stats = cluster_stats(current, labels, config.n_clusters)
             stage = "leave-one-out deltas"
             deltas = subset_deltas(current, model, labels, loglik, stats, config.delta_mode,
-                                   rel_tol=config.fit.rel_tol, _workers=workers)
+                                   rel_tol=config.fit.rel_tol, n_threads=config.n_threads)
             stage = "reference"
             reference = beta_mixture_reference(stats)
             bins = build_bins(reference, default_num_bins(current.shape[0]))
@@ -230,9 +229,6 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             f"of iteration {m} on {current.shape[0]} rows: {exc}",
             partial_trace=records,
         ) from exc
-    finally:
-        if workers is not None:
-            workers.close()
     _, chosen, final_labels, retained = best
     return OclustResult(
         trace=tuple(records),

@@ -491,6 +491,40 @@ def test_non_utf8_input_exits_2_and_names_file_and_line(tmp_path, capsys, comman
         assert err.startswith(f"error: {bad}: line {line} is not UTF-8 text: byte 0x")
 
 
+def test_byte_order_mark_is_not_part_of_the_first_header_name(dataset_csv, tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(bom + b"is_outlier,x1\n0,1.5\n1,2.5\n")
+    pred = tmp_path / "labels.csv"
+    pred.write_text("row,label\n0,1\n1,outlier\n")
+    code, out, err = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["misclassification_rate"] == 0.0
+    # a leading true_label column is dropped, as it is from the same file without the mark
+    rows = [line.split(",") for line in dataset_csv.read_text().splitlines()]
+    text = "".join(",".join([row[2], row[0], row[1], row[3]]) + "\n" for row in rows)
+    for name, raw in [("plain", text.encode()), ("bom", bom + text.encode())]:
+        (tmp_path / f"{name}.csv").write_bytes(raw)
+        code, _, err = run_cli(["oclust", str(tmp_path / f"{name}.csv"), "--clusters", "3",
+                                "--max-outliers", "4", "--mode", "frozen",
+                                "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+    summary = json.loads((tmp_path / "bom" / "summary.json").read_text())
+    assert len(summary["final_model"]["means"][0]) == 2
+    for name in ["trace.csv", "labels.csv", "summary.json"]:
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_non_utf8_input_after_a_byte_order_mark_names_line_and_file_offset(tmp_path, capsys):
+    # the offset counts the mark's three bytes: \xff is byte 13 of the file
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbfx1,x2\n1,2\n\xff,3\n")
+    code, out, err = run_cli(["oclust", str(bad), "--clusters", "1", "--out", str(tmp_path / "o")],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: line 3 is not UTF-8 text: byte 0xff at offset 13: ")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_csv_cell_exits_2_and_names_location(tmp_path, capsys, cell):
     # the first bad cell in file order is named, even when a later one does not parse

@@ -16,8 +16,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def test_loo_pass_prints_one_line_per_pass_with_the_in_process_values():
     # 300 rows in chunks of at most 291 make two groups, one per thread, of
-    # one 150-row batch each; two threads, in passes that reuse one worker
-    # state, must hash like one thread in-process, pass after pass
+    # one 150-row batch each; two threads must hash like one thread
+    # in-process, pass after pass
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "loo_pass.py"), "--n-good", "297", "--n-out", "3",
          "--threads", "2", "--repeats", "2"],

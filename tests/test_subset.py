@@ -178,28 +178,6 @@ def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monke
     assert threading.active_count() == before  # the call's own pool is shut down
 
 
-def test_refit_thread_count_comes_from_the_workers(fitted_blobs_300, monkeypatch):
-    # a pass on given workers runs at the thread count they were made for,
-    # whatever n_threads says, and returns the one-thread values
-    data, model = fitted_blobs_300
-    _set_chunk(monkeypatch, 7)
-    serial = loo_refit_logliks(data, model, n_threads=1)
-    sweeps, names = subset._em_sweeps, set()
-
-    def recording(*args, **kwargs):
-        names.add(threading.current_thread().name)
-        return sweeps(*args, **kwargs)
-
-    monkeypatch.setattr(subset, "_em_sweeps", recording)
-    for made_for, asked in [(1, 2), (2, 4)]:
-        names.clear()
-        with subset._RefitWorkers(model.n_components, [data.shape[0]], made_for) as workers:
-            assert workers.n_threads == made_for
-            got = loo_refit_logliks(data, model, n_threads=asked, _workers=workers)
-        assert np.array_equal(got, serial)
-        assert len(names) == made_for
-
-
 @pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
 def test_refit_pass_runs_on_the_caller_and_n_threads_minus_one_pool_threads(
         fitted_blobs_300, monkeypatch, n_threads):
@@ -233,9 +211,8 @@ def test_refit_pass_runs_on_the_caller_and_n_threads_minus_one_pool_threads(
 def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
     # every row once and in order, one group per thread up to the chunk
     # count, and per group the fewest batches of at most chunk rows, sizes
-    # within one; workers made for a run's passes hold every batch of each
-    # (with chunks of 7 and groups of 15 and 14 rows, the smaller group has
-    # the larger batches)
+    # within one (with chunks of 7 and groups of 15 and 14 rows, the smaller
+    # group has the larger batches)
     _set_chunk(monkeypatch, chunk)
     n_comp = 3
     for n_threads in (1, 2, 3):
@@ -249,25 +226,33 @@ def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
                 sizes = [rows.shape[0] for rows in group]
                 assert len(sizes) == -(-sum(sizes) // step)
                 assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
-        for n in range(10, 401, 7):
-            sizes = range(n, n - n // 8 - 1, -1)
-            with subset._RefitWorkers(n_comp, sizes, n_threads) as workers:
-                for size in sizes:
-                    plan = subset._refit_plan(n_comp, size, n_threads)
-                    assert len(workers.buffers) >= len(plan)
-                    for worker, group in enumerate(plan):
-                        for rows in group:
-                            assert workers.buffers[worker].size >= gmm._em_workspace_size(
-                                rows.shape[0], n_comp, size)
 
 
 def test_refit_workers_of_the_n500_run_hold_two_balanced_batches():
-    # a 500-row run with budget 63 on two threads: 250 rows per thread make
-    # batches of 125 + 125, not 174 + 76, so each buffer holds the
-    # workspace of 125 refits on 500 rows
-    assert [len(group) for group in subset._refit_plan(3, 500, 2)] == [2, 2]
-    with subset._RefitWorkers(3, range(500, 436, -1), 2) as workers:
-        assert [buffer.size for buffer in workers.buffers] == [5 * 125 * 500] * 2
+    # a 500-row pass on two threads: 250 rows per thread make batches of
+    # 125 + 125, not 174 + 76
+    assert [[rows.shape[0] for rows in group] for group in subset._refit_plan(3, 500, 2)] == [
+        [125, 125], [125, 125]]
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 3, 4])
+def test_pass_workspace_holds_every_batch_of_the_shrinking_passes(n_comp):
+    # the workspace sized for a pass on n rows holds every batch of the
+    # passes on n down to n - n // 8 rows (every row count up to 320 rows,
+    # about 40 of them spread evenly above), on both sides of G n = 2**15;
+    # its size is one constant while G n <= 2**15, so that the passes of a
+    # trimming run ask for blocks of one size
+    small = [10, 11, 97, 1000, 2**15 // n_comp]
+    large = [2**15 // n_comp + 1, 2**15 // n_comp + 300]
+    for n in small + large:
+        size = subset._pass_workspace_size(n_comp, n)
+        for rows_now in range(n, n - n // 8 - 1, -max(1, n // 320)):
+            for n_threads in (1, 2, 3):
+                for group in subset._refit_plan(n_comp, rows_now, n_threads):
+                    assert gmm._em_workspace_size(group[0].shape[0], n_comp, rows_now) <= size
+    assert {subset._pass_workspace_size(n_comp, n) for n in small} == {
+        (2**18 // n_comp) * (n_comp + 2)}
+    assert all(subset._pass_workspace_size(n_comp, n) == 8 * n * (n_comp + 2) for n in large)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -310,28 +295,24 @@ def _spread_model(n_comp, n, seed):
 ])
 def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, case, n_threads,
                                                              steps, kwargs):
-    # one state for the passes of a trimming run, n, n - 1, ... rows, each
-    # removing the row with the highest subset log-likelihood, must give
-    # the values of fresh calls, which make and drop their own state
+    # the passes of a trimming run, on n, n - 1, ... rows, each removing the
+    # row with the highest subset log-likelihood, give at n_threads the
+    # values of one thread
     data, model = {"rule": fitted_blobs_300, "one-batch": _spread_model(2, 30, 1),
                    "clip-8": _spread_model(128, 260, 2)}[case]
     n, n_comp = data.shape[0], model.n_components
     expected_chunk = {"rule": 280, "one-batch": 4369, "clip-8": 8}[case]
     assert subset._chunk_rows(n_comp, n) == expected_chunk
 
-    def passes(workers):
+    def passes(threads):
         values, current = [], data
         for _ in range(steps):
-            values.append(loo_refit_logliks(current, model, n_threads=n_threads,
-                                            _workers=workers, **kwargs))
+            values.append(loo_refit_logliks(current, model, n_threads=threads, **kwargs))
             current = np.delete(current, int(np.argmax(values[-1])), axis=0)
         return values
 
-    with subset._RefitWorkers(n_comp, range(n, n - steps, -1), n_threads) as workers:
-        reused = passes(workers)
-    assert workers.pool is None and workers.buffers == []
-    for got, fresh in zip(reused, passes(None), strict=True):
-        assert np.array_equal(got, fresh)
+    for got, serial in zip(passes(n_threads), passes(1), strict=True):
+        assert np.array_equal(got, serial)
 
 
 def test_refit_logliks_invariant_to_translation(fitted_blobs_300):

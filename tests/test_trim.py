@@ -1,7 +1,5 @@
-import gc
 import threading
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -295,8 +293,8 @@ def test_degenerate_run_reports_partial_trace():
 
 @pytest.mark.parametrize("case", ["completed", "aborted"])
 def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
-    # a refit run keeps one pool and its workspaces for all of its passes
-    # and releases them when it returns or raises
+    # each pass of a refit run ends its own pool, whether the run returns or
+    # raises
     if case == "completed":
         rng = np.random.default_rng(34)
         data = np.vstack(
@@ -313,45 +311,31 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
         config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=2), n_threads=2)
         # 29 rows make one chunk by the default rule; chunks of 7 give two groups
         monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n: 7)
-    opened, names = [], set()
+    names = set()
 
-    class Recording(subset._RefitWorkers):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            opened.append([weakref.ref(self)] + [weakref.ref(b) for b in self.buffers])
-
-    # every thread's first call waits at a barrier, which times out unless a
-    # second thread is running, so one thread cannot take both groups
+    # in the first pass each thread's first call waits at a barrier, which
+    # times out unless a second thread is running, so one thread cannot take
+    # both groups; later passes' helpers are new threads and do not wait
     sweeps, barrier = subset._em_sweeps, threading.Barrier(2, timeout=30)
 
     def recording(*args, **kwargs):
         name = threading.current_thread().name
         if name not in names:
             names.add(name)
-            barrier.wait()
+            if len(names) <= 2:
+                barrier.wait()
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(trim, "_RefitWorkers", Recording)
     monkeypatch.setattr(subset, "_em_sweeps", recording)
     before = threading.active_count()
     if case == "completed":
         assert len(oclust_run(data, config).trace) == 3
+        assert len(names) == 4  # the caller and one new pool thread per pass
     else:
         with pytest.raises(DegenerateFitError, match="leave-one-out refit for row") as error:
             oclust_run(data, config)
     assert threading.active_count() == before
-    # every refit ran on the calling thread and the one thread of one pool,
-    # made once for the run
-    caller = threading.current_thread().name
-    assert caller in names and len(names - {caller}) == 1
-    # the buffers go when the run ends, even while its error and the frames
-    # in its traceback are held; the state itself once nothing holds it
-    (refs,) = opened
-    assert len(refs) == 3 and all(ref() is None for ref in refs[1:])
-    if case == "aborted":
-        del error
-    gc.collect()
-    assert refs[0]() is None
+    assert threading.current_thread().name in names and len(names) > 1
 
 
 def test_clean_data_reports_few_outliers():
@@ -393,6 +377,12 @@ def test_error_rates_closed_form():
 def test_nonpositive_threads_are_rejected(threads):
     with pytest.raises(ValueError, match=rf"n_threads must be >= 1, got {threads}"):
         OclustConfig(n_clusters=2, n_threads=threads)
+
+
+def test_delta_mode_is_checked_when_the_config_is_built():
+    assert OclustConfig(n_clusters=2, delta_mode="frozen").delta_mode is DeltaMode.FROZEN
+    with pytest.raises(ValueError, match="'bogus' is not a valid DeltaMode"):
+        OclustConfig(n_clusters=2, delta_mode="bogus")
 
 
 @pytest.mark.parametrize("mode", [DeltaMode.REFIT, DeltaMode.FROZEN])
