@@ -5,10 +5,11 @@ Generates a seeded dataset of the three-cluster benchmark family, fits it with
 ``em_fit`` (untimed; this also loads every library the pass needs) and then
 runs ``loo_refit_logliks`` on the fit ``--repeats`` times.  Each call makes
 and ends its own thread pool and one workspace per group, as every pass of a
-trimming run does.  Each pass prints one JSON line with its wall time, its CPU time (user + system, all
-threads of the process) and its minor page faults, all from ``getrusage`` and
-``perf_counter`` around the call, plus a SHA-256 of the returned values so
-that two runs can be checked for equal outputs.
+trimming run does.  Each pass prints one JSON line with its wall time, its
+CPU time (user + system, all threads of the process) and its minor page
+faults, all from ``getrusage`` and ``perf_counter`` around the call, plus a
+SHA-256 of the returned values so that two runs can be checked for equal
+outputs.
 
 Each line also gives the most refits per batch, from the library's one rule
 (``subset._chunk_rows``), and the pass plan that ran: per thread, the calling

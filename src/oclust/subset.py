@@ -363,7 +363,7 @@ def _pass_workspace_size(n_components: int, n: int) -> int:
     one constant, and it never grows as a trimming run's passes shrink.  It
     must not: glibc hands a pass the block that the last pass freed only when
     the new request is no larger, and a size per pass, from its own largest
-    batch, made the refit runs' peak RSS 2-3 MB higher."""
+    batch, raised the peak RSS of a 500-row refit run by about 2 MB."""
     cells = max(_MIN_CHUNK * n, _CHUNK_CELLS // n_components)
     return _em_workspace_size(cells, n_components, 1)
 

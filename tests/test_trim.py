@@ -332,7 +332,7 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
         assert len(oclust_run(data, config).trace) == 3
         assert len(names) == 4  # the caller and one new pool thread per pass
     else:
-        with pytest.raises(DegenerateFitError, match="leave-one-out refit for row") as error:
+        with pytest.raises(DegenerateFitError, match="leave-one-out refit for row"):
             oclust_run(data, config)
     assert threading.active_count() == before
     assert threading.current_thread().name in names and len(names) > 1
