@@ -174,6 +174,21 @@ def _cmd_oclust(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an aborted run writes no labels, so none of an earlier run's may stay
+    (out_dir / "labels.csv").unlink(missing_ok=True)
+    _write_manifest(
+        out_dir / "manifest.json",
+        "oclust",
+        {
+            "clusters": args.clusters,
+            "input": str(in_path),
+            "max_outliers": args.max_outliers,
+            "mode": args.mode,
+            "threads": threads,
+        },
+        args.seed,
+        _sha256_file(in_path),
+    )
     try:
         result = oclust_run(table, config)
     except DegenerateFitError as exc:
@@ -215,19 +230,6 @@ def _cmd_oclust(args) -> int:
         "outlier_rows": [int(i) for i in result.outlier_indices],
     }
     _write_json(out_dir / "summary.json", summary)
-    _write_manifest(
-        out_dir / "manifest.json",
-        "oclust",
-        {
-            "clusters": args.clusters,
-            "input": str(in_path),
-            "max_outliers": args.max_outliers,
-            "mode": args.mode,
-            "threads": threads,
-        },
-        args.seed,
-        _sha256_file(in_path),
-    )
     print(
         f"chose {result.chosen_num_outliers} outliers out of {table.shape[0]} points "
         f"(alpha_hat={result.alpha_hat:.4f}); outputs in {out_dir}"

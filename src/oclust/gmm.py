@@ -33,7 +33,12 @@ component) into mean c_g + S1/S0 and covariance S2/S0 - d d' with d = S1/S0.
 No product spans several problems, so a problem's values never depend on the
 batch it runs in.  Arrays carry a leading problem axis m (m = 1 for a single
 fit).  One helper, ``_factor_covariances``, turns every covariance stack into
-Cholesky factors and log-determinants, and one, ``_evaluate``, puts a model
+inverse Cholesky factors and log-determinants: for p <= 2 in closed form,
+elementwise over the stack, since a LAPACK call on a 2 x 2 block costs far
+more than its arithmetic and concurrent calls from refit threads serialize
+inside OpenBLAS; for p >= 3 with ``np.linalg.cholesky`` and ``np.linalg.inv``.
+The choice depends on p alone, never on the batch, and ``_singular`` uses the
+same pivot test.  One helper, ``_evaluate``, puts a model
 on the data (its features and its log-densities) for the start of EM, the
 mixture log-likelihood and the hard labels.  No covariance is ridged: one
 that does not factor fails the fit or refit that reached it, as a spurious
@@ -205,40 +210,77 @@ def _check_symmetric(covs: np.ndarray) -> None:
         raise ValueError(f"covariance{where} is not symmetric")
 
 
+def _inverse_factors(covs):
+    """Inverse lower Cholesky factors L^-1 and log-determinants of a
+    covariance stack (..., p, p), or None when some block is not positive
+    definite.
+
+    For p <= 2 both are closed-form and elementwise over the stack:
+    l11 = sqrt(a), l21 = b (1/l11), l22 = sqrt(c - l21^2), and L^-1 holds
+    1/l11, 1/l22 and -l21/(l11 l22).  A block fails, as in LAPACK's potrf,
+    when a pivot (a, then c - l21^2) is not positive or is NaN, and each
+    pivot is tested before anything divides by it.  At these sizes a LAPACK
+    call costs far more than its arithmetic, and concurrent calls from
+    refit threads serialize inside OpenBLAS.  For p >= 3 the factors come
+    from ``np.linalg.cholesky`` and ``np.linalg.inv``.  The choice depends
+    on p alone, so no value depends on the batch.
+    """
+    p = covs.shape[-1]
+    if p > 2:
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            return None
+        return (np.linalg.inv(chol),
+                2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
+    pivot = covs[..., 0, 0]
+    if not (pivot > 0).all():
+        return None
+    inv = np.zeros(covs.shape)
+    r1 = np.divide(1.0, np.sqrt(pivot), out=inv[..., 0, 0])
+    logdet = np.log(pivot)
+    if p == 2:
+        l21 = covs[..., 1, 0] * r1
+        pivot = covs[..., 1, 1] - l21 * l21
+        if not (pivot > 0).all():
+            return None
+        r2 = np.divide(1.0, np.sqrt(pivot), out=inv[..., 1, 1])
+        np.multiply(-l21 * r1, r2, out=inv[..., 1, 0])
+        logdet += np.log(pivot)
+    return inv, logdet
+
+
 def _singular(covs) -> SingularCovarianceError | None:
     """The error naming the first block of a covariance stack (..., p, p) that
-    is not positive definite, or None when every block is.  The error is
-    made, not raised, so no traceback ties it to a caller's frame."""
+    is not positive definite by ``_inverse_factors``' pivot test, or None
+    when every block is.  The error is made, not raised, so no traceback
+    ties it to a caller's frame."""
     for idx in np.ndindex(covs.shape[:-2]):
-        try:
-            np.linalg.cholesky(covs[idx])
-        except np.linalg.LinAlgError:
+        if _inverse_factors(covs[idx]) is None:
             where = f"component {idx[-1]} covariance" if idx else "covariance"
             return SingularCovarianceError(f"{where} is not positive definite")
     return None
 
 
 def _factor_covariances(covs):
-    """Cholesky factors and log-determinants of a covariance stack (..., p, p).
+    """Inverse Cholesky factors and log-determinants of a covariance stack (..., p, p).
 
-    Returns ``(chol, logdet)``: the lower factors and the log-determinants
-    (shape ``covs.shape[:-2]``).  A block that is not positive definite raises
-    ``SingularCovarianceError`` naming its component (``_singular``).
+    Returns ``(chol_inv, logdet)`` from ``_inverse_factors``: the inverse
+    lower factors and the log-determinants (shape ``covs.shape[:-2]``).  A
+    block that is not positive definite raises ``SingularCovarianceError``
+    naming its component (``_singular``).
     """
     covs = np.asarray(covs, dtype=float)
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        chol = None  # raised below, outside the handler, with no chained error
-    if chol is None:
+    factors = _inverse_factors(covs)
+    if factors is None:
         raise _singular(covs)
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return chol, logdet
+    return factors
 
 
 def _point_terms(x, mean, cov):
     """``(p, log det cov, (x - mean)' cov^-1 (x - mean))`` for one point, from
-    one checked Cholesky factor and one triangular solve."""
+    one checked LAPACK Cholesky factor and one triangular solve, whatever p:
+    the oracle of the kernel's closed form."""
     x = np.asarray(x, dtype=float).reshape(-1)
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -249,9 +291,14 @@ def _point_terms(x, mean, cov):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     _check_symmetric(cov)
-    chol, logdet = _factor_covariances(cov)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        chol = None  # raised below, outside the handler, with no chained error
+    if chol is None:
+        raise SingularCovarianceError("covariance is not positive definite")
     z = np.linalg.solve(chol, x - mean)
-    return p, float(logdet), float(z @ z)
+    return p, float(2.0 * np.log(np.diagonal(chol)).sum()), float(z @ z)
 
 
 def log_gaussian_density(x, mean, cov) -> float:
@@ -317,21 +364,40 @@ def _log_density_coefs(weights, shifts, covs):
     """Coefficients a with log w_g + log N(x; c_g + shift_g, cov_g) = a_g . F_g(x).
 
     Inputs are batched as (m, G), (m, G, p) and (m, G, p, p).  Returns the
-    (m, G, d) coefficients, written into one array.  A covariance that is not
-    positive definite raises ``SingularCovarianceError`` (``_factor_covariances``).
+    (m, G, d) coefficients, written into one array.  With U = L^-1 from
+    ``_factor_covariances``, z = U shift, the precision is U'U and the linear
+    coefficients are U'z.  For p <= 2, where U is closed-form, they are built
+    entry by entry over the stack with no stacked matmul (a matmul per 2 x 2
+    block costs more than its arithmetic); for p >= 3 by stacked matmuls.  A
+    covariance that is not positive definite raises ``SingularCovarianceError``.
     """
     p = shifts.shape[-1]
-    chol, logdet = _factor_covariances(covs)
-    chol_inv = np.linalg.inv(chol)
-    prec = chol_inv.swapaxes(-1, -2) @ chol_inv
-    whitened = (chol_inv @ shifts[..., None])[..., 0]
+    chol_inv, logdet = _factor_covariances(covs)
     iu = _upper(p)
     coefs = np.empty(shifts.shape[:-1] + (1 + p + iu[0].size,))
-    np.subtract(np.log(weights),
-                0.5 * (p * LOG_2PI + logdet + (whitened * whitened).sum(axis=-1)),
-                out=coefs[..., 0])
-    coefs[..., 1:p + 1] = (prec @ shifts[..., None])[..., 0]
-    np.multiply(_upper_scale(p), prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
+    if p > 2:
+        prec = chol_inv.swapaxes(-1, -2) @ chol_inv
+        whitened = (chol_inv @ shifts[..., None])[..., 0]
+        quad = (whitened * whitened).sum(axis=-1)
+        coefs[..., 1:p + 1] = (prec @ shifts[..., None])[..., 0]
+        np.multiply(_upper_scale(p), prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
+    else:  # the quadratic slots take upper(U'U) = u11^2 [+ u21^2, u21 u22, u22^2], then scale
+        u11, s1 = chol_inv[..., 0, 0], shifts[..., 0]
+        z1 = u11 * s1
+        quad = z1 * z1
+        np.multiply(u11, z1, out=coefs[..., 1])
+        np.multiply(u11, u11, out=coefs[..., p + 1])
+        if p == 2:
+            u21, u22, s2 = chol_inv[..., 1, 0], chol_inv[..., 1, 1], shifts[..., 1]
+            z2 = u21 * s1 + u22 * s2
+            quad += z2 * z2
+            coefs[..., 1] += u21 * z2
+            np.multiply(u22, z2, out=coefs[..., 2])
+            coefs[..., 3] += u21 * u21
+            np.multiply(u21, u22, out=coefs[..., 4])
+            np.multiply(u22, u22, out=coefs[..., 5])
+        coefs[..., p + 1:] *= _upper_scale(p)
+    np.subtract(np.log(weights), 0.5 * (p * LOG_2PI + logdet + quad), out=coefs[..., 0])
     return coefs
 
 
@@ -527,7 +593,11 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     ``max_iter`` sweeps.  It stops as failed when a component's mass falls
     below ``_MIN_SOFT_COUNT``, when a covariance is not positive definite, or
     when its log-likelihood falls by more than 1e-7 max(1, |l|) on a sweep;
-    the others run on, to the same bits.  The E-steps
+    the others run on, to the same bits.  Each sweep's coefficients come from
+    ``_log_density_coefs``: for p <= 2 with closed-form factors and no LAPACK
+    call or stacked matmul (on a refit batch of 125 problems in about a
+    quarter of the LAPACK path's time; a single fit pays a few microseconds
+    more), for p >= 3 from LAPACK.  The E-steps
     run in place in ``work`` (from ``_em_workspace``, for at least m problems;
     made here when None), on its leading rows for the active ones.  While
     every problem is active the per-problem state is replaced whole each

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -588,6 +589,29 @@ def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
         "error": err.removeprefix("error: numerical degeneracy: ").rstrip("\n"),
     }
     assert not (out_dir / "labels.csv").exists()
+
+
+def test_aborted_run_leaves_no_outputs_of_an_earlier_run(dataset_csv, tmp_path, capsys):
+    # a good run, then a one-column input that exits 3 at iteration 0 (every
+    # restart leaves a hard cluster below 3 points), into the same --out
+    out_dir = tmp_path / "o"
+    code, _, _ = run_cli(["oclust", str(dataset_csv), "--clusters", "3", "--max-outliers", "4",
+                          "--threads", "1", "--out", str(out_dir)], capsys)
+    assert code == 0 and (out_dir / "labels.csv").exists()
+    rng = np.random.default_rng(0)
+    column = np.concatenate([rng.normal(0.0, 1.0, 60), rng.normal(10.0, 1.0, 60), [30.0, -25.0]])
+    bad = tmp_path / "one_column.csv"
+    bad.write_text("x1\n" + "".join(f"{x!r}\n" for x in column.tolist()))
+    code, _, err = run_cli(["oclust", str(bad), "--clusters", "2", "--threads", "1",
+                            "--out", str(out_dir)], capsys)
+    assert code == 3
+    assert "trimming aborted after 0 of 17 iterations" in err
+    assert not (out_dir / "labels.csv").exists()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["input"] == str(bad)
+    assert manifest["input_digest"] == hashlib.sha256(bad.read_bytes()).hexdigest()
+    assert json.loads((out_dir / "summary.json").read_text())["aborted"] is True
+    assert (out_dir / "trace.csv").read_text().count("\n") == 1
 
 
 def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):

@@ -514,6 +514,14 @@ def test_kernel_products_of_a_batch_match_single_problem_calls(seed, p, n_comp, 
                          means=data[rng.integers(n, size=n_comp)],
                          covariances=np.repeat(np.eye(p)[None], n_comp, axis=0))
     feats = gmm._evaluate(data, model)[0]
+    # the coefficients, on both sides of the closed-form choice (p <= 2 or not)
+    weights = rng.dirichlet(np.ones(n_comp), m)
+    shifts = rng.standard_normal((m, n_comp, p))
+    covs = np.stack([[random_spd(rng, p) for _ in range(n_comp)] for _ in range(m)])
+    stacked = gmm._log_density_coefs(weights, shifts, covs)
+    for i in range(m):
+        single = gmm._log_density_coefs(weights[i:i + 1], shifts[i:i + 1], covs[i:i + 1])
+        assert np.array_equal(stacked[i], single[0])
     coefs = rng.standard_normal((m, n_comp, feats.shape[1]))
     work = gmm._em_workspace(m + 3, n_comp, n)
     for buffer in work:
@@ -526,6 +534,96 @@ def test_kernel_products_of_a_batch_match_single_problem_calls(seed, p, n_comp, 
     moments = gmm._moments(feats, resp)
     for i in range(m):
         assert np.array_equal(moments[i], gmm._moments(feats, resp[i:i + 1].copy())[0])
+
+
+def _conditioned_covariance(p, scale, log_cond, angle):
+    """A p x p covariance (p <= 2) with largest eigenvalue ``scale`` and
+    condition number 10**log_cond, its axes turned by ``angle``."""
+    if p == 1:
+        return np.array([[scale]])
+    c, s = np.cos(angle), np.sin(angle)
+    rotation = np.array([[c, -s], [s, c]])
+    cov = rotation @ np.diag([scale, scale * 10.0 ** -log_cond]) @ rotation.T
+    return 0.5 * (cov + cov.T)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 2), n_comp=st.integers(1, 3),
+       log_scale=st.floats(-6, 6), log_cond=st.floats(0, 8), angle=st.floats(0, np.pi))
+def test_closed_form_log_densities_match_the_lapack_oracle(seed, p, n_comp, log_scale, log_cond,
+                                                           angle):
+    # for p <= 2 the kernel factors covariances in closed form; the oracle,
+    # log_gaussian_density, factors them with LAPACK.  Stated tolerance: the
+    # difference is within 1e-12 * cond * (1 + |log density|), a first-order
+    # rounding bound for a quadratic form and log-determinant at condition
+    # number cond
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    covs = np.stack([_conditioned_covariance(p, scale, log_cond, angle + k)
+                     for k in range(n_comp)])
+    cond = np.linalg.cond(covs).max()
+    means = 10.0 * np.sqrt(scale) * rng.standard_normal((n_comp, p))
+    model = MixtureModel(weights=rng.dirichlet(np.ones(n_comp)), means=means, covariances=covs)
+    data = means[rng.integers(n_comp, size=12)] + 3.0 * np.sqrt(scale) * rng.standard_normal((12, p))
+    logp = gmm._evaluate(data, model)[1][0]
+    for g in range(n_comp):
+        for i, x in enumerate(data):
+            expected = np.log(model.weights[g]) + log_gaussian_density(x, means[g], covs[g])
+            assert abs(logp[g, i] - expected) <= 1e-12 * cond * (1.0 + abs(expected))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 2), n_comp=st.integers(1, 3),
+       m=st.integers(1, 4), log_scale=st.floats(-6, 6), singular=st.booleans())
+def test_closed_form_and_lapack_agree_on_clear_verdicts(seed, p, n_comp, m, log_scale, singular):
+    # clearly positive definite blocks (condition number at most 1e6) pass
+    # both; a stack with one clearly indefinite or zero-variance block fails
+    # both
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    covs = np.stack([[_conditioned_covariance(p, scale, rng.uniform(0, 6), rng.uniform(0, np.pi))
+                      for _ in range(n_comp)] for _ in range(m)])
+    if singular:
+        i, g = rng.integers(m), rng.integers(n_comp)
+        if rng.integers(2) or p == 1:
+            covs[i, g, p - 1, p - 1] = -rng.uniform(0.0, 1.0) * scale  # zero or below
+        else:
+            covs[i, g, 0, 1] = covs[i, g, 1, 0] = 2.0 * np.sqrt(covs[i, g, 0, 0] * covs[i, g, 1, 1])
+    try:
+        np.linalg.cholesky(covs)
+        lapack_ok = True
+    except np.linalg.LinAlgError:
+        lapack_ok = False
+    assert lapack_ok is not singular
+    assert (gmm._inverse_factors(covs) is not None) is lapack_ok
+
+
+@pytest.mark.parametrize("block", [
+    [[1.0, 1.0], [1.0, 1.0 + 1e-16]],  # 1 + 1e-16 rounds to 1: the second pivot is 0
+    [[0.0, 0.0], [0.0, 1.0]],  # a zero variance: the first pivot is 0
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[0.0]],
+    [[np.nan]],
+])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_singular_names_the_block_whose_factor_failed(block, bad):
+    block = np.array(block)
+    p = block.shape[0]
+    covs = np.repeat(np.eye(p)[None], 3, axis=0)
+    covs[bad] = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no pivot is divided by before it is tested
+        assert gmm._inverse_factors(covs[bad]) is None
+        assert all(gmm._inverse_factors(covs[g]) is not None for g in range(3) if g != bad)
+        message = f"component {bad} covariance is not positive definite"
+        assert str(gmm._singular(covs)) == message
+        for call in (lambda: gmm._factor_covariances(covs),
+                     lambda: gmm._log_density_coefs(np.full((1, 3), 1 / 3), np.zeros((1, 3, p)),
+                                                    covs[None])):
+            with pytest.raises(SingularCovarianceError, match=f"^{message}$"):
+                call()
 
 
 def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_data):

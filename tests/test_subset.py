@@ -268,13 +268,14 @@ def test_refit_rejects_bad_thread_counts(fitted_blobs, kwargs, message):
 def test_refit_logliks_pinned_on_acceptance_scenario():
     # model I, 450 + 50 points, data seed 1000, fit seed 0: the values are
     # rounding-exact (recorded with OpenBLAS 0.3.31 on x86-64, feature-major
-    # kernel, one-exp posterior, components in first-row order), so this
-    # fails if anything in the shared EM loop changes a refit's arithmetic
+    # kernel, one-exp posterior, components in first-row order, closed-form
+    # p <= 2 covariance factors), so this fails if anything in the shared EM
+    # loop changes a refit's arithmetic
     data = gen_dataset(SimModelSpec(model="I", n_good=450, n_outliers=50, p=2, seed=1000)).data
     model, _, _ = em_fit(data, 3, FitConfig(seed=0))
     values = loo_refit_logliks(data, model)
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
-        "a18beb116b23e3eb4c3ead786adb435fbfed5680454949499068f9acc5405aa2"
+        "d12f8b463c2228c26e3e6212df9194e8255e8b31937ceafbac4df427a7355145"
     )
 
 
