@@ -11,10 +11,11 @@ faults, all from ``getrusage`` and ``perf_counter`` around the call, plus a
 SHA-256 of the returned values so that two runs can be checked for equal
 outputs.
 
-Each line also gives the most refits per batch, from the library's one rule
-(``subset._chunk_rows``), and the pass plan that ran: per thread, the calling
-thread's first, the sizes of its batches (``subset._refit_plan``).  To try another rule, edit
-``_chunk_rows`` in a scratch copy of the source and run one process per copy.
+Each line also gives the chunk, the most refits per batch, from the library's
+one budget (``subset._refit_cells`` over n), and the pass plan that ran: per
+thread, the calling thread's first, the sizes of its batches
+(``subset._refit_plan``).  To try another budget, edit ``_refit_cells`` in a
+scratch copy of the source and run one process per copy.
 Like ``perfbench``, the script pins BLAS to one thread before NumPy loads.
 Every pass times what each trimming iteration pays, thread start-up included.
 The first one or two passes also fault in their workspaces' pages, which the
@@ -40,7 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
-from oclust.subset import _chunk_rows, _refit_plan  # noqa: E402
+from oclust.subset import _refit_cells, _refit_plan  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         after = resource.getrusage(resource.RUSAGE_SELF)
         print(json.dumps({
             "repeat": repeat, "n": n, "p": args.dim, "clusters": args.clusters,
-            "threads": args.threads, "chunk": _chunk_rows(args.clusters, n),
+            "threads": args.threads, "chunk": _refit_cells(args.clusters, n) // n,
             "batches": batches,
             "wall_s": round(wall, 6),
             "cpu_s": round(after.ru_utime + after.ru_stime

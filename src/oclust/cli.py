@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateFitError, GenerationStallError, InputFormatError, OclustError
 from .gmm import FitConfig
+from .rng import check_seed
 from .simulate import SimModelSpec, gen_dataset, separation_experiment
 from .subset import DeltaMode
 from .trim import OclustConfig, error_rates, oclust_run, unusable_columns
@@ -134,6 +135,15 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(rows)
 
 
+def _seed(text: str) -> int:
+    """The type of every ``--seed`` flag: an integer >= 0, refused by argparse
+    (exit 2) with a message that names the value otherwise."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}") from exc
+
+
 def _default_threads(value: int | None) -> int:
     if value is not None:
         return value
@@ -174,8 +184,10 @@ def _cmd_oclust(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # an aborted run writes no labels, so none of an earlier run's may stay
-    (out_dir / "labels.csv").unlink(missing_ok=True)
+    # an aborted or refused run writes only some of these, so none of an
+    # earlier run's may stay beside its manifest
+    for name in ("labels.csv", "trace.csv", "summary.json"):
+        (out_dir / name).unlink(missing_ok=True)
     _write_manifest(
         out_dir / "manifest.json",
         "oclust",
@@ -435,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--clusters", type=int, required=True, help="number of mixture components")
     run.add_argument("--max-outliers", type=int, default=None,
                      help="trimming budget (default: ceil(0.125 n))")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--mode", choices=[m.value for m in DeltaMode], default=DeltaMode.REFIT.value,
                      help="subset delta mode")
     run.add_argument("--threads", type=int, default=None,
@@ -451,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--proportions", choices=["equal", "unequal"], default="equal")
     sim.add_argument("--n-good", type=int, required=True)
     sim.add_argument("--n-out", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -462,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="separation targets, start:stop:step or comma list, "
                             "e.g. -0.9:0.9:0.1 or -0.5,0,0.5")
     study.add_argument("--replicates", type=int, default=20)
-    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--seed", type=_seed, default=0)
     study.add_argument("--out", required=True, help="output CSV path")
     study.set_defaults(func=_cmd_separation_study)
 

@@ -54,10 +54,8 @@ fit's hard labels are the argmax of its final E-step, which belongs to the
 returned parameters, so ``em_fit`` takes no extra pass over the data for
 them; it numbers the winning fit's components by the first row each one owns.
 Its E-steps run in place, the responsibilities overwriting the log-densities,
-in a workspace (``_em_workspace``): C-contiguous views of one flat buffer
-that a caller can own and reuse for batches of any size and row count, on
-the leading rows for the problems still active, so a sweep allocates nothing
-of size n.
+in one flat buffer (``_em_workspace``) that a caller can own and reuse for
+every batch that fits, so a sweep allocates nothing of size n.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, InsufficientPointsError, SingularCovarianceError
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -147,7 +145,7 @@ class FitConfig:
         restarts: number of independently seeded EM runs; the best wins.
         max_iter: cap on EM update sweeps per run.
         rel_tol: relative log-likelihood change that counts as converged.
-        seed: master seed; every random draw derives from it.
+        seed: master seed, an integer >= 0; every random draw derives from it.
     """
 
     restarts: int = 3
@@ -159,6 +157,7 @@ class FitConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         _check_em_limits(self.max_iter, self.rel_tol)
+        check_seed(self.seed)
 
 
 def _check_em_limits(max_iter: int, rel_tol: float) -> None:
@@ -561,26 +560,10 @@ def _em_start(data: np.ndarray, model: MixtureModel) -> _EmStart:
     return _EmStart(model, feats, row_ll[0], resp[0], _moments(feats, resp)[0])
 
 
-def _em_workspace_size(m: int, n_components: int, n: int) -> int:
-    """Elements of the flat buffer behind ``_em_workspace(m, n_components, n)``."""
-    return m * n * (n_components + 2)
-
-
-def _em_workspace(m: int, n_components: int, n: int, flat=None):
-    """Work buffers for ``_em_sweeps`` batches of up to m problems on n rows:
-    the log-densities (m, G, n), which the E-step overwrites with the
-    responsibilities, and the per-row maxima and log-likelihoods (m, n).
-
-    Each is a C-contiguous view of the leading elements of the 1-d float
-    buffer ``flat``, which must hold ``_em_workspace_size`` elements (made
-    here when None), so one buffer sized for the largest batch serves every
-    smaller one.
-    """
-    if flat is None:
-        flat = np.empty(_em_workspace_size(m, n_components, n))
-    block = m * n_components * n
-    return (flat[:block].reshape(m, n_components, n), flat[block:block + m * n].reshape(m, n),
-            flat[block + m * n:block + 2 * m * n].reshape(m, n))
+def _em_workspace(cells: int, n_components: int) -> np.ndarray:
+    """A flat ``_em_sweeps`` workspace for batches of up to ``cells`` problem-rows
+    (problems times rows): G + 2 floats per cell."""
+    return np.empty(cells * (n_components + 2))
 
 
 def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float, work=None):
@@ -597,12 +580,13 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     ``_log_density_coefs``: for p <= 2 with closed-form factors and no LAPACK
     call or stacked matmul (on a refit batch of 125 problems in about a
     quarter of the LAPACK path's time; a single fit pays a few microseconds
-    more), for p >= 3 from LAPACK.  The E-steps
-    run in place in ``work`` (from ``_em_workspace``, for at least m problems;
-    made here when None), on its leading rows for the active ones.  While
-    every problem is active the per-problem state is replaced whole each
-    sweep; once one has stopped, the active rows are written into a copy of
-    the log-likelihoods, so no history row is written after it is recorded.
+    more), for p >= 3 from LAPACK.  The E-steps run in place in ``work``
+    (``_em_workspace`` of at least m n cells; made here when None), in
+    C-contiguous views of its leading floats, on their rows for the active
+    problems.  While every problem is active the per-problem state is
+    replaced whole each sweep; once one has stopped, the active rows are
+    written into a copy of the log-likelihoods, so no history row is written
+    after it is recorded.
     Returns per problem the final log-likelihood (m,), the parameters it
     belongs to as ``(weights, means, covs)``, the log-likelihood before the
     first and after every sweep, (sweeps + 1, m), held once it stops, the hard
@@ -620,9 +604,12 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         loglik = start.row_ll.sum() - start.row_ll[rows]
         removed = start.resp[:, rows].T[..., None] * feats[:, :, rows].transpose(2, 0, 1)
         moments = start.moments - removed
-    m = loglik.shape[0]
+    m, n_comp, n = loglik.shape[0], start.model.n_components, feats.shape[2]
     if work is None:
-        work = _em_workspace(m, start.model.n_components, feats.shape[2])
+        work = _em_workspace(m * n, n_comp)
+    block = m * n_comp * n
+    logp = work[:block].reshape(m, n_comp, n)
+    tops, row_lls = work[block:block + 2 * m * n].reshape(2, m, n)
     weights = np.repeat(start.model.weights[None], m, axis=0)
     shifts = np.zeros((m,) + start.model.means.shape)
     covs = np.repeat(start.model.covariances[None], m, axis=0)
@@ -647,8 +634,8 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
             active, w, s, c = active[kept], w[kept], s[kept], c[kept]
             coefs = _log_density_coefs(w, s, c)
         k = active.shape[0]  # when 0, the sweep runs on empty arrays and ends the loop
-        row_ll, resp = _posterior(_log_densities(feats, coefs, out=work[0][:k]),
-                                  work[1][:k], work[2][:k])
+        row_ll, resp = _posterior(_log_densities(feats, coefs, out=logp[:k]), tops[:k],
+                                  row_lls[:k])
         if rows is not None:
             batch, excluded = np.arange(k), rows[active]
             row_ll[batch, excluded] = 0.0

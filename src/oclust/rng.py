@@ -11,6 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself, or ``ValueError`` naming it when it is negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def derive_seed(*parts: int) -> int:
     """Collapse a tuple of integer tags into a single 64-bit seed."""
     ss = np.random.SeedSequence(list(int(p) for p in parts))

@@ -34,7 +34,7 @@ from scipy.special import gammaincinv
 
 from .errors import GenerationStallError
 from .gmm import FitConfig, approx_log_likelihood, em_fit
-from .rng import derive_seed, substream
+from .rng import check_seed, derive_seed, substream
 
 #: Covariance shape parameters (a, b, c, d, e, f) for the five model settings.
 MODEL_SHAPES = {
@@ -110,6 +110,7 @@ class SimModelSpec:
             raise ValueError("need at least one good point per cluster")
         if self.n_outliers < 0:
             raise ValueError("n_outliers must be nonnegative")
+        check_seed(self.seed)
         divisor = 3 if self.proportions == "equal" else 5
         if self.n_good % divisor:
             raise ValueError(

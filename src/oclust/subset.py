@@ -34,17 +34,16 @@ The refits run in the EM loop of ``gmm``, the one that also runs the single
 fit.  Its warm start (features centred on the full-fit means and the first
 E-step on all n rows) is built once per call and shared read-only by every
 batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
-contiguous group per thread and each group into batches whose sizes differ by
-at most one, as few as the measured pass time favours (``_chunk_rows``).  Each
-pass has one pool and one workspace per group: the calling thread runs the
-first group and the pool's helper threads the rest, so ``n_threads`` counts
-the caller, and each group's thread makes its own workspace, of one size for
-every pass on n rows or fewer (``_pass_workspace_size``).  The thread runs the
-E-steps of its batches there and writes its rows' values and failures into
-the pass's one result (``loo_refit_logliks``).  No thread or workspace
-outlives the pass.  A refit is held to the single fit's convergence test and
-failures, and the error raised is the lowest failing row's at any batching
-and thread count.
+contiguous group per thread and each group into the fewest batches that the
+one leave-one-out budget (``_refit_cells``) allows, sizes within one.  Each
+pass has one pool and one workspace per group, of the budget's size: the
+calling thread runs the first group and the pool's helper threads the rest,
+so ``n_threads`` counts the caller.  Each thread runs the E-steps of its
+batches in its workspace and writes its rows' values and failures into the
+pass's one result (``loo_refit_logliks``).  No thread or workspace outlives
+the pass.  A refit is held to the single fit's convergence test and failures,
+and the error raised is the lowest failing row's at any batching and thread
+count.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .gmm import (
     _em_start,
     _em_sweeps,
     _em_workspace,
-    _em_workspace_size,
     _factor_covariances,
     _min_cluster_size,
     _point_terms,
@@ -339,42 +337,29 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The chunk rule's two constants: the fewest refits in a batch, and the most
-# cells (refits times rows) that a larger batch may hold.
-_MIN_CHUNK, _CHUNK_CELLS = 8, 2**18
-
-
-def _chunk_rows(n_components: int, n: int) -> int:
-    """Most refits per batch on n rows: max(8, 2**18 // (G n)), so that each
-    (chunk, G, n) work array holds at most about 2 MiB.  A batch's whole
-    workspace, that array and two (chunk, n) ones, is (G + 2) / G times as
-    large: about 3.3 MiB at G = 3, more than a 2 MiB per-core L2 cache
-    holds.  The constant was set by measured pass time: 2**17 made a
-    2,000-row pass slower at two threads.  ``_refit_plan`` reads the rule
-    and ``_pass_workspace_size`` its constants."""
-    return max(_MIN_CHUNK, _CHUNK_CELLS // (n_components * n))
-
-
-def _pass_workspace_size(n_components: int, n: int) -> int:
-    """Floats of a workspace that holds every batch of every pass on n rows or
-    fewer: max(8 n, 2**18 // G) (G + 2).  A batch of m <= ``_chunk_rows``
-    refits on n' <= n rows fills m n' of those max(8 n, 2**18 // G) cells in
-    each of ``_em_workspace``'s G + 2 rows.  While G n <= 2**15 the size is
-    one constant, and it never grows as a trimming run's passes shrink.  It
-    must not: glibc hands a pass the block that the last pass freed only when
-    the new request is no larger, and a size per pass, from its own largest
-    batch, raised the peak RSS of a 500-row refit run by about 2 MB."""
-    cells = max(_MIN_CHUNK * n, _CHUNK_CELLS // n_components)
-    return _em_workspace_size(cells, n_components, 1)
+def _refit_cells(n_components: int, n: int) -> int:
+    """The leave-one-out budget: the most refit-rows (refits times rows) that a
+    batch of a pass on n rows may hold, max(8 n, 2**18 // G).  A batch takes
+    at most ``_refit_cells // n`` refits, at least 8, so its (batch, G, n)
+    work array holds at most about 2 MiB; a group's ``_em_workspace`` of G + 2
+    floats per cell holds every batch of the pass, about 3.3 MiB at G = 3.
+    2**18 is measured: 2**17 made a 2,000-row pass slower at two threads.
+    While G n <= 2**15 the budget is one constant, and it never grows as a
+    trimming run's passes shrink.  It must not: glibc hands a pass the block
+    that the last pass freed only when the new request is no larger, and a
+    workspace per pass, from its own largest batch, raised the peak RSS of a
+    500-row refit run by about 2 MB."""
+    return max(8 * n, 2**18 // n_components)
 
 
 def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
     """The row batches of a leave-one-out pass on n rows, per worker: the
     rows cut into min(n_threads, ceil(n / chunk)) contiguous groups, chunk =
-    ``_chunk_rows(n_components, n)``, and each group into ceil(rows / chunk)
-    contiguous batches whose sizes differ by at most one, larger first.  A
-    chunk of n rows or more makes the pass one group of one batch."""
-    chunk = _chunk_rows(n_components, n)
+    ``_refit_cells(n_components, n) // n``, and each group into
+    ceil(rows / chunk) contiguous batches whose sizes differ by at most one,
+    larger first.  A chunk of n rows or more makes the pass one group of one
+    batch."""
+    chunk = _refit_cells(n_components, n) // n
     groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
     return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
 
@@ -383,21 +368,19 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
                       n_threads: int = 1) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
-    The refits run in the batches of one pass plan (``_refit_plan``): a
-    contiguous group of rows per thread, cut into batches whose sizes differ
-    by at most one, so that each (batch, G, n) work array holds at most
-    about 2 MiB.  The calling thread runs the first group and the threads of
-    a pool made for the call the others, so a pass runs on at most
-    ``n_threads`` threads, the caller included.  Each group's thread makes
-    one workspace (``_pass_workspace_size``) for every batch of its group
-    and writes its rows' values and failures in place, into one array and
-    one dict per pass; the pool and the workspaces last for the call.  The
-    result is independent of batching and thread count, and so is the error
-    when refits fail: that of the lowest failing row j, of its class (a
-    ``DegenerateFitError``) with ``subset_index`` j, as "leave-one-out refit
-    for row j: ...".  ``n_threads`` or ``max_iter`` below 1 and ``rel_tol``
-    not positive raise ``ValueError``.  A singular covariance in the warm
-    start ``model`` raises ``SingularCovarianceError`` naming its component.
+    The refits run in the batches of one pass plan (``_refit_plan``), within
+    the budget ``_refit_cells``.  The calling thread runs the first group and
+    the threads of a pool made for the call the others, so a pass runs on at
+    most ``n_threads`` threads, the caller included.  Each group's thread
+    makes one workspace for its batches and writes its rows' values and
+    failures in place, into one array and one dict per pass; the pool and the
+    workspaces last for the call.  The result is independent of batching and
+    thread count, and so is the error when refits fail: that of the lowest
+    failing row j, of its class (a ``DegenerateFitError``) with
+    ``subset_index`` j, as "leave-one-out refit for row j: ...".
+    ``n_threads`` or ``max_iter`` below 1 and ``rel_tol`` not positive raise
+    ``ValueError``.  A singular covariance in the warm start ``model`` raises
+    ``SingularCovarianceError`` naming its component.
     """
     _check_em_limits(max_iter, rel_tol)
     if n_threads < 1:
@@ -409,8 +392,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     logliks, failures = np.empty(n), {}  # threads write disjoint rows, so need no lock
 
     def refit(batches):
-        flat = np.empty(_pass_workspace_size(n_comp, n))
-        work = _em_workspace(batches[0].shape[0], n_comp, n, flat)  # for the largest batch
+        work = _em_workspace(_refit_cells(n_comp, n), n_comp)
         for rows in batches:
             logliks[rows], _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
                                                         rel_tol=rel_tol, work=work)

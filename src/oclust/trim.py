@@ -43,8 +43,9 @@ class OclustConfig:
         n_threads: threads that run the leave-one-out refits of refit
             mode, counting the calling thread, which runs the first group
             of each pass (at least 1).  Each pass makes its own pool and one
-            workspace per group and ends them.  Frozen mode runs no refits
-            and starts no thread.  Outputs do not depend on it.
+            workspace per group, sized by the leave-one-out budget
+            (``subset._refit_cells``), and ends them.  Frozen mode runs no
+            refits and starts no thread.  Outputs do not depend on it.
 
     The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
     equal-probability bins of the beta-mixture reference.

@@ -614,6 +614,41 @@ def test_aborted_run_leaves_no_outputs_of_an_earlier_run(dataset_csv, tmp_path, 
     assert (out_dir / "trace.csv").read_text().count("\n") == 1
 
 
+def test_refused_run_leaves_no_outputs_of_an_earlier_run(tmp_path, capsys):
+    # a good run on 63 rows, then a budget that oclust_run refuses, into the
+    # same --out: the refused run's manifest must not sit beside the earlier
+    # run's trace and summary
+    data, out_dir = tmp_path / "d.csv", tmp_path / "o"
+    assert main(["simulate", "--model", "I", "--n-good", "60", "--n-out", "3",
+                 "--out", str(data)]) == 0
+    argv = ["oclust", str(data), "--clusters", "2", "--threads", "1", "--out", str(out_dir)]
+    code, _, _ = run_cli(argv + ["--max-outliers", "3"], capsys)
+    assert code == 0
+    assert {path.name for path in out_dir.iterdir()} == {
+        "manifest.json", "trace.csv", "summary.json", "labels.csv"}
+    code, _, err = run_cli(argv + ["--max-outliers", "500"], capsys)
+    assert code == 2
+    assert "max_outliers=500 is outside [1, 54]" in err
+    assert [path.name for path in out_dir.iterdir()] == ["manifest.json"]
+    assert json.loads((out_dir / "manifest.json").read_text())["config"]["max_outliers"] == 500
+
+
+@pytest.mark.parametrize("command", [
+    ["oclust", "{data}", "--clusters", "3", "--max-outliers", "3"],
+    ["simulate", "--model", "I", "--n-good", "60", "--n-out", "3"],
+    ["separation-study", "--grid", "0.5", "--replicates", "1"],
+])
+def test_negative_seed_exits_2_naming_it_and_writes_nothing(dataset_csv, tmp_path, capsys,
+                                                           command):
+    out = tmp_path / "out"
+    argv = [arg.format(data=dataset_csv) for arg in command] + ["--seed", "-3", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be an integer >= 0, got '-3'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_constant_feature_column_exits_2_and_names_it(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = "\n".join(

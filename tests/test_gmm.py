@@ -293,6 +293,11 @@ def test_em_rejects_too_few_points_up_front(monkeypatch):
         em_fit(rng.standard_normal((8, 2)), 2, FitConfig(seed=0))
 
 
+def test_fit_config_refuses_a_negative_seed_naming_it():
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        FitConfig(seed=-1)
+
+
 def test_em_more_points_than_clusters_required():
     with pytest.raises(ValueError):
         em_fit(np.zeros((2, 2)), 3, FitConfig(seed=0))
@@ -482,15 +487,17 @@ def test_posterior_in_buffers_matches_one_exp_formula(seed, m, n_comp, n, spread
     row_ll = top + np.log(total)
     resp = shifted / total[:, None, :]
     # the responsibilities overwrite the log-densities: in the caller's array,
-    # and in the leading rows of a larger flat workspace filled with junk
+    # and in the leading rows of views of a larger flat workspace filled with
+    # junk, laid out as _em_sweeps lays out a batch of m + 3 problems
     own = logp.copy()
-    flat = np.full(gmm._em_workspace_size(m + 3, n_comp, n), np.nan)
-    work = gmm._em_workspace(m + 3, n_comp, n, flat)
-    assert all(np.shares_memory(buffer, flat) for buffer in work)
-    assert not any(np.shares_memory(a, b) for a, b in [work[:2], work[1:], work[::2]])
-    work[0][:m] = logp
-    for buffer, got in ((own, gmm._posterior(own)),
-                        (work[0][:m], gmm._posterior(work[0][:m], work[1][:m], work[2][:m]))):
+    flat = gmm._em_workspace((m + 3) * n, n_comp)
+    assert flat.shape == ((m + 3) * n * (n_comp + 2),)
+    flat.fill(np.nan)
+    block = (m + 3) * n_comp * n
+    work = flat[:block].reshape(m + 3, n_comp, n)[:m]
+    top, ll = flat[block:block + 2 * (m + 3) * n].reshape(2, m + 3, n)[:, :m]
+    work[...] = logp
+    for buffer, got in ((own, gmm._posterior(own)), (work, gmm._posterior(work, top, ll))):
         assert np.shares_memory(got[1], buffer)
         assert np.array_equal(got[0], row_ll)
         assert np.array_equal(got[1], resp)
@@ -523,13 +530,12 @@ def test_kernel_products_of_a_batch_match_single_problem_calls(seed, p, n_comp, 
         single = gmm._log_density_coefs(weights[i:i + 1], shifts[i:i + 1], covs[i:i + 1])
         assert np.array_equal(stacked[i], single[0])
     coefs = rng.standard_normal((m, n_comp, feats.shape[1]))
-    work = gmm._em_workspace(m + 3, n_comp, n)
-    for buffer in work:
-        buffer.fill(np.nan)
-    logp = gmm._log_densities(feats, coefs, out=work[0][:m])
+    flat = gmm._em_workspace((m + 3) * n, n_comp)
+    flat.fill(np.nan)
+    logp = gmm._log_densities(feats, coefs, out=flat[:m * n_comp * n].reshape(m, n_comp, n))
     for i in range(m):
         assert np.array_equal(logp[i], gmm._log_densities(feats, coefs[i:i + 1])[0])
-    resp = work[0][:m]  # the E-step's responsibilities take the log-densities' place
+    resp = logp  # the E-step's responsibilities take the log-densities' place
     resp[...] = rng.dirichlet(np.ones(n_comp), (m, n)).transpose(0, 2, 1)
     moments = gmm._moments(feats, resp)
     for i in range(m):
@@ -636,10 +642,11 @@ def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_d
     for rows in [None, np.arange(0, n, 2)]:
         kwargs = dict(max_iter=200, rel_tol=1e-12)
         fresh = gmm._em_sweeps(start, rows, **kwargs)
-        work = gmm._em_workspace(n + 4, 3, n)
-        for buffer in work:
-            buffer.fill(np.nan)
+        work = gmm._em_workspace((n + 4) * n, 3)
+        work.fill(np.nan)
         reused = gmm._em_sweeps(start, rows, work=work, **kwargs)
+        m = 1 if rows is None else rows.shape[0]
+        assert np.isnan(work[m * n * (3 + 2):]).all()  # a batch writes only its own m n cells
         assert np.array_equal(fresh[0], reused[0])
         for a, b in zip(fresh[1], reused[1]):
             assert np.array_equal(a, b)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -51,6 +52,23 @@ def test_compare_runs_finds_a_checkout_equal_to_itself(tmp_path):
             "clamped counts equal, loglik drift 0, final model drift 0, final labels equal")
         record = json.loads(out.read_text())
         assert record["pass"] and record["per_seed"][0]["labels_equal"]
+
+
+def test_compare_runs_judges_final_model_drift_against_each_fields_scale():
+    spec = importlib.util.spec_from_file_location("compare_runs", SCRIPTS / "compare_runs.py")
+    compare_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_runs)
+    # weights, two means and two covariances; the first covariance's
+    # off-diagonal 0.0149 moves by 3.1e-11 (2.1e-9 of itself) and the second
+    # one's 0.0 by 1e-20, each judged against its covariance's largest entry
+    parent = [[0.5, 0.5], [1.0, -2.0], [0.0, 3.0],
+              [2.0, 0.0149, 0.0149, 1.5], [4.0, 0.0, 0.0, 1.0]]
+    change = [[0.5, 0.5], [1.0, -2.0], [0.0, 3.0],
+              [2.0, 0.0149 + 3.1e-11, 0.0149 + 3.1e-11, 1.5], [4.0, 1e-20, 1e-20, 1.0]]
+    assert compare_runs.field_drift(parent, change) == pytest.approx(3.1e-11 / 2.0, rel=1e-4)
+    assert compare_runs.field_drift(parent, parent) == 0.0
+    assert compare_runs.field_drift(parent, change[:-1]) is None
+    assert compare_runs.field_drift(parent, change[:-1] + [[4.0, 0.0, 1.0]]) is None
 
 
 @pytest.mark.parametrize("workload", ["smoke-refit", "smoke-frozen", "smoke-cli"])

@@ -59,6 +59,8 @@ def test_spec_validation():
         SimModelSpec(model="I", n_good=301, n_outliers=10, proportions="unequal")
     with pytest.raises(ValueError):
         SimModelSpec(model="I", n_good=300, n_outliers=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -5$"):
+        SimModelSpec(model="I", n_good=300, n_outliers=10, seed=-5)
 
 
 def test_gen_dataset_shapes_and_truth():

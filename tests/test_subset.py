@@ -116,13 +116,14 @@ def test_refit_subset_logliks_match_serial_library_refits(fitted_blobs):
         assert ours[j] == pytest.approx(run.loglik, abs=1e-10)
 
 
-_chunk_rule = subset._chunk_rows
+_budget = subset._refit_cells
 
 
 def _set_chunk(monkeypatch, chunk):
-    """Run every leave-one-out pass in batches of ``chunk`` refits (None: the rule)."""
-    monkeypatch.setattr(subset, "_chunk_rows",
-                        _chunk_rule if chunk is None else lambda n_components, n: chunk)
+    """Run every leave-one-out pass in batches of ``chunk`` refits, with
+    workspaces to match (None: the budget)."""
+    monkeypatch.setattr(subset, "_refit_cells",
+                        _budget if chunk is None else lambda n_components, n: chunk * n)
 
 
 def test_refit_logliks_invariant_to_chunking_and_threads(fitted_blobs, monkeypatch):
@@ -217,7 +218,7 @@ def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
     n_comp = 3
     for n_threads in (1, 2, 3):
         for n in range(10, 401):
-            step = subset._chunk_rows(n_comp, n)
+            step = subset._refit_cells(n_comp, n) // n
             plan = subset._refit_plan(n_comp, n, n_threads)
             batches = [rows for group in plan for rows in group]
             assert np.array_equal(np.concatenate(batches), np.arange(n))
@@ -245,14 +246,45 @@ def test_pass_workspace_holds_every_batch_of_the_shrinking_passes(n_comp):
     small = [10, 11, 97, 1000, 2**15 // n_comp]
     large = [2**15 // n_comp + 1, 2**15 // n_comp + 300]
     for n in small + large:
-        size = subset._pass_workspace_size(n_comp, n)
+        cells = subset._refit_cells(n_comp, n)
         for rows_now in range(n, n - n // 8 - 1, -max(1, n // 320)):
             for n_threads in (1, 2, 3):
                 for group in subset._refit_plan(n_comp, rows_now, n_threads):
-                    assert gmm._em_workspace_size(group[0].shape[0], n_comp, rows_now) <= size
-    assert {subset._pass_workspace_size(n_comp, n) for n in small} == {
-        (2**18 // n_comp) * (n_comp + 2)}
-    assert all(subset._pass_workspace_size(n_comp, n) == 8 * n * (n_comp + 2) for n in large)
+                    assert group[0].shape[0] * rows_now <= cells
+    assert {subset._refit_cells(n_comp, n) for n in small} == {2**18 // n_comp}
+    assert all(subset._refit_cells(n_comp, n) == 8 * n for n in large)
+
+
+def test_refit_budget_gives_the_chunks_plans_and_buffers_of_the_earlier_rules(
+        fitted_blobs_300, monkeypatch):
+    # the budget replaced two rules, whose results it must keep: a chunk of
+    # max(8, 2**18 // (G n)) refits and a buffer of max(8 n, 2**18 // G)
+    # (G + 2) floats per group
+    for n_comp in range(1, 130):
+        for n in range(1, 20_001, 7):
+            cells = subset._refit_cells(n_comp, n)
+            assert cells // n == max(8, 2**18 // (n_comp * n)), (n_comp, n)
+            assert cells * (n_comp + 2) == max(8 * n, 2**18 // n_comp) * (n_comp + 2)
+    for n_comp, n, n_threads in [(1, 9, 2), (3, 500, 2), (3, 2000, 2), (4, 2**13, 3),
+                                 (128, 260, 2), (129, 20_000, 4)]:
+        chunk = max(8, 2**18 // (n_comp * n))
+        groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
+        expected = [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
+        got = subset._refit_plan(n_comp, n, n_threads)
+        assert [[rows.tolist() for rows in group] for group in got] == [
+            [rows.tolist() for rows in group] for group in expected]
+    # the workspaces a pass makes, one per group
+    data, model = fitted_blobs_300
+    made, allocate = [], subset._em_workspace
+
+    def recording(cells, n_components):
+        made.append(allocate(cells, n_components))
+        return made[-1]
+
+    monkeypatch.setattr(subset, "_em_workspace", recording)
+    loo_refit_logliks(data, model, n_threads=2)
+    n_comp, n = model.n_components, data.shape[0]
+    assert [work.size for work in made] == [max(8 * n, 2**18 // n_comp) * (n_comp + 2)] * 2
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -303,7 +335,7 @@ def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, cas
                    "clip-8": _spread_model(128, 260, 2)}[case]
     n, n_comp = data.shape[0], model.n_components
     expected_chunk = {"rule": 280, "one-batch": 4369, "clip-8": 8}[case]
-    assert subset._chunk_rows(n_comp, n) == expected_chunk
+    assert subset._refit_cells(n_comp, n) // n == expected_chunk
 
     def passes(threads):
         values, current = [], data

@@ -310,7 +310,7 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
             ((60.0, 60.0), (60.1, 60.1), (60.2, 60.2), (60.3, 60.3), (60.0, 60.3)))
         config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=2), n_threads=2)
         # 29 rows make one chunk by the default rule; chunks of 7 give two groups
-        monkeypatch.setattr(subset, "_chunk_rows", lambda n_components, n: 7)
+        monkeypatch.setattr(subset, "_refit_cells", lambda n_components, n: 7 * n)
     names = set()
 
     # in the first pass each thread's first call waits at a barrier, which
