@@ -12,9 +12,9 @@ SHA-256 of the returned values so that two runs can be checked for equal
 outputs.
 
 Each line also gives the chunk, the most refits per batch, from the library's
-one budget (``subset._refit_cells`` over n), and the pass plan that ran: per
+one budget (``gmm._refit_cells`` over n), and the pass plan that ran: per
 thread, the calling thread's first, the sizes of its batches
-(``subset._refit_plan``).  To try another budget, edit ``_refit_cells`` in a
+(``gmm._refit_plan``).  To try another budget, edit ``_refit_cells`` in a
 scratch copy of the source and run one process per copy.
 Like ``perfbench``, the script pins BLAS to one thread before NumPy loads.
 Every pass times what each trimming iteration pays, thread start-up included.
@@ -41,7 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks  # noqa: E402
-from oclust.subset import _refit_cells, _refit_plan  # noqa: E402
+from oclust.gmm import _refit_cells, _refit_plan  # noqa: E402
 
 
 def parse_args(argv=None):

@@ -33,6 +33,7 @@ from .gmm import (
     em_refine,
     hard_labels,
     log_gaussian_density,
+    loo_refit_logliks,
     mixture_log_likelihood,
     validate_data,
 )
@@ -56,7 +57,6 @@ from .subset import (
     frozen_subset_deltas,
     gamma_reference,
     gamma_reference_density,
-    loo_refit_logliks,
     mahalanobis_sq,
     reference_mixture_cdf,
     reference_mixture_density,

@@ -14,8 +14,8 @@ and computes the pooled start covariance once, for all of its restarts; each
 draw keys one BLAKE2b state and copies it for every row, and the digests are
 read as one uint64 array.
 
-Every mixture density and EM sweep in the package, the single fit here and
-the leave-one-out refits in ``subset``, runs on one kernel over sufficient
+Every mixture density and EM sweep in the package, the single fit and the
+leave-one-out refits, runs on one kernel over sufficient
 statistics.  Every row x gets, per component g, the features
 F_g(x) = [1, y, upper(y y')] with y = x - c_g, where the centre c_g is a fixed
 mean (the starting mean of a fit); centring per component keeps the second
@@ -56,12 +56,19 @@ them; it numbers the winning fit's components by the first row each one owns.
 Its E-steps run in place, the responsibilities overwriting the log-densities,
 in one flat buffer (``_em_workspace``) that a caller can own and reuse for
 every batch that fits, so a sweep allocates nothing of size n.
+
+A leave-one-out pass (``loo_refit_logliks``) shares one warm start with all
+its batches and threads.  One plan (``_refit_plan``) and one budget
+(``_refit_cells``) set its batches, threads and workspaces, none of which
+outlives the pass, and each refit is held to the single fit's convergence
+test and failures.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -587,13 +594,14 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     replaced whole each sweep; once one has stopped, the active rows are
     written into a copy of the log-likelihoods, so no history row is written
     after it is recorded.
-    Returns per problem the final log-likelihood (m,), the parameters it
-    belongs to as ``(weights, means, covs)``, the log-likelihood before the
-    first and after every sweep, (sweeps + 1, m), held once it stops, the hard
-    labels (n,) as the argmax of the last E-step's responsibilities (the
-    maximum posterior, ties to the lower component; None unless
-    ``leave_out`` is None and nothing failed), and a dict of failed problems
-    to their errors.
+    Returns ``(loglik, history, failures, fit)``: per problem the final
+    log-likelihood (m,) and the log-likelihood before the first and after
+    every sweep, (sweeps + 1, m), held once it stops; a dict of failed
+    problems to their errors; and, when ``leave_out`` is None and the one
+    problem did not fail, ``fit = ((weights, means, covs), labels)``, the
+    parameters the final log-likelihood belongs to and the hard labels (n,)
+    as the argmax of the last E-step's responsibilities (the maximum
+    posterior, ties to the lower component), else None.
     """
     feats, p = start.feats, start.model.dim
     rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
@@ -610,9 +618,6 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     block = m * n_comp * n
     logp = work[:block].reshape(m, n_comp, n)
     tops, row_lls = work[block:block + 2 * m * n].reshape(2, m, n)
-    weights = np.repeat(start.model.weights[None], m, axis=0)
-    shifts = np.zeros((m,) + start.model.means.shape)
-    covs = np.repeat(start.model.covariances[None], m, axis=0)
     history = [loglik]
     active = np.arange(m)
     failures = {}
@@ -643,10 +648,9 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         new = row_ll.sum(axis=1)
         if k == m:
             old, loglik = loglik, new
-            weights, shifts, covs = w, s, c
         else:
             old, loglik = loglik[active], loglik.copy()  # history holds the old array
-            loglik[active], weights[active], shifts[active], covs[active] = new, w, s, c
+            loglik[active] = new
         history.append(loglik)
         scale = np.maximum(1.0, np.abs(old))
         fell = new < old - 1e-7 * scale
@@ -663,8 +667,10 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
         moments = _moments(feats, resp)
         if stopped:
             active, moments = active[~stop], moments[~stop]
-    labels = resp[0].argmax(axis=0) if rows is None and not failures else None
-    return loglik, (weights, start.model.means + shifts, covs), np.array(history), labels, failures
+    fit = None
+    if rows is None and not failures:
+        fit = (w[0], start.model.means + s[0], c[0]), resp[0].argmax(axis=0)
+    return loglik, np.array(history), failures, fit
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
@@ -683,17 +689,91 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     """
     _check_em_limits(max_iter, rel_tol)
     arr = validate_data(data)
-    loglik, (weights, means, covs), history, labels, failures = _em_sweeps(
-        _em_start(arr, model), max_iter=max_iter, rel_tol=rel_tol
-    )
+    loglik, history, failures, fit = _em_sweeps(_em_start(arr, model), max_iter=max_iter,
+                                                rel_tol=rel_tol)
     if failures:
         raise failures[0]
+    (weights, means, covs), labels = fit
     return EmRun(
-        model=MixtureModel(weights=weights[0], means=means[0], covariances=covs[0]),
+        model=MixtureModel(weights=weights, means=means, covariances=covs),
         loglik=float(loglik[0]),
         history=tuple(history[:, 0].tolist()),
         labels=labels,
     )
+
+
+def _refit_cells(n_components: int, n: int) -> int:
+    """The leave-one-out budget: the most refit-rows (refits times rows) that a
+    batch of a pass on n rows may hold, max(8 n, 2**18 // G).  A batch takes
+    at most ``_refit_cells // n`` refits, at least 8, so its (batch, G, n)
+    work array holds at most about 2 MiB; a group's ``_em_workspace`` of G + 2
+    floats per cell holds every batch of the pass, about 3.3 MiB at G = 3.
+    2**18 is measured: 2**17 made a 2,000-row pass slower at two threads.
+    While G n <= 2**15 the budget is one constant, and it never grows as a
+    trimming run's passes shrink.  It must not: glibc hands a pass the block
+    that the last pass freed only when the new request is no larger, and a
+    workspace per pass, from its own largest batch, raised the peak RSS of a
+    500-row refit run by about 2 MB."""
+    return max(8 * n, 2**18 // n_components)
+
+
+def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
+    """The row batches of a leave-one-out pass on n rows, per worker: the
+    rows cut into min(n_threads, ceil(n / chunk)) contiguous groups, chunk =
+    ``_refit_cells(n_components, n) // n``, and each group into
+    ceil(rows / chunk) contiguous batches whose sizes differ by at most one,
+    larger first.  A chunk of n rows or more makes the pass one group of one
+    batch."""
+    chunk = _refit_cells(n_components, n) // n
+    groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
+    return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
+
+
+def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
+                      n_threads: int = 1) -> np.ndarray:
+    """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
+
+    The refits run in the batches of one pass plan (``_refit_plan``), within
+    the budget ``_refit_cells``.  The calling thread runs the first group and
+    the threads of a pool made for the call the others, so a pass runs on at
+    most ``n_threads`` threads, the caller included.  Each group's thread
+    makes one workspace for its batches and writes its rows' values and
+    failures in place, into one array and one dict per pass; the pool and the
+    workspaces last for the call.  The result is independent of batching and
+    thread count, and so is the error when refits fail: that of the lowest
+    failing row j, of its class (a ``DegenerateFitError``) with
+    ``subset_index`` j, as "leave-one-out refit for row j: ...".
+    ``n_threads`` or ``max_iter`` below 1 and ``rel_tol`` not positive raise
+    ``ValueError``.  A singular covariance in the warm start ``model`` raises
+    ``SingularCovarianceError`` naming its component.
+    """
+    _check_em_limits(max_iter, rel_tol)
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    arr = validate_data(data)
+    n, n_comp = arr.shape[0], model.n_components
+    start = _em_start(arr, model)
+    plan = _refit_plan(n_comp, n, n_threads)
+    logliks, failures = np.empty(n), {}  # threads write disjoint rows, so need no lock
+
+    def refit(batches):
+        work = _em_workspace(_refit_cells(n_comp, n), n_comp)
+        for rows in batches:
+            logliks[rows], _, failed, _ = _em_sweeps(start, rows, max_iter=max_iter,
+                                                     rel_tol=rel_tol, work=work)
+            failures.update((int(rows[i]), exc) for i, exc in failed.items())
+
+    # a pool starts a thread per group submitted, so a one-group pass starts none
+    with ThreadPoolExecutor(max(1, len(plan) - 1)) as pool:
+        helpers = [pool.submit(refit, batches) for batches in plan[1:]]
+        refit(plan[0])
+        for helper in helpers:
+            helper.result()  # raises a helper's exception, the lowest group's first
+    if failures:
+        j = min(failures)
+        raise type(failures[j])(f"leave-one-out refit for row {j}: {failures[j]}",
+                                subset_index=j) from failures[j]
+    return logliks
 
 
 def _row_bytes(data: np.ndarray) -> list[bytes]:

@@ -387,6 +387,7 @@ def separation_experiment(p: int, target: float, replicates: int, seed: int) -> 
     between the hard-assignment and mixture log-likelihoods.  Replicates
     whose calibration fails are skipped; at least one must succeed.
     """
+    check_seed(seed)
     _check_dim(p)
     if not -1.0 < target < 1.0:
         raise ValueError("target separation must lie in (-1, 1)")

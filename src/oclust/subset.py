@@ -27,28 +27,13 @@ per row, in one of two ways:
 
 * ``refit``: each leave-one-out subset gets its own EM refinement
   (warm-started from the full-data fit) and the delta is the difference of
-  true mixture log-likelihoods.  The refits run in vectorized batches.
+  true mixture log-likelihoods.  The refits, with their batches, buffers
+  and threads, run in ``gmm.loo_refit_logliks``, on the single fit's EM loop.
 * ``frozen``: the closed-form delta above, with full-data statistics.
-
-The refits run in the EM loop of ``gmm``, the one that also runs the single
-fit.  Its warm start (features centred on the full-fit means and the first
-E-step on all n rows) is built once per call and shared read-only by every
-batch and thread.  One pass plan, ``_refit_plan``, cuts the rows into a
-contiguous group per thread and each group into the fewest batches that the
-one leave-one-out budget (``_refit_cells``) allows, sizes within one.  Each
-pass has one pool and one workspace per group, of the budget's size: the
-calling thread runs the first group and the pool's helper threads the rest,
-so ``n_threads`` counts the caller.  Each thread runs the E-steps of its
-batches in its workspace and writes its rows' values and failures into the
-pass's one result (``loo_refit_logliks``).  No thread or workspace outlives
-the pass.  A refit is held to the single fit's convergence test and failures,
-and the error raised is the lowest failing row's at any batching and thread
-count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,14 +46,11 @@ from .gmm import (
     ClusterStats,
     MixtureModel,
     _assigned_log_densities,
-    _check_em_limits,
-    _em_start,
-    _em_sweeps,
-    _em_workspace,
     _factor_covariances,
     _min_cluster_size,
     _point_terms,
     cluster_stats,
+    loo_refit_logliks,
     validate_data,
 )
 
@@ -335,80 +317,6 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Empirical subset deltas
 # ---------------------------------------------------------------------------
-
-
-def _refit_cells(n_components: int, n: int) -> int:
-    """The leave-one-out budget: the most refit-rows (refits times rows) that a
-    batch of a pass on n rows may hold, max(8 n, 2**18 // G).  A batch takes
-    at most ``_refit_cells // n`` refits, at least 8, so its (batch, G, n)
-    work array holds at most about 2 MiB; a group's ``_em_workspace`` of G + 2
-    floats per cell holds every batch of the pass, about 3.3 MiB at G = 3.
-    2**18 is measured: 2**17 made a 2,000-row pass slower at two threads.
-    While G n <= 2**15 the budget is one constant, and it never grows as a
-    trimming run's passes shrink.  It must not: glibc hands a pass the block
-    that the last pass freed only when the new request is no larger, and a
-    workspace per pass, from its own largest batch, raised the peak RSS of a
-    500-row refit run by about 2 MB."""
-    return max(8 * n, 2**18 // n_components)
-
-
-def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarray]]:
-    """The row batches of a leave-one-out pass on n rows, per worker: the
-    rows cut into min(n_threads, ceil(n / chunk)) contiguous groups, chunk =
-    ``_refit_cells(n_components, n) // n``, and each group into
-    ceil(rows / chunk) contiguous batches whose sizes differ by at most one,
-    larger first.  A chunk of n rows or more makes the pass one group of one
-    batch."""
-    chunk = _refit_cells(n_components, n) // n
-    groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
-    return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
-
-
-def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
-                      n_threads: int = 1) -> np.ndarray:
-    """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
-
-    The refits run in the batches of one pass plan (``_refit_plan``), within
-    the budget ``_refit_cells``.  The calling thread runs the first group and
-    the threads of a pool made for the call the others, so a pass runs on at
-    most ``n_threads`` threads, the caller included.  Each group's thread
-    makes one workspace for its batches and writes its rows' values and
-    failures in place, into one array and one dict per pass; the pool and the
-    workspaces last for the call.  The result is independent of batching and
-    thread count, and so is the error when refits fail: that of the lowest
-    failing row j, of its class (a ``DegenerateFitError``) with
-    ``subset_index`` j, as "leave-one-out refit for row j: ...".
-    ``n_threads`` or ``max_iter`` below 1 and ``rel_tol`` not positive raise
-    ``ValueError``.  A singular covariance in the warm start ``model`` raises
-    ``SingularCovarianceError`` naming its component.
-    """
-    _check_em_limits(max_iter, rel_tol)
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    arr = validate_data(data)
-    n, n_comp = arr.shape[0], model.n_components
-    start = _em_start(arr, model)
-    plan = _refit_plan(n_comp, n, n_threads)
-    logliks, failures = np.empty(n), {}  # threads write disjoint rows, so need no lock
-
-    def refit(batches):
-        work = _em_workspace(_refit_cells(n_comp, n), n_comp)
-        for rows in batches:
-            logliks[rows], _, _, _, failed = _em_sweeps(start, rows, max_iter=max_iter,
-                                                        rel_tol=rel_tol, work=work)
-            failures.update((int(rows[i]), exc) for i, exc in failed.items())
-
-    # a pool starts a thread per group submitted, so a one-group pass starts none
-    with ThreadPoolExecutor(max(1, len(plan) - 1)) as pool:
-        helpers = [pool.submit(refit, batches) for batches in plan[1:]]
-        refit(plan[0])
-        for helper in helpers:
-            helper.result()  # raises a helper's exception, the lowest group's first
-    if failures:
-        j = min(failures)
-        raise type(failures[j])(f"leave-one-out refit for row {j}: {failures[j]}",
-                                subset_index=j) from failures[j]
-    return logliks
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,

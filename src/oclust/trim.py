@@ -44,7 +44,7 @@ class OclustConfig:
             mode, counting the calling thread, which runs the first group
             of each pass (at least 1).  Each pass makes its own pool and one
             workspace per group, sized by the leave-one-out budget
-            (``subset._refit_cells``), and ends them.  Frozen mode runs no
+            (``gmm._refit_cells``), and ends them.  Frozen mode runs no
             refits and starts no thread.  Outputs do not depend on it.
 
     The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
@@ -186,7 +186,11 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
     budget = config.max_outliers
     if budget is None:
         budget = default_max_outliers(n)
-    most = n - config.n_clusters * _min_cluster_size(p) - 1
+    least = config.n_clusters * _min_cluster_size(p) + 2  # the fewest rows that fit a budget
+    if n < least:
+        raise ValueError(f"n={n} rows are too few for n_clusters={config.n_clusters} at p={p}; "
+                         f"trimming needs at least {least} rows")
+    most = n - least + 1
     if not 1 <= budget <= most:
         raise ValueError(f"max_outliers={budget} is outside [1, {most}] for n={n}, "
                          f"n_clusters={config.n_clusters}, p={p}")

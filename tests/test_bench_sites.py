@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oclust import MixtureModel, cli, em_refine, oclust_run, trim
+import oclust
+from oclust import (DeltaMode, FitConfig, MixtureModel, OclustConfig, cli, em_fit, em_refine, gmm,
+                    oclust_run, subset, subset_deltas, trim)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,6 +40,27 @@ def test_patch_sites_resolve_to_callables(bench):
 def test_speed_hook_site_exists(bench):
     _, speed, _ = bench
     assert callable(getattr(trim, speed.HOOK_SITE, None))
+
+
+def test_refit_passes_go_through_the_traced_name(monkeypatch):
+    # the tracer's loo_refit span wraps subset.loo_refit_logliks; if refit
+    # deltas stopped looking it up there, subset.loo_refit_s and
+    # subset.loo_rows would read 0 without any error
+    assert oclust.loo_refit_logliks is gmm.loo_refit_logliks is subset.loo_refit_logliks
+    calls, passes = [], subset.loo_refit_logliks
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return passes(data, *args, **kwargs)
+
+    monkeypatch.setattr(subset, "loo_refit_logliks", counting)
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 8.0])
+    model, labels, loglik = em_fit(data, 2, FitConfig(seed=0))
+    subset_deltas(data, model, labels, loglik, mode=DeltaMode.REFIT)
+    assert calls == [60]
+    result = oclust_run(data, OclustConfig(n_clusters=2, max_outliers=2))
+    assert calls == [60, 60, 59, 58] and len(result.trace) == 3
 
 
 def test_em_refine_reports_history():

@@ -633,6 +633,16 @@ def test_refused_run_leaves_no_outputs_of_an_earlier_run(tmp_path, capsys):
     assert json.loads((out_dir / "manifest.json").read_text())["config"]["max_outliers"] == 500
 
 
+def test_too_few_rows_for_any_budget_exit_2_naming_the_minimum(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    rows = np.random.default_rng(0).standard_normal((30, 2))
+    data.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+    code, _, err = run_cli(["oclust", str(data), "--clusters", "8", "--threads", "1",
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "n=30 rows are too few for n_clusters=8 at p=2; trimming needs at least 34 rows" in err
+
+
 @pytest.mark.parametrize("command", [
     ["oclust", "{data}", "--clusters", "3", "--max-outliers", "3"],
     ["simulate", "--model", "I", "--n-good", "60", "--n-out", "3"],

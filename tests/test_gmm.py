@@ -370,17 +370,15 @@ def test_em_sweeps_return_a_failed_problem_and_run_the_others_on(
     start = gmm._em_start(data, model)
     rows = np.arange(data.shape[0])
     kwargs = dict(max_iter=200, rel_tol=1e-12)
-    loglik, params, history, labels, failures = gmm._em_sweeps(start, rows, **kwargs)
-    assert failures == {} and labels is None and history.shape[0] > 3
+    loglik, history, failures, fit = gmm._em_sweeps(start, rows, **kwargs)
+    assert failures == {} and fit is None and history.shape[0] > 3
     _force_first_call(monkeypatch, site, force, 17)
-    got, got_params, _, _, got_failures = gmm._em_sweeps(start, rows, **kwargs)
+    got, _, got_failures, _ = gmm._em_sweeps(start, rows, **kwargs)
     assert list(got_failures) == [17]
     assert type(got_failures[17]) is error
     assert str(got_failures[17]).startswith(message)
     others = rows != 17
     assert np.array_equal(got[others], loglik[others])
-    for a, b in zip(got_params, params):
-        assert np.array_equal(a[others], b[others])
     monkeypatch.undo()
     _force_first_call(monkeypatch, site, force, 0)
     with pytest.raises(error, match=f"^{message}"):
@@ -648,14 +646,17 @@ def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_d
         m = 1 if rows is None else rows.shape[0]
         assert np.isnan(work[m * n * (3 + 2):]).all()  # a batch writes only its own m n cells
         assert np.array_equal(fresh[0], reused[0])
-        for a, b in zip(fresh[1], reused[1]):
-            assert np.array_equal(a, b)
-        assert np.array_equal(fresh[2], reused[2])
+        assert np.array_equal(fresh[1], reused[1])
+        assert fresh[2] == reused[2] == {}
         if rows is None:
-            assert np.array_equal(fresh[3], reused[3])
-            assert np.array_equal(fresh[3], em_refine(data, model, **kwargs).labels)
+            (params, labels), (reused_params, reused_labels) = fresh[3], reused[3]
+            for a, b in zip(params, reused_params):
+                assert np.array_equal(a, b)
+            assert np.array_equal(labels, reused_labels)
+            assert np.array_equal(labels, em_refine(data, model, **kwargs).labels)
         else:
-            sweeps = (np.diff(fresh[2], axis=0) != 0).sum(axis=0)
+            assert fresh[3] is reused[3] is None
+            sweeps = (np.diff(fresh[1], axis=0) != 0).sum(axis=0)
             assert len(set(sweeps.tolist())) > 1
 
 
@@ -670,18 +671,16 @@ def test_em_sweeps_history_of_a_batch_is_each_problems_own(three_blob_data):
     start = gmm._em_start(data, model)
     rows = np.arange(0, data.shape[0], 3)
     kwargs = dict(max_iter=200, rel_tol=1e-12)
-    loglik, params, history, _, failures = gmm._em_sweeps(start, rows, **kwargs)
+    loglik, history, failures, _ = gmm._em_sweeps(start, rows, **kwargs)
     assert failures == {}
     lengths = set()
     for i, row in enumerate(rows):
-        one, one_params, one_history, _, _ = gmm._em_sweeps(start, [row], **kwargs)
+        one, one_history, _, _ = gmm._em_sweeps(start, [row], **kwargs)
         length = one_history.shape[0]
         lengths.add(length)
         assert np.array_equal(history[:length, i], one_history[:, 0])
         assert (history[length:, i] == one_history[-1, 0]).all()
         assert loglik[i] == one[0] == one_history[-1, 0]
-        for a, b in zip(params, one_params):
-            assert np.array_equal(a[i], b[0])
     assert len(lengths) > 1 and max(lengths) == history.shape[0]
 
 

@@ -35,6 +35,11 @@ def test_separation_experiment_rejects_dimension_below_two(p):
         separation_experiment(p, 0.0, 1, 0)
 
 
+def test_separation_experiment_rejects_a_negative_seed_naming_it():
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        separation_experiment(2, 0.3, 1, -1)
+
+
 @pytest.mark.parametrize("model", sorted(MODEL_SHAPES))
 def test_model_covariances_are_valid(model):
     covs = model_covariances(model, 4)

@@ -43,7 +43,7 @@ from oclust import (
     sample_reference,
     subset_deltas,
 )
-from oclust import divergence, gmm, subset
+from oclust import divergence, gmm
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +116,13 @@ def test_refit_subset_logliks_match_serial_library_refits(fitted_blobs):
         assert ours[j] == pytest.approx(run.loglik, abs=1e-10)
 
 
-_budget = subset._refit_cells
+_budget = gmm._refit_cells
 
 
 def _set_chunk(monkeypatch, chunk):
     """Run every leave-one-out pass in batches of ``chunk`` refits, with
     workspaces to match (None: the budget)."""
-    monkeypatch.setattr(subset, "_refit_cells",
+    monkeypatch.setattr(gmm, "_refit_cells",
                         _budget if chunk is None else lambda n_components, n: chunk * n)
 
 
@@ -163,15 +163,15 @@ def test_refit_pool_runs_two_threads_at_default_chunking(fitted_blobs_300, monke
     # barrier, which times out unless a second thread is running
     data, model = fitted_blobs_300
     serial = loo_refit_logliks(data, model, n_threads=1)
-    sweeps, seen, barrier = subset._em_sweeps, set(), threading.Barrier(2, timeout=30)
+    sweeps, seen, barrier = gmm._em_sweeps, set(), threading.Barrier(2, timeout=30)
 
     def recording(*args, **kwargs):
-        if threading.get_ident() not in seen:
+        if len(args) > 1 and threading.get_ident() not in seen:  # leave-one-out calls only
             seen.add(threading.get_ident())
             barrier.wait()
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    monkeypatch.setattr(gmm, "_em_sweeps", recording)
     before = threading.active_count()
     pooled = loo_refit_logliks(data, model, n_threads=2)
     assert len(seen) == 2
@@ -187,19 +187,19 @@ def test_refit_pass_runs_on_the_caller_and_n_threads_minus_one_pool_threads(
     # reads the live thread count while they all do
     data, model = fitted_blobs_300
     _set_chunk(monkeypatch, 7)
-    assert len(subset._refit_plan(model.n_components, data.shape[0], n_threads)) == n_threads
+    assert len(gmm._refit_plan(model.n_components, data.shape[0], n_threads)) == n_threads
     serial = loo_refit_logliks(data, model, n_threads=1)
-    sweeps, seen, live = subset._em_sweeps, set(), []
+    sweeps, seen, live = gmm._em_sweeps, set(), []
     barrier = threading.Barrier(n_threads, timeout=30)
 
     def recording(*args, **kwargs):
-        if threading.get_ident() not in seen:
+        if len(args) > 1 and threading.get_ident() not in seen:  # leave-one-out calls only
             seen.add(threading.get_ident())
             barrier.wait()
             live.append(threading.active_count())
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    monkeypatch.setattr(gmm, "_em_sweeps", recording)
     before = threading.active_count()
     got = loo_refit_logliks(data, model, n_threads=n_threads)
     assert len(seen) == n_threads and threading.get_ident() in seen
@@ -218,8 +218,8 @@ def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
     n_comp = 3
     for n_threads in (1, 2, 3):
         for n in range(10, 401):
-            step = subset._refit_cells(n_comp, n) // n
-            plan = subset._refit_plan(n_comp, n, n_threads)
+            step = gmm._refit_cells(n_comp, n) // n
+            plan = gmm._refit_plan(n_comp, n, n_threads)
             batches = [rows for group in plan for rows in group]
             assert np.array_equal(np.concatenate(batches), np.arange(n))
             assert len(plan) == min(n_threads, -(-n // step))
@@ -232,7 +232,7 @@ def test_refit_plan_splits_each_group_into_balanced_batches(monkeypatch, chunk):
 def test_refit_workers_of_the_n500_run_hold_two_balanced_batches():
     # a 500-row pass on two threads: 250 rows per thread make batches of
     # 125 + 125, not 174 + 76
-    assert [[rows.shape[0] for rows in group] for group in subset._refit_plan(3, 500, 2)] == [
+    assert [[rows.shape[0] for rows in group] for group in gmm._refit_plan(3, 500, 2)] == [
         [125, 125], [125, 125]]
 
 
@@ -246,13 +246,13 @@ def test_pass_workspace_holds_every_batch_of_the_shrinking_passes(n_comp):
     small = [10, 11, 97, 1000, 2**15 // n_comp]
     large = [2**15 // n_comp + 1, 2**15 // n_comp + 300]
     for n in small + large:
-        cells = subset._refit_cells(n_comp, n)
+        cells = gmm._refit_cells(n_comp, n)
         for rows_now in range(n, n - n // 8 - 1, -max(1, n // 320)):
             for n_threads in (1, 2, 3):
-                for group in subset._refit_plan(n_comp, rows_now, n_threads):
+                for group in gmm._refit_plan(n_comp, rows_now, n_threads):
                     assert group[0].shape[0] * rows_now <= cells
-    assert {subset._refit_cells(n_comp, n) for n in small} == {2**18 // n_comp}
-    assert all(subset._refit_cells(n_comp, n) == 8 * n for n in large)
+    assert {gmm._refit_cells(n_comp, n) for n in small} == {2**18 // n_comp}
+    assert all(gmm._refit_cells(n_comp, n) == 8 * n for n in large)
 
 
 def test_refit_budget_gives_the_chunks_plans_and_buffers_of_the_earlier_rules(
@@ -262,7 +262,7 @@ def test_refit_budget_gives_the_chunks_plans_and_buffers_of_the_earlier_rules(
     # (G + 2) floats per group
     for n_comp in range(1, 130):
         for n in range(1, 20_001, 7):
-            cells = subset._refit_cells(n_comp, n)
+            cells = gmm._refit_cells(n_comp, n)
             assert cells // n == max(8, 2**18 // (n_comp * n)), (n_comp, n)
             assert cells * (n_comp + 2) == max(8 * n, 2**18 // n_comp) * (n_comp + 2)
     for n_comp, n, n_threads in [(1, 9, 2), (3, 500, 2), (3, 2000, 2), (4, 2**13, 3),
@@ -270,18 +270,18 @@ def test_refit_budget_gives_the_chunks_plans_and_buffers_of_the_earlier_rules(
         chunk = max(8, 2**18 // (n_comp * n))
         groups = np.array_split(np.arange(n), min(n_threads, -(-n // chunk)))
         expected = [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
-        got = subset._refit_plan(n_comp, n, n_threads)
+        got = gmm._refit_plan(n_comp, n, n_threads)
         assert [[rows.tolist() for rows in group] for group in got] == [
             [rows.tolist() for rows in group] for group in expected]
     # the workspaces a pass makes, one per group
     data, model = fitted_blobs_300
-    made, allocate = [], subset._em_workspace
+    made, allocate = [], gmm._em_workspace
 
     def recording(cells, n_components):
         made.append(allocate(cells, n_components))
         return made[-1]
 
-    monkeypatch.setattr(subset, "_em_workspace", recording)
+    monkeypatch.setattr(gmm, "_em_workspace", recording)
     loo_refit_logliks(data, model, n_threads=2)
     n_comp, n = model.n_components, data.shape[0]
     assert [work.size for work in made] == [max(8 * n, 2**18 // n_comp) * (n_comp + 2)] * 2
@@ -335,7 +335,7 @@ def test_run_state_over_shrinking_data_matches_fresh_calls(fitted_blobs_300, cas
                    "clip-8": _spread_model(128, 260, 2)}[case]
     n, n_comp = data.shape[0], model.n_components
     expected_chunk = {"rule": 280, "one-batch": 4369, "clip-8": 8}[case]
-    assert subset._refit_cells(n_comp, n) // n == expected_chunk
+    assert gmm._refit_cells(n_comp, n) // n == expected_chunk
 
     def passes(threads):
         values, current = [], data

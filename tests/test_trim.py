@@ -20,7 +20,7 @@ from oclust import (
     oclust_run,
     outlier_mask,
 )
-from oclust import subset, trim
+from oclust import gmm, trim
 from oclust.rng import derive_seed
 from oclust.trim import default_max_outliers
 
@@ -186,6 +186,20 @@ def test_budget_validation(contaminated_blobs):
         oclust_run(data, OclustConfig(n_clusters=2, max_outliers=data.shape[0] - 8))
 
 
+@pytest.mark.parametrize("max_outliers", [None, 1])
+def test_too_few_rows_for_any_budget_name_the_minimum_row_count(max_outliers):
+    # 30 rows cannot keep 8 clusters of p + 2 = 4 points and trim one more:
+    # trimming needs 8 * 4 + 2 = 34 rows, whatever the budget
+    data = np.random.default_rng(0).standard_normal((30, 2))
+    with pytest.raises(ValueError, match=r"^n=30 rows are too few for n_clusters=8 at p=2; "
+                                         r"trimming needs at least 34 rows$"):
+        oclust_run(data, OclustConfig(n_clusters=8, max_outliers=max_outliers))
+    # at 34 rows the one budget that fits is checked as before
+    data = np.random.default_rng(0).standard_normal((34, 2))
+    with pytest.raises(ValueError, match=r"^max_outliers=2 is outside \[1, 1\]"):
+        oclust_run(data, OclustConfig(n_clusters=8, max_outliers=2))
+
+
 def test_constant_column_is_named(contaminated_blobs):
     data, _ = contaminated_blobs
     flat = np.column_stack([data[:, 0], np.full(data.shape[0], 2.5), data[:, 1]])
@@ -310,23 +324,23 @@ def test_no_worker_thread_or_buffer_outlives_a_refit_run(monkeypatch, case):
             ((60.0, 60.0), (60.1, 60.1), (60.2, 60.2), (60.3, 60.3), (60.0, 60.3)))
         config = OclustConfig(n_clusters=3, max_outliers=4, fit=FitConfig(seed=2), n_threads=2)
         # 29 rows make one chunk by the default rule; chunks of 7 give two groups
-        monkeypatch.setattr(subset, "_refit_cells", lambda n_components, n: 7 * n)
+        monkeypatch.setattr(gmm, "_refit_cells", lambda n_components, n: 7 * n)
     names = set()
 
     # in the first pass each thread's first call waits at a barrier, which
     # times out unless a second thread is running, so one thread cannot take
     # both groups; later passes' helpers are new threads and do not wait
-    sweeps, barrier = subset._em_sweeps, threading.Barrier(2, timeout=30)
+    sweeps, barrier = gmm._em_sweeps, threading.Barrier(2, timeout=30)
 
     def recording(*args, **kwargs):
         name = threading.current_thread().name
-        if name not in names:
+        if len(args) > 1 and name not in names:  # leave-one-out calls only, not em_fit's
             names.add(name)
             if len(names) <= 2:
                 barrier.wait()
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(subset, "_em_sweeps", recording)
+    monkeypatch.setattr(gmm, "_em_sweeps", recording)
     before = threading.active_count()
     if case == "completed":
         assert len(oclust_run(data, config).trace) == 3
