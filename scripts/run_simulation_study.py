@@ -3,12 +3,13 @@
 
 For each requested shape setting this script generates seeded datasets from
 the three-cluster benchmark family (good points plus uniform-box gross
-outliers), runs the full trimming loop, and reports the estimated outlier
-proportion and the outlier classification error rates, aggregated over seeds.
+outliers), runs the full trimming loop in either delta mode, and reports the
+estimated outlier proportion and the outlier classification error rates,
+aggregated over seeds.
 
 Example:
     python3 scripts/run_simulation_study.py --models I II --n-good 450 \
-        --n-out 50 --seeds 5 --out results/simulation_study.csv
+        --n-out 50 --seeds 5 --mode frozen --out results/simulation_study.csv
 """
 
 import argparse
@@ -24,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oclust import (  # noqa: E402
     DegenerateFitError,
+    DeltaMode,
     FitConfig,
     OclustConfig,
     SimModelSpec,
@@ -48,6 +50,9 @@ def parse_args(argv=None):
     parser.add_argument("--seeds", type=int, default=10,
                         help="number of replicate datasets per cell")
     parser.add_argument("--base-seed", type=int, default=1000)
+    parser.add_argument("--mode", choices=[m.value for m in DeltaMode],
+                        default=OclustConfig.delta_mode.value,
+                        help="subset delta mode (default: the library's)")
     parser.add_argument("--threads", type=int, default=min(4, os.cpu_count() or 1))
     parser.add_argument("--out", default="results/simulation_study.csv")
     return parser.parse_args(argv)
@@ -70,6 +75,7 @@ def run_cell(model, proportions, args):
             n_clusters=3,
             max_outliers=args.max_outliers,
             fit=FitConfig(seed=i),
+            delta_mode=DeltaMode(args.mode),
             n_threads=args.threads,
         )
         try:
@@ -95,7 +101,8 @@ def main(argv=None) -> int:
     for model in args.models:
         for proportions in args.proportions:
             t0 = time.time()
-            print(f"model {model} / {proportions}: {args.seeds} seeds ...", flush=True)
+            print(f"model {model} / {proportions} / {args.mode}: {args.seeds} seeds ...",
+                  flush=True)
             alphas, g, o, m, failures = run_cell(model, proportions, args)
             if not alphas:
                 print(f"  all {args.seeds} seeds failed; cell skipped", file=sys.stderr)
@@ -103,6 +110,7 @@ def main(argv=None) -> int:
             rows.append({
                 "model": model,
                 "proportions": proportions,
+                "mode": args.mode,
                 "n_good": args.n_good,
                 "n_out": args.n_out,
                 "true_alpha": round(true_alpha, 6),

@@ -176,21 +176,15 @@ def _check_em_limits(max_iter: int, rel_tol: float) -> None:
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    """Per-cluster sample statistics under a hard assignment.
+class ClusterStats(MixtureModel):
+    """The sample mixture of a hard assignment, with its cluster sizes.
 
-    counts (G,) holds n_g, weights (G,) holds n_g / n, means (G, p) the sample
-    means, covariances (G, p, p) the sample covariances with divisor n_g - 1.
+    weights (G,) holds n_g / n, means (G, p) the sample means, covariances
+    (G, p, p) the sample covariances with divisor n_g - 1, all checked as for
+    any ``MixtureModel``; counts (G,) holds n_g.
     """
 
     counts: np.ndarray
-    weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
 
 @dataclass(frozen=True)
@@ -513,12 +507,13 @@ def approx_log_likelihood(data, model: MixtureModel, labels) -> float:
 
 
 def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
-    """Sample counts, proportions, means and covariances for a hard clustering
-    into ``n_clusters`` clusters.
+    """The sample mixture (proportions, means and covariances) and counts of a
+    hard clustering into ``n_clusters`` clusters.
 
     Labels must be one integer in ``[0, n_clusters)`` per row, or
     ``ValueError`` is raised.  Every cluster must hold at least two points;
-    otherwise an ``InsufficientPointsError`` naming the cluster is raised.
+    otherwise an ``InsufficientPointsError`` naming the cluster is raised.  A
+    covariance that overflows fails ``MixtureModel``'s finiteness check.
     """
     arr = validate_data(data)
     lab = _component_labels(labels, arr.shape[0], n_clusters)
@@ -536,12 +531,7 @@ def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
         means[g] = block.mean(axis=0)
         centered = block - means[g]
         covs[g] = centered.T @ centered / (counts[g] - 1)
-    return ClusterStats(
-        counts=counts,
-        weights=counts / n,
-        means=means,
-        covariances=covs,
-    )
+    return ClusterStats(weights=counts / n, means=means, covariances=covs, counts=counts)
 
 
 def hard_labels(data, model: MixtureModel) -> np.ndarray:

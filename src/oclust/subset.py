@@ -29,7 +29,8 @@ per row, in one of two ways:
   (warm-started from the full-data fit) and the delta is the difference of
   true mixture log-likelihoods.  The refits, with their batches, buffers
   and threads, run in ``gmm.loo_refit_logliks``, on the single fit's EM loop.
-* ``frozen``: the closed-form delta above, with full-data statistics.
+* ``frozen``: the closed-form delta above, minus each row's weighted log-density
+  under the hard clusters' sample mixture (n_h / n, xbar_h, S_h): ``cluster_stats``.
 """
 
 from __future__ import annotations
@@ -96,9 +97,7 @@ def frozen_subset_deltas(data, labels, stats: ClusterStats) -> np.ndarray:
     Row j's delta is minus its weighted log-density under its own cluster.
     Labels that are not one per row, or name no cluster, raise ``ValueError``.
     """
-    arr = validate_data(data)
-    frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
-    return -_assigned_log_densities(arr, frozen, labels)
+    return -_assigned_log_densities(validate_data(data), stats, labels)
 
 
 def downdate_stats(count: int, mean, cov, x, variant: DowndateVariant = DowndateVariant.EXACT):
@@ -200,10 +199,10 @@ class GammaReference:
             raise ValueError("gamma shape must be positive")
 
 
-def _cluster_shifts(weights, covariances, p: int) -> np.ndarray:
-    """c_g = -log(pi_g) + (p/2) log(2 pi) + (1/2) log det(S_g) for every cluster."""
-    _, logdets = _factor_covariances(covariances)
-    return -np.log(weights) + 0.5 * p * LOG_2PI + 0.5 * logdets
+def _cluster_shifts(model: MixtureModel) -> np.ndarray:
+    """c_g = -log(pi_g) + (p/2) log(2 pi) + (1/2) log det(S_g) for every component."""
+    _, logdets = _factor_covariances(model.covariances)
+    return -np.log(model.weights) + 0.5 * model.dim * LOG_2PI + 0.5 * logdets
 
 
 def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
@@ -220,7 +219,7 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
                                       f"reference needs more than {need - 1}", cluster=g)
     n_g = stats.counts.astype(float)
     return ReferenceMixture(
-        shift=_cluster_shifts(stats.weights, stats.covariances, p),
+        shift=_cluster_shifts(stats),
         scale=2.0 * n_g / (n_g - 1.0) ** 2,
         alpha=np.full(n_g.shape, 0.5 * p),
         beta=0.5 * (n_g - p - 1.0),
@@ -230,8 +229,7 @@ def beta_mixture_reference(stats: ClusterStats) -> ReferenceMixture:
 
 def gamma_reference(model: MixtureModel) -> GammaReference:
     """Per-cluster population-parameter references: Gamma(p/2, 1) shifted by c_g."""
-    return GammaReference(shift=_cluster_shifts(model.weights, model.covariances, model.dim),
-                          shape=0.5 * model.dim)
+    return GammaReference(shift=_cluster_shifts(model), shape=0.5 * model.dim)
 
 
 def _by_component(y, ref: ReferenceMixture):

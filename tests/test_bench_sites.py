@@ -63,6 +63,27 @@ def test_refit_passes_go_through_the_traced_name(monkeypatch):
     assert calls == [60, 60, 59, 58] and len(result.trace) == 3
 
 
+def test_frozen_deltas_go_through_the_traced_name(monkeypatch):
+    # the tracer's frozen span wraps subset.frozen_subset_deltas; an inline
+    # frozen delta would make subset.frozen_deltas_s read 0 without any error
+    assert oclust.frozen_subset_deltas is subset.frozen_subset_deltas
+    calls, deltas = [], subset.frozen_subset_deltas
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return deltas(data, *args, **kwargs)
+
+    monkeypatch.setattr(subset, "frozen_subset_deltas", counting)
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 8.0])
+    model, labels, loglik = em_fit(data, 2, FitConfig(seed=0))
+    subset_deltas(data, model, labels, loglik, mode=DeltaMode.FROZEN)
+    assert calls == [60]
+    result = oclust_run(data, OclustConfig(n_clusters=2, max_outliers=2,
+                                           delta_mode=DeltaMode.FROZEN))
+    assert calls == [60, 60, 59, 58] and len(result.trace) == 3
+
+
 def test_em_refine_reports_history():
     data = np.random.default_rng(0).standard_normal((40, 2))
     start = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[np.eye(2)])

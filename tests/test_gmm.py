@@ -173,6 +173,7 @@ def test_mixture_model_rejects_non_finite_parameters(field):
 def test_cluster_stats_matches_numpy(three_blob_data):
     data, labels = three_blob_data
     stats = cluster_stats(data, labels, 3)
+    assert isinstance(stats, MixtureModel) and stats.dim == 2
     assert stats.counts.tolist() == [40, 35, 30]
     assert stats.weights.sum() == pytest.approx(1.0, abs=1e-12)
     for g, count in enumerate([40, 35, 30]):
@@ -199,6 +200,15 @@ def test_cluster_stats_rejects_tiny_cluster():
     with pytest.raises(InsufficientPointsError) as err:
         cluster_stats(data, [0, 0, 1], 2)
     assert err.value.cluster == 1
+
+
+def test_cluster_stats_checks_its_sample_mixture():
+    # a covariance that overflows is refused where it is made, not later as
+    # one that is "not positive definite"
+    rng = np.random.default_rng(0)
+    data = np.vstack([rng.standard_normal((20, 2)), 1e200 * rng.standard_normal((20, 2))])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^covariances must be finite$"):
+        cluster_stats(data, np.repeat([0, 1], 20), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oclust import FitConfig, SimModelSpec, em_fit, gen_dataset, loo_refit_logliks
+from oclust import (FitConfig, OclustConfig, SimModelSpec, em_fit, gen_dataset,
+                    loo_refit_logliks)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -92,14 +93,17 @@ def test_invariance_finds_the_permuted_run_equal(tmp_path, workload):
 
 
 def test_simulation_study_writes_one_row_for_a_tiny_cell(tmp_path):
-    out = tmp_path / "study.csv"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_simulation_study.py"), "--models", "I",
-         "--n-good", "57", "--n-out", "3", "--seeds", "1", "--threads", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(out, newline="", encoding="utf-8") as handle:
-        (row,) = csv.DictReader(handle)
-    assert (row["model"], row["proportions"], row["seeds_done"], row["seeds_failed"]) == (
-        "I", "equal", "1", "0")
+    # without --mode the study runs the library's default
+    for flags, mode in (([], OclustConfig.delta_mode.value), (["--mode", "frozen"], "frozen")):
+        out = tmp_path / f"study-{mode}.csv"
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_simulation_study.py"), "--models", "I",
+             "--n-good", "57", "--n-out", "3", "--seeds", "1", "--threads", "1",
+             "--out", str(out), *flags],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="", encoding="utf-8") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["model"], row["proportions"], row["mode"], row["seeds_done"],
+                row["seeds_failed"]) == ("I", "equal", mode, "1", "0")

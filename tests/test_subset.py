@@ -522,27 +522,21 @@ def test_frozen_deltas_match_two_evaluation_oracle(fitted_blobs):
     data, _, labels, _ = fitted_blobs
     stats = cluster_stats(data, labels, 2)
     values = frozen_subset_deltas(data, labels, stats)
-    frozen_model = MixtureModel(
-        weights=stats.weights, means=stats.means, covariances=stats.covariances
-    )
-    q_full = approx_log_likelihood(data, frozen_model, labels)
+    q_full = approx_log_likelihood(data, stats, labels)
     for j in range(data.shape[0]):
-        q_minus = approx_log_likelihood(
-            np.delete(data, j, axis=0), frozen_model, np.delete(labels, j)
-        )
+        q_minus = approx_log_likelihood(np.delete(data, j, axis=0), stats, np.delete(labels, j))
         assert values[j] == pytest.approx(q_minus - q_full, abs=1e-9)
 
 
-@pytest.mark.parametrize("p", [2, 6])
+@pytest.mark.parametrize("p", [1, 2, 6])
 def test_frozen_deltas_are_the_kernels_assigned_log_densities(p):
     # frozen deltas and the mixture kernel put a model on the data one way,
-    # so they agree to the bit, also at p = 6
+    # so they agree to the bit, in both closed forms and at p = 6
     rng = np.random.default_rng(p)
     labels = np.repeat([0, 1, 2], 100)
     data = 6.0 * (labels[:, None] - 1.0) + rng.standard_normal((300, p))
     stats = cluster_stats(data, labels, 3)
-    frozen = MixtureModel(weights=stats.weights, means=stats.means, covariances=stats.covariances)
-    logp = gmm._evaluate(data, frozen)[1][0]
+    logp = gmm._evaluate(data, stats)[1][0]
     assert np.array_equal(-frozen_subset_deltas(data, labels, stats),
                           logp[labels, np.arange(labels.size)])
 
