@@ -263,7 +263,7 @@ def _cmd_simulate(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     feature_names = [f"x{k + 1}" for k in range(args.dim)]
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(feature_names + ["true_label", "is_outlier"]) + "\n")
+        handle.write(",".join(feature_names + list(_TRUTH_COLUMNS)) + "\n")
         for i in range(dataset.data.shape[0]):
             fields = [_fmt(v) for v in dataset.data[i]]
             fields.append(str(int(dataset.true_labels[i])))
@@ -448,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-outliers", type=int, default=None,
                      help="trimming budget (default: ceil(0.125 n))")
     run.add_argument("--seed", type=_seed, default=0)
-    run.add_argument("--mode", choices=[m.value for m in DeltaMode], default=DeltaMode.REFIT.value,
-                     help="subset delta mode")
+    run.add_argument("--mode", choices=[m.value for m in DeltaMode],
+                     default=OclustConfig.delta_mode.value,
+                     help="subset delta mode (default: %(default)s, the library's)")
     run.add_argument("--threads", type=int, default=None,
                      help="threads that run the leave-one-out refits, the calling thread "
                           "included; frozen mode starts none "

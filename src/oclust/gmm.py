@@ -21,7 +21,9 @@ F_g(x) = [1, y, upper(y y')] with y = x - c_g, where the centre c_g is a fixed
 mean (the starting mean of a fit); centring per component keeps the second
 moments well conditioned even for data far from the origin.  The features are
 built once per call, feature-major: a C-contiguous (G, d, n) array, so that
-each feature of a component is one contiguous row over the data.  An E-step
+each feature of a component is one contiguous row over the data.  One cached
+``_layout(p)`` says where each feature sits, for the features, the
+coefficients and the M-step alike.  An E-step
 folds log w_g, the log-determinant and the quadratic form into one
 coefficient vector a_g, so that log w_g + log N(x; mu_g, Sigma_g) =
 a_g . F_g(x), and each problem and component gets its log-densities from one
@@ -313,32 +315,19 @@ def log_gaussian_density(x, mean, cov) -> float:
 
 
 @functools.cache
-def _upper(p: int):
-    """Row and column indices of the upper triangle of a p x p matrix (read-only)."""
-    iu = np.triu_indices(p)
-    iu[0].flags.writeable = iu[1].flags.writeable = False
-    return iu
-
-
-@functools.cache
-def _second_moment_index(p: int) -> np.ndarray:
-    """(p, p) positions of y_i y_j in the features without their constant,
-    [y, upper(y y')] (read-only)."""
-    iu = _upper(p)
+def _layout(p: int):
+    """The feature layout [1, y, upper(y y')] at dimension p, as read-only tables:
+    the row and column indices (i, j) of upper(y y'), i <= j in row-major order;
+    the (p, p) position of y_i y_j in the features without their constant,
+    [y, upper(y y')]; and the factor of each upper precision entry in the
+    quadratic coefficients, -1/2 on the diagonal and -1 off it."""
+    rows, cols = np.triu_indices(p)
     index = np.empty((p, p), dtype=np.intp)
-    index[iu[0], iu[1]] = index[iu[1], iu[0]] = p + np.arange(iu[0].size)
-    index.flags.writeable = False
-    return index
-
-
-@functools.cache
-def _upper_scale(p: int) -> np.ndarray:
-    """Factor of each upper-triangle precision entry in the quadratic
-    coefficients: -1/2 on the diagonal, -1 off it (read-only)."""
-    iu = _upper(p)
-    scale = np.where(iu[0] == iu[1], -0.5, -1.0)
-    scale.flags.writeable = False
-    return scale
+    index[rows, cols] = index[cols, rows] = p + np.arange(rows.size)
+    scale = np.where(rows == cols, -0.5, -1.0)
+    for table in (rows, cols, index, scale):
+        table.flags.writeable = False
+    return (rows, cols), index, scale
 
 
 def _features(data: np.ndarray, centres: np.ndarray) -> np.ndarray:
@@ -351,7 +340,7 @@ def _features(data: np.ndarray, centres: np.ndarray) -> np.ndarray:
     result's size is allocated besides it.
     """
     n, p = data.shape
-    iu = _upper(p)
+    iu = _layout(p)[0]
     out = np.empty((centres.shape[0], 1 + p + iu[0].size, n))
     out[:, 0] = 1.0
     y = np.subtract(data.T[None], centres[:, :, None], out=out[:, 1:1 + p])
@@ -373,14 +362,14 @@ def _log_density_coefs(weights, shifts, covs):
     """
     p = shifts.shape[-1]
     chol_inv, logdet = _factor_covariances(covs)
-    iu = _upper(p)
+    iu, _, scale = _layout(p)
     coefs = np.empty(shifts.shape[:-1] + (1 + p + iu[0].size,))
     if p > 2:
         prec = chol_inv.swapaxes(-1, -2) @ chol_inv
         whitened = (chol_inv @ shifts[..., None])[..., 0]
         quad = (whitened * whitened).sum(axis=-1)
         coefs[..., 1:p + 1] = (prec @ shifts[..., None])[..., 0]
-        np.multiply(_upper_scale(p), prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
+        np.multiply(scale, prec[..., iu[0], iu[1]], out=coefs[..., p + 1:])
     else:  # the quadratic slots take upper(U'U) = u11^2 [+ u21^2, u21 u22, u22^2], then scale
         u11, s1 = chol_inv[..., 0, 0], shifts[..., 0]
         z1 = u11 * s1
@@ -396,7 +385,7 @@ def _log_density_coefs(weights, shifts, covs):
             coefs[..., 3] += u21 * u21
             np.multiply(u21, u22, out=coefs[..., 4])
             np.multiply(u22, u22, out=coefs[..., 5])
-        coefs[..., p + 1:] *= _upper_scale(p)
+        coefs[..., p + 1:] *= scale
     np.subtract(np.log(weights), 0.5 * (p * LOG_2PI + logdet + quad), out=coefs[..., 0])
     return coefs
 
@@ -447,7 +436,7 @@ def _params_from_moments(moments, p):
     weights = soft / soft.sum(axis=-1, keepdims=True)
     scaled = moments[..., 1:] / soft[..., None]  # [S1, upper(S2)] / S0
     shifts = scaled[..., :p]
-    covs = scaled[..., _second_moment_index(p)]
+    covs = scaled[..., _layout(p)[1]]
     covs -= shifts[..., :, None] * shifts[..., None, :]
     return weights, shifts, covs
 
@@ -513,7 +502,7 @@ def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
     Labels must be one integer in ``[0, n_clusters)`` per row, or
     ``ValueError`` is raised.  Every cluster must hold at least two points;
     otherwise an ``InsufficientPointsError`` naming the cluster is raised.  A
-    covariance that overflows fails ``MixtureModel``'s finiteness check.
+    covariance that overflows raises ``ValueError`` naming its cluster.
     """
     arr = validate_data(data)
     lab = _component_labels(labels, arr.shape[0], n_clusters)
@@ -528,9 +517,12 @@ def cluster_stats(data, labels, n_clusters: int) -> ClusterStats:
                 cluster=g,
             )
         block = arr[lab == g]
-        means[g] = block.mean(axis=0)
-        centered = block - means[g]
-        covs[g] = centered.T @ centered / (counts[g] - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+            means[g] = block.mean(axis=0)
+            centered = block - means[g]
+            covs[g] = centered.T @ centered / (counts[g] - 1)
+        if not np.isfinite(covs[g]).all():
+            raise ValueError(f"sample covariance of cluster {g} overflows a float")
     return ClusterStats(weights=counts / n, means=means, covariances=covs, counts=counts)
 
 
@@ -595,13 +587,10 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
     """
     feats, p = start.feats, start.model.dim
     rows = None if leave_out is None else np.asarray(leave_out, dtype=int)
-    if rows is None:
-        loglik = start.row_ll.sum(keepdims=True)
-        moments = start.moments[None]
-    else:
-        loglik = start.row_ll.sum() - start.row_ll[rows]
-        removed = start.resp[:, rows].T[..., None] * feats[:, :, rows].transpose(2, 0, 1)
-        moments = start.moments - removed
+    loglik, moments = start.row_ll.sum(keepdims=True), start.moments[None]
+    if rows is not None:  # each refit takes its row's terms off the shared start
+        loglik = loglik - start.row_ll[rows]
+        moments = moments - start.resp[:, rows].T[..., None] * feats[:, :, rows].transpose(2, 0, 1)
     m, n_comp, n = loglik.shape[0], start.model.n_components, feats.shape[2]
     if work is None:
         work = _em_workspace(m * n, n_comp)
@@ -805,10 +794,10 @@ def _seed_mean_indices(data: np.ndarray, rows: list[bytes], n_clusters: int,
         top = dist_sq.max()
         if top <= 0.0:
             # all remaining points coincide with a chosen center; fall back to
-            # the lowest unchosen row
+            # the lowest unchosen row (em_fit's row minimum leaves one)
             mask = np.ones(n, dtype=bool)
             mask[chosen] = False
-            chosen.append(int(np.flatnonzero(mask)[0]) if mask.any() else chosen[-1])
+            chosen.append(int(np.flatnonzero(mask)[0]))
             continue
         uniforms = _content_uniforms(rows, key_seed, draw)
         # weights relative to the largest, as the draw does not depend on scale: no

@@ -318,21 +318,20 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
-                  stats: ClusterStats | None = None,
-                  mode: DeltaMode = DeltaMode.REFIT, *,
+                  stats: ClusterStats | None = None, *, mode: DeltaMode,
                   rel_tol: float = 1e-8, n_threads: int = 1) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood
     when row j is removed.  ``loglik`` must be the full-data mixture
     log-likelihood of ``model``; ``labels`` are its hard clusters, read in
-    frozen mode.  In refit mode ``rel_tol`` and ``n_threads`` go to
-    ``loo_refit_logliks``, whose pass has one pool and one workspace per
-    group; frozen mode starts no thread.
+    frozen mode.  ``mode`` is required, a ``DeltaMode`` or its value: the
+    default belongs to ``OclustConfig.delta_mode`` alone.  In refit mode
+    ``rel_tol`` and ``n_threads`` go to ``loo_refit_logliks``, whose pass has
+    one pool and one workspace per group; frozen mode starts no thread.
     """
-    arr = validate_data(data)
     if DeltaMode(mode) is DeltaMode.REFIT:
-        return loo_refit_logliks(arr, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
+        return loo_refit_logliks(data, model, rel_tol=rel_tol, n_threads=n_threads) - loglik
     if stats is None:
-        stats = cluster_stats(arr, labels, model.n_components)
-    return frozen_subset_deltas(arr, labels, stats)
+        stats = cluster_stats(data, labels, model.n_components)
+    return frozen_subset_deltas(data, labels, stats)

@@ -40,11 +40,11 @@ class OclustConfig:
             their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``),
             stored as a ``DeltaMode``; any other value raises ``ValueError``.
+            Its default is the package's only one: the CLI's ``--mode``
+            reads it.
         n_threads: threads that run the leave-one-out refits of refit
-            mode, counting the calling thread, which runs the first group
-            of each pass (at least 1).  Each pass makes its own pool and one
-            workspace per group, sized by the leave-one-out budget
-            (``gmm._refit_cells``), and ends them.  Frozen mode runs no
+            mode, counting the calling thread (at least 1); how a pass uses
+            them is ``loo_refit_logliks``' to say.  Frozen mode runs no
             refits and starts no thread.  Outputs do not depend on it.
 
     The divergence at each iteration uses B = max(10, ceil(sqrt(n_current)))
@@ -206,7 +206,7 @@ def oclust_run(data, config: OclustConfig) -> OclustResult:
             model, labels, loglik = em_fit(current, config.n_clusters, fit_cfg)
             stats = cluster_stats(current, labels, config.n_clusters)
             stage = "leave-one-out deltas"
-            deltas = subset_deltas(current, model, labels, loglik, stats, config.delta_mode,
+            deltas = subset_deltas(current, model, labels, loglik, stats, mode=config.delta_mode,
                                    rel_tol=config.fit.rel_tol, n_threads=config.n_threads)
             stage = "reference"
             reference = beta_mixture_reference(stats)

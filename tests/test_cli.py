@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oclust import DeltaMode, FitConfig, OclustConfig, oclust_run
-from oclust.cli import _parse_grid, main
-from oclust.errors import DegenerateFitError, InputFormatError
+from oclust import DeltaMode, FitConfig, OclustConfig, cli, oclust_run
+from oclust.cli import _default_threads, _parse_grid, main
+from oclust.errors import DegenerateFitError, GenerationStallError, InputFormatError
 
 
 def run_cli(argv, capsys):
@@ -166,6 +166,10 @@ def test_oclust_outputs_do_not_depend_on_threads(tmp_path, capsys):
     manifests = [json.loads((out_dir / "manifest.json").read_text()) for out_dir in dirs.values()]
     assert [manifest["config"].pop("threads") for manifest in manifests] == [1, 2]
     assert manifests[0] == manifests[1]
+    # no --mode: the run records the one default, OclustConfig's
+    assert manifests[0]["config"]["mode"] == OclustConfig.delta_mode.value
+    assert json.loads((dirs["1"] / "summary.json").read_text())["mode"] == \
+        OclustConfig.delta_mode.value
 
 
 def test_oclust_frozen_mode_runs(dataset_csv, tmp_path, capsys):
@@ -558,6 +562,19 @@ def test_degenerate_input_exits_3(tmp_path, capsys):
     assert err == f"error: numerical degeneracy: {summary['error']}\n"
 
 
+def test_generation_stall_exits_4(tmp_path, capsys, monkeypatch):
+    def stall(spec):
+        raise GenerationStallError("outlier 0 drew 1000 candidates without one far enough")
+
+    monkeypatch.setattr(cli, "gen_dataset", stall)
+    out = tmp_path / "d.csv"
+    code, _, err = run_cli(["simulate", "--model", "I", "--n-good", "30", "--n-out", "1",
+                            "--out", str(out)], capsys)
+    assert code == 4
+    assert err == "error: outlier 0 drew 1000 candidates without one far enough\n"
+    assert not out.exists()
+
+
 def test_aborted_run_keeps_completed_iterations(tmp_path, capsys):
     # a 4-point cluster: trimming one of its points leaves 3 = p + 1, too few
     # for the beta reference, so every restart of the second iteration's fit
@@ -789,6 +806,12 @@ def test_nonpositive_threads_exit_2(dataset_csv, tmp_path, capsys, threads):
     assert code == 2
     assert f"n_threads must be >= 1, got {threads}" in err
     assert not out_dir.exists()
+
+
+def test_default_threads_fall_back_to_the_cpu_count(monkeypatch):
+    assert _default_threads(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # a platform without it
+    assert _default_threads(None) == (os.cpu_count() or 1)
 
 
 def test_invalid_mode_rejected(dataset_csv, tmp_path):

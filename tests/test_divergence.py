@@ -127,6 +127,8 @@ def test_kl_rejects_non_finite_samples(reference):
         kl_divergence([np.nan] * 5 + [x] * 5, bins)
     with pytest.raises(ValueError, match="sample 2 is not finite"):
         kl_divergence([x, x, -np.inf, np.nan], bins)
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        kl_divergence([], bins)
 
 
 @given(seed=st.integers(0, 2_000), num_bins=st.integers(2, 200))

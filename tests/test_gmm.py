@@ -130,6 +130,8 @@ def test_validate_data_shapes_and_finiteness():
         validate_data(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         validate_data(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="^expected a 2-d data matrix, got ndim=3$"):
+        validate_data(np.zeros((2, 2, 2)))
 
 
 def test_mixture_model_validation():
@@ -137,6 +139,13 @@ def test_mixture_model_validation():
         MixtureModel(weights=[0.5, 0.6], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]])
     with pytest.raises(ValueError):
         MixtureModel(weights=[-0.5, 1.5], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="disagree on the number of components$"):
+        MixtureModel(weights=[0.5, 0.5], means=[[0.0]], covariances=[[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match=r"^covariance blocks must be \(p, p\)$"):
+        MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=np.ones((1, 2, 3)))
+    # one (p, p) covariance stands for the stack of a one-component model
+    single = MixtureModel(weights=[1.0], means=[0.0, 0.0], covariances=np.eye(2))
+    assert single.covariances.shape == (1, 2, 2) and single.means.shape == (1, 2)
     bad_cov = MixtureModel(weights=[1.0], means=[[0.0, 0.0]], covariances=[-np.eye(2)])
     with pytest.raises(SingularCovarianceError):
         mixture_log_likelihood(np.zeros((1, 2)), bad_cov)
@@ -204,11 +213,15 @@ def test_cluster_stats_rejects_tiny_cluster():
 
 def test_cluster_stats_checks_its_sample_mixture():
     # a covariance that overflows is refused where it is made, not later as
-    # one that is "not positive definite"
+    # one that is "not positive definite", by its cluster and with no warning
     rng = np.random.default_rng(0)
-    data = np.vstack([rng.standard_normal((20, 2)), 1e200 * rng.standard_normal((20, 2))])
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^covariances must be finite$"):
-        cluster_stats(data, np.repeat([0, 1], 20), 2)
+    normal = rng.standard_normal((20, 2))
+    # the covariance overflows; then the mean's sum, which makes it infinite too
+    for far in (1e200 * rng.standard_normal((20, 2)), 1e307 * (5.0 + rng.random((20, 2)))):
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match="^sample covariance of cluster 1 overflows a float$"):
+            warnings.simplefilter("error")
+            cluster_stats(np.vstack([normal, far]), np.repeat([0, 1], 20), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +319,13 @@ def test_em_rejects_too_few_points_up_front(monkeypatch):
 def test_fit_config_refuses_a_negative_seed_naming_it():
     with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
         FitConfig(seed=-1)
+
+
+def test_fit_refuses_no_restarts_and_no_clusters():
+    with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+        FitConfig(restarts=0)
+    with pytest.raises(ValueError, match="^n_clusters must be >= 1$"):
+        em_fit(np.random.default_rng(0).standard_normal((8, 2)), 0)
 
 
 def test_em_more_points_than_clusters_required():

@@ -40,6 +40,28 @@ def test_separation_experiment_rejects_a_negative_seed_naming_it():
         separation_experiment(2, 0.3, 1, -1)
 
 
+@pytest.mark.parametrize("target, replicates, message", [
+    (1.0, 1, r"^target separation must lie in \(-1, 1\)$"),
+    (-1.0, 1, r"^target separation must lie in \(-1, 1\)$"),
+    (0.3, 0, "^need at least one replicate$"),
+])
+def test_separation_experiment_rejects_bad_targets_and_replicates(target, replicates, message):
+    with pytest.raises(ValueError, match=message):
+        separation_experiment(2, target, replicates, 0)
+
+
+def test_calibration_stalls_below_the_separation_at_zero_spacing():
+    # clusters already apart at spacing 0 separate by 0.67, so the bisection
+    # shrinks the spacing towards 0 and never comes within 0.02 of target 0
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3), 20)
+    directions = simulate._mean_directions(2, rng)
+    deviates = rng.standard_normal((60, 2)) + 10.0 * directions[labels]
+    with pytest.raises(ValueError, match=r"^calibration stalled at separation 0\.6667 for "
+                                         r"target 0\.0$"):
+        simulate._calibrate_scale(deviates, directions, labels, 0.0)
+
+
 @pytest.mark.parametrize("model", sorted(MODEL_SHAPES))
 def test_model_covariances_are_valid(model):
     covs = model_covariances(model, 4)
@@ -66,6 +88,12 @@ def test_spec_validation():
         SimModelSpec(model="I", n_good=300, n_outliers=-1)
     with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -5$"):
         SimModelSpec(model="I", n_good=300, n_outliers=10, seed=-5)
+    with pytest.raises(ValueError, match="^unknown proportion scheme 'skewed'$"):
+        SimModelSpec(model="I", n_good=300, n_outliers=10, proportions="skewed")
+    with pytest.raises(ValueError, match="^need at least one good point per cluster$"):
+        SimModelSpec(model="I", n_good=0, n_outliers=10)
+    with pytest.raises(ValueError, match="^unknown model 'VI'; choose from "):
+        model_covariances("VI", 2)
 
 
 def test_gen_dataset_shapes_and_truth():

@@ -579,6 +579,9 @@ def test_delta_formula_pieces():
         + 0.5 * t
     )
     assert delta_formula(x, mean, cov, 0.4) == pytest.approx(expected, abs=1e-12)
+    for weight in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"^cluster weight must lie in \(0, 1\]$"):
+            delta_formula(x, mean, cov, weight)
 
 
 def test_point_formulas_reject_non_symmetric_covariance():
@@ -771,6 +774,9 @@ def test_reference_cdf_ppf_roundtrip():
         assert reference_mixture_cdf(y, ref) == pytest.approx(q, abs=1e-9)
     assert reference_mixture_cdf(ref.support_lo - 1.0, ref) == 0.0
     assert reference_mixture_cdf(ref.support_hi + 1.0, ref) == 1.0
+    for q in (-0.1, 1.5, np.nan, [0.5, 2.0]):
+        with pytest.raises(ValueError, match=r"^quantile level must lie in \[0, 1\]$"):
+            reference_mixture_ppf(q, ref)
 
 
 def random_reference(rng, weights, p):

@@ -184,6 +184,8 @@ def test_budget_validation(contaminated_blobs):
     with pytest.raises(ValueError):
         # removing this many rows cannot leave an identifiable two-component fit
         oclust_run(data, OclustConfig(n_clusters=2, max_outliers=data.shape[0] - 8))
+    with pytest.raises(ValueError, match="^n_clusters must be >= 1$"):
+        OclustConfig(n_clusters=0)
 
 
 @pytest.mark.parametrize("max_outliers", [None, 1])
@@ -385,6 +387,8 @@ def test_error_rates_closed_form():
     assert error_rates(np.zeros(4, bool), np.zeros(4, bool)) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         error_rates([True], [True, False])
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        error_rates([], [])
 
 
 @pytest.mark.parametrize("threads", [0, -4])
