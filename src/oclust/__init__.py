@@ -56,10 +56,8 @@ from .subset import (
     downdate_stats,
     frozen_subset_deltas,
     gamma_reference,
-    gamma_reference_density,
     mahalanobis_sq,
     reference_mixture_cdf,
-    reference_mixture_density,
     reference_mixture_ppf,
     sample_reference,
     subset_deltas,

@@ -100,8 +100,9 @@ def _numbered_lines(path: Path) -> list[tuple[int, str]]:
             if line.strip()]
 
 
-def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Read a comma-separated numeric table with a header row.
+def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray, list[int]]:
+    """Read a comma-separated numeric table with a header row: the header, the
+    table and each table row's line number in the file.
 
     Blank lines are skipped.  Raises ``InputFormatError`` naming the first
     offending line (numbered by its position in the file) and column when a
@@ -132,7 +133,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
         rows.append(row)
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
-    return header, np.asarray(rows)
+    return header, np.asarray(rows), [lineno for lineno, _ in lines[1:]]
 
 
 def _seed(text: str) -> int:
@@ -166,7 +167,7 @@ _TRUTH_COLUMNS = ("true_label", "is_outlier")
 
 def _cmd_oclust(args) -> int:
     in_path = Path(args.input)
-    header, table = _read_numeric_csv(in_path)
+    header, table, _ = _read_numeric_csv(in_path)
     feature_idx = [k for k, name in enumerate(header) if name not in _TRUTH_COLUMNS]
     if not feature_idx:
         raise InputFormatError(f"{in_path}: no feature columns")
@@ -405,10 +406,18 @@ def _cmd_score(args) -> int:
                 f"{pred_path}: line {lineno} has label {label!r}; "
                 "expected a positive cluster number or 'outlier'")
         pred_flags.append(label == "outlier")
-    header, table = _read_numeric_csv(truth_path)
-    if "is_outlier" not in header:
-        raise InputFormatError(f"{truth_path}: missing 'is_outlier' column")
-    truth_flags = table[:, header.index("is_outlier")] != 0.0
+    flag_column = _TRUTH_COLUMNS[-1]
+    header, table, linenos = _read_numeric_csv(truth_path)
+    if flag_column not in header:
+        raise InputFormatError(f"{truth_path}: missing {flag_column!r} column")
+    col = header.index(flag_column)
+    truth_flags = table[:, col] == 1.0
+    bad = ~truth_flags & (table[:, col] != 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputFormatError(
+            f"{truth_path}: line {linenos[i]}, column {col + 1} ({flag_column!r}): "
+            f"{float(table[i, col])!r} is not an outlier flag; expected 0 or 1")
     if len(pred_flags) != truth_flags.shape[0]:
         raise InputFormatError(
             f"{pred_path} has {len(pred_flags)} rows but {truth_path} has "

@@ -152,25 +152,28 @@ class FitConfig:
 
     Attributes:
         restarts: number of independently seeded EM runs; the best wins.
-        max_iter: cap on EM update sweeps per run.
         rel_tol: relative log-likelihood change that counts as converged.
+            Its default is the package's only one: ``em_refine``,
+            ``loo_refit_logliks`` and ``subset_deltas`` read it.
         seed: master seed, an integer >= 0; every random draw derives from it.
+
+    Each run stops after at most ``em_refine``'s default cap of update sweeps.
     """
 
     restarts: int = 3
-    max_iter: int = 1000
     rel_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        _check_em_limits(self.max_iter, self.rel_tol)
+        _check_em_limits(self.rel_tol)
         check_seed(self.seed)
 
 
-def _check_em_limits(max_iter: int, rel_tol: float) -> None:
-    """Raise ``ValueError`` unless ``max_iter >= 1`` and ``rel_tol > 0`` (not NaN)."""
+def _check_em_limits(rel_tol: float, max_iter: int = 1) -> None:
+    """Raise ``ValueError`` unless ``max_iter >= 1`` and ``rel_tol > 0`` (not NaN);
+    ``FitConfig``, which sets no sweep cap, passes ``rel_tol`` alone."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not rel_tol > 0:
@@ -653,7 +656,7 @@ def _em_sweeps(start: _EmStart, leave_out=None, *, max_iter: int, rel_tol: float
 
 
 def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
-              rel_tol: float = 1e-8) -> EmRun:
+              rel_tol: float = FitConfig.rel_tol) -> EmRun:
     """Run EM updates from explicit starting parameters (one problem of ``_em_sweeps``).
 
     A covariance that is not positive definite, at the start or after a
@@ -662,11 +665,13 @@ def em_refine(data, model: MixtureModel, *, max_iter: int = 1000,
     ``DegenerateFitError`` is raised.  Iteration stops once the relative
     change drops below ``rel_tol`` or after ``max_iter`` update sweeps;
     ``max_iter`` below 1 or ``rel_tol`` not positive raises ``ValueError``.
+    The default cap of 1,000 sweeps is the package's single-fit cap:
+    ``em_fit``'s restarts run with it, and no setting changes it.
     The returned log-likelihood is always that of the returned parameters;
     the returned labels are the maximum-posterior components of the final
     E-step under those parameters.
     """
-    _check_em_limits(max_iter, rel_tol)
+    _check_em_limits(rel_tol, max_iter)
     arr = validate_data(data)
     loglik, history, failures, fit = _em_sweeps(_em_start(arr, model), max_iter=max_iter,
                                                 rel_tol=rel_tol)
@@ -708,8 +713,8 @@ def _refit_plan(n_components: int, n: int, n_threads: int) -> list[list[np.ndarr
     return [np.array_split(group, -(-group.shape[0] // chunk)) for group in groups]
 
 
-def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_iter: int = 100,
-                      n_threads: int = 1) -> np.ndarray:
+def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = FitConfig.rel_tol,
+                      max_iter: int = 100, n_threads: int = 1) -> np.ndarray:
     """Mixture log-likelihood of a warm-started EM refit for every leave-one-out subset.
 
     The refits run in the batches of one pass plan (``_refit_plan``), within
@@ -726,7 +731,7 @@ def loo_refit_logliks(data, model: MixtureModel, *, rel_tol: float = 1e-8, max_i
     ``ValueError``.  A singular covariance in the warm start ``model`` raises
     ``SingularCovarianceError`` naming its component.
     """
-    _check_em_limits(max_iter, rel_tol)
+    _check_em_limits(rel_tol, max_iter)
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     arr = validate_data(data)
@@ -845,8 +850,6 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
     n, p = arr.shape
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
-    if n < n_clusters:
-        raise ValueError(f"cannot fit {n_clusters} clusters to {n} points")
     need = _min_cluster_size(p)
     if n < n_clusters * need:
         raise InsufficientPointsError(f"{n} points are too few for {n_clusters} clusters; "
@@ -859,7 +862,7 @@ def em_fit(data, n_clusters: int, config: FitConfig = FitConfig()):
         key_seed = derive_seed(config.seed, 11, restart)
         try:
             start = _initial_model(arr, rows, pooled, n_clusters, key_seed)
-            run = em_refine(arr, start, max_iter=config.max_iter, rel_tol=config.rel_tol)
+            run = em_refine(arr, start, rel_tol=config.rel_tol)
             counts = np.bincount(run.labels, minlength=n_clusters)
             if np.any(counts < need):
                 g = int(np.argmin(counts))

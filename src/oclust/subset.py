@@ -18,9 +18,9 @@ used.  Across clusters the deltas therefore follow a mixture of G shifted,
 scaled betas weighted by the cluster proportions: the reference distribution
 the trimming loop compares against.  ``ReferenceMixture`` holds that law as
 five (G,) arrays (shift c_g, scale 2 n_g / (n_g - 1)^2, the two shapes and
-the weight pi_g); its density, CDF and sampler take every component in one
-call, with the component axis first, and the CDF adds the components in
-order.  ``GammaReference`` holds the G shifts and the shape p/2.
+the weight pi_g); its CDF and sampler take every component in one call,
+with the component axis first, and the CDF adds the components in order.
+``GammaReference`` holds the G shifts and the shape p/2.
 
 ``subset_deltas`` turns a fitted mixture into the empirical deltas, one float
 per row, in one of two ways:
@@ -39,12 +39,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, gammaln
+from scipy.special import betainc, betaincinv
 
 from .errors import InsufficientPointsError
 from .gmm import (
     LOG_2PI,
     ClusterStats,
+    FitConfig,
     MixtureModel,
     _assigned_log_densities,
     _factor_covariances,
@@ -232,33 +233,16 @@ def gamma_reference(model: MixtureModel) -> GammaReference:
     return GammaReference(shift=_cluster_shifts(model), shape=0.5 * model.dim)
 
 
-def _by_component(y, ref: ReferenceMixture):
-    """y as floats, then the reference's fields shaped to broadcast against
-    it with the component axis first: (G, 1, ..., 1)."""
-    y_arr = np.asarray(y, dtype=float)
-    col = (-1,) + (1,) * y_arr.ndim
-    return (y_arr, ref.shift.reshape(col), ref.scale.reshape(col), ref.alpha.reshape(col),
-            ref.beta.reshape(col), ref.weight.reshape(col))
-
-
-def reference_mixture_density(y, ref: ReferenceMixture):
-    """Density of the reference mixture at y: an array shaped like y, a float for scalar y."""
-    y, shift, scale, alpha, beta, weight = _by_component(y, ref)
-    u = scale * (y - shift)
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.where(inside, u, 0.5)
-    log_pdf = (alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - betaln(alpha, beta)
-    return np.where(inside, weight * (scale * np.exp(log_pdf)), 0.0).cumsum(axis=0)[-1]
-
-
 def reference_mixture_cdf(y, ref: ReferenceMixture):
     """Distribution function of the reference mixture at y: an array shaped like y,
     a float for scalar y."""
-    y, shift, scale, alpha, beta, weight = _by_component(y, ref)
-    u = np.clip(scale * (y - shift), 0.0, 1.0)
+    y = np.asarray(y, dtype=float)
+    col = (-1,) + (1,) * y.ndim  # the component axis first: (G, 1, ..., 1)
+    u = np.clip(ref.scale.reshape(col) * (y - ref.shift.reshape(col)), 0.0, 1.0)
+    terms = ref.weight.reshape(col) * betainc(ref.alpha.reshape(col), ref.beta.reshape(col), u)
     # cumsum adds the components in order at every shape of y; sum(axis=0)
     # adds 8 or more of them pairwise when y is 0-d or has one element
-    return (weight * betainc(alpha, beta, u)).cumsum(axis=0)[-1]
+    return terms.cumsum(axis=0)[-1]
 
 
 def reference_mixture_ppf(q, ref: ReferenceMixture):
@@ -302,16 +286,6 @@ def sample_reference(ref: ReferenceMixture, size: int, rng: np.random.Generator)
     return ref.shift[picks] + u / ref.scale[picks]
 
 
-def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
-    """Density of every cluster's shifted Gamma(shape, 1) reference at y,
-    component axis first: shape (G,) + the shape of y."""
-    y_arr = np.asarray(y, dtype=float)
-    u = y_arr - ref.shift.reshape((-1,) + (1,) * y_arr.ndim)
-    positive = u > 0.0
-    u = np.where(positive, u, 1.0)
-    return np.where(positive, np.exp((ref.shape - 1.0) * np.log(u) - u - gammaln(ref.shape)), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Empirical subset deltas
 # ---------------------------------------------------------------------------
@@ -319,7 +293,7 @@ def gamma_reference_density(y, ref: GammaReference) -> np.ndarray:
 
 def subset_deltas(data, model: MixtureModel, labels, loglik: float,
                   stats: ClusterStats | None = None, *, mode: DeltaMode,
-                  rel_tol: float = 1e-8, n_threads: int = 1) -> np.ndarray:
+                  rel_tol: float = FitConfig.rel_tol, n_threads: int = 1) -> np.ndarray:
     """Subset deltas (n,) for an already fitted mixture.
 
     Entry j is the subset log-likelihood minus the full-data log-likelihood

@@ -32,12 +32,14 @@ class OclustConfig:
         n_clusters: number of mixture components.
         max_outliers: most points the loop may remove (the trace then has
             ``max_outliers + 1`` entries).  ``None`` selects ceil(0.125 * n).
-        fit: EM settings.  ``restarts`` and ``max_iter`` apply to each
+        fit: EM settings.  ``restarts`` and ``rel_tol`` apply to each
             iteration's fit (``em_fit``), seeded from ``seed`` and the
-            iteration; ``em_fit`` discards a restart that leaves a hard
-            cluster too small for the beta reference.  The
-            leave-one-out refits in refit mode take only ``rel_tol`` and keep
-            their own cap of 100 sweeps (``loo_refit_logliks(max_iter=100)``).
+            iteration; each restart stops after at most ``em_refine``'s
+            default of 1,000 sweeps, which no setting changes, and ``em_fit``
+            discards a restart that leaves a hard cluster too small for the
+            beta reference.  The leave-one-out refits in refit mode take only
+            ``rel_tol`` and keep their own cap of 100 sweeps
+            (``loo_refit_logliks(max_iter=100)``).
         delta_mode: how subset deltas are produced (``refit`` or ``frozen``),
             stored as a ``DeltaMode``; any other value raises ``ValueError``.
             Its default is the package's only one: the CLI's ``--mode``

@@ -254,6 +254,20 @@ def test_score_rejects_bad_headers_and_row_counts(tmp_path, capsys, pred_text, t
     assert err == f"error: {message.format(pred=pred, truth=truth)}\n"
 
 
+@pytest.mark.parametrize("flag", ["2", "0.5", "-1"])
+def test_score_refuses_outlier_flags_other_than_0_and_1(tmp_path, capsys, flag):
+    pred, truth = tmp_path / "labels.csv", tmp_path / "truth.csv"
+    pred.write_text("row,label\n0,1\n1,outlier\n2,outlier\n")
+    truth.write_text(f"x1,is_outlier\n0.5,0\n\n2.5,1\n3.5,{flag}\n")
+    code, out, err = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: {truth}: line 5, column 2 ('is_outlier'): {float(flag)!r} is not an "
+                   "outlier flag; expected 0 or 1\n")
+    truth.write_text("x1,is_outlier\n0.5,-0\n\n2.5,1.0\n3.5,1\n")
+    code, out, _ = run_cli(["score", "--pred", str(pred), "--truth", str(truth)], capsys)
+    assert code == 0 and json.loads(out)["misclassification_rate"] == 0.0
+
+
 _GRID_TOKENS = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.9",

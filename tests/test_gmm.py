@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import types
 import warnings
@@ -29,6 +30,14 @@ from oclust import (
 def random_spd(rng, p, scale=1.0):
     a = rng.standard_normal((p, p))
     return scale * (a @ a.T + p * np.eye(p))
+
+
+def short_fit(data, n_clusters, seed, sweeps, monkeypatch):
+    """em_fit's model when each restart stops after ``sweeps`` EM sweeps: a
+    start short of convergence."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gmm, "em_refine", functools.partial(gmm.em_refine, max_iter=sweeps))
+        return em_fit(data, n_clusters, FitConfig(seed=seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +260,9 @@ def test_em_recovers_separated_blobs(three_blob_data):
     assert np.isfinite(loglik)
 
 
-def test_em_history_monotone(three_blob_data):
+def test_em_history_monotone(three_blob_data, monkeypatch):
     data, _ = three_blob_data
-    model, _, _ = em_fit(data, 3, FitConfig(seed=3, max_iter=2))
+    model = short_fit(data, 3, seed=3, sweeps=2, monkeypatch=monkeypatch)
     run = em_refine(data, model, max_iter=200, rel_tol=1e-10)
     history = np.array(run.history)
     assert np.all(np.diff(history) >= -1e-7 * np.maximum(1.0, np.abs(history[:-1])))
@@ -329,7 +338,9 @@ def test_fit_refuses_no_restarts_and_no_clusters():
 
 
 def test_em_more_points_than_clusters_required():
-    with pytest.raises(ValueError):
+    # n < G is refused by the row minimum G (p + 2), like every other short input
+    message = "^2 points are too few for 3 clusters; each cluster in dimension 2 needs at least 4$"
+    with pytest.raises(InsufficientPointsError, match=message):
         em_fit(np.zeros((2, 2)), 3, FitConfig(seed=0))
 
 
@@ -660,11 +671,11 @@ def test_singular_names_the_block_whose_factor_failed(block, bad):
                 call()
 
 
-def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_data):
+def test_em_sweeps_on_views_of_a_larger_workspace_match_a_fresh_one(three_blob_data, monkeypatch):
     # problems converge after different numbers of sweeps, so later sweeps
     # run on ever shorter leading views of the workspace
     data, _ = three_blob_data
-    model, _, _ = em_fit(data, 3, FitConfig(seed=5, max_iter=3))
+    model = short_fit(data, 3, seed=5, sweeps=3, monkeypatch=monkeypatch)
     start = gmm._em_start(data, model)
     n = data.shape[0]
     for rows in [None, np.arange(0, n, 2)]:
